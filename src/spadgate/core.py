@@ -9,23 +9,22 @@ until its first detection; the avalanche then starts the dead time.
 Hardware timestamps are recorded modulo the pulse period (folded).
 
 Everything downstream (estimators, gating policies, the simulator) is built
-on the per-cycle probability kernels in this module.  All sequence-level
-likelihoods are computed in log space.
+on the per-cycle probability kernels in this module.  The log likelihood
+of folded timestamps is written once (``_law``), on four sufficient
+statistics of the cycles (``law_statistics``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-# Below this rate, 1 - exp(-r) must be evaluated with expm1 to keep
-# relative accuracy; we simply use expm1 everywhere.
-_TINY_RATE = 1e-6
+_LN2 = math.log(2.0)
 
 
 def derive_num_bins(bin_resolution_ps: float, rep_rate_hz: float) -> int:
@@ -369,44 +368,101 @@ def folded_detection_distribution(scene: SceneTransient, gate: int) -> np.ndarra
     return np.roll(dist, gate) / (1.0 - q)
 
 
+def log1mexp(x: np.ndarray | float) -> np.ndarray | float:
+    """log(1 - exp(-x)) for x >= 0, stable at both ends; -inf at x <= 0."""
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(arr > _LN2, np.log1p(-np.exp(-arr)), np.log(-np.expm1(-arr)))
+    out = np.where(arr > 0, out, -np.inf)
+    return float(out) if out.ndim == 0 else out
+
+
+class LawStatistics(NamedTuple):
+    """What the folded-timestamp law reads from cycle outcomes: detections
+    per bin, detected cycles whose window [gate, timestamp) covered each
+    bin, and the numbers of detected and censored cycles."""
+
+    counts: np.ndarray
+    passed: np.ndarray
+    detected: int
+    censored: int
+
+
+def _window_counts(starts: np.ndarray, lengths: np.ndarray, num_bins: int) -> np.ndarray:
+    """Per-bin count of cyclic windows [start, start + length), one per pass.
+
+    Partial windows go through a difference array over two periods.
+    """
+    full, rem = np.divmod(lengths, num_bins)
+    size = 2 * num_bins
+    covered = np.cumsum(np.bincount(starts, minlength=size) - np.bincount(starts + rem, minlength=size))
+    return int(full.sum()) + covered[:num_bins] + covered[num_bins:]
+
+
+def law_statistics(num_bins: int, gates, timestamps, detected) -> LawStatistics:
+    """Sufficient statistics of per-cycle (gate, folded timestamp, detected) outcomes."""
+    det = np.asarray(detected, dtype=bool)
+    gates = np.asarray(gates, dtype=np.int64)[det]
+    stamps = np.asarray(timestamps, dtype=np.int64)[det]
+    passed = _window_counts(gates, (stamps - gates) % num_bins, num_bins)
+    return LawStatistics(np.bincount(stamps, minlength=num_bins), passed, stamps.size, det.size - stamps.size)
+
+
+def _count_times(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """counts * log_p, with 0 * -inf taken as 0: an unseen outcome adds nothing."""
+    if np.isfinite(log_p).all():
+        return counts * log_p
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, counts * log_p, 0.0)
+
+
+def _law(stats: LawStatistics, detect_term, pass_term, total, log_detect):
+    """c.log1mexp(r) - P.r - N_det log1mexp(sum r) - N_cens sum r, per hypothesis.
+
+    Takes c.log1mexp(r), P.r, sum r and log1mexp(sum r).  A detected cycle
+    folding onto t after scanning [gate, t) has probability
+    (1 - e^-r_t) e^-(rates scanned) / (1 - e^-sum r), its period index
+    summed out; a censored cycle counts one period without a detection.
+    """
+    ll = detect_term - pass_term
+    if stats.detected:
+        # With no rate at all detect_term is already -inf; keep it so.
+        ll -= stats.detected * np.where(total > 0.0, log_detect, 0.0)
+    if stats.censored:
+        ll -= stats.censored * total
+    return ll
+
+
 def sequence_log_likelihood(scene: SceneTransient, record: AcquisitionRecord) -> float:
     """Joint log likelihood of a record's cycles under ``scene``.
 
-    Cycle outcomes are conditionally independent given the gate sequence.
-    Detected cycles contribute the folded-timestamp likelihood
-    (detection_likelihood at the unfolded time, renormalized by
-    1 - exp(-sum r)); censored cycles contribute one period's no-detection
-    mass, log exp(-sum r).  Impossible observations give -inf rather than
-    raising.  An empty record gives 0.0.
+    Impossible observations give -inf rather than raising.  An empty
+    record gives 0.0.
     """
-    b = scene.num_bins
-    if record.num_bins != b:
+    if record.num_bins != scene.num_bins:
         raise ValueError("record and scene have mismatched num_bins")
-    n = len(record)
-    if n == 0:
-        return 0.0
-    rates = scene.rates
-    total = scene.total_rate
-    n_censored = int(np.count_nonzero(~record.detected))
-    ll = -total * n_censored
-    det = record.detected
-    if not det.any():
-        return ll
-    if total <= 0.0:
-        return float("-inf")
-    # log(1 - exp(-total)) per detected cycle, from the period folding.
-    log_norm = math.log(-math.expm1(-total))
-    gates = record.gates[det]
-    stamps = record.timestamps[det]
-    offsets = (stamps - gates) % b
-    # Window sums over [gate, gate + offset) via a doubled prefix array.
-    prefix = np.concatenate(([0.0], np.cumsum(np.concatenate([rates, rates]))))
-    window = prefix[gates + offsets] - prefix[gates]
-    r_t = rates[stamps]
-    if np.any(r_t <= 0.0):
-        return float("-inf")
-    terms = np.log(-np.expm1(-r_t)) - window - log_norm
-    return ll + float(terms.sum())
+    stats = law_statistics(record.num_bins, record.gates, record.timestamps, record.detected)
+    rates, total = scene.rates, scene.total_rate
+    detect_term = float(_count_times(stats.counts, log1mexp(rates)).sum())
+    return float(_law(stats, detect_term, float(stats.passed @ rates), total, log1mexp(total)))
+
+
+def peak_log_likelihood(stats: LawStatistics, bkg_flux: float, flux: np.ndarray) -> np.ndarray:
+    """Law log likelihood of each scene r = bkg + f e_d: peak bin d by row, flux f by column.
+
+    Rank-one form: c.log1mexp(r) = (N_det - c_d) log1mexp(bkg) + c_d
+    log1mexp(bkg + f), P.r = bkg sum(P) + P_d f (bkg sum(P) is dropped, as
+    it is the same in every cell) and sum r = B bkg + f.
+    """
+    k = flux.size
+    total = stats.counts.size * bkg_flux + flux
+    logs = log1mexp(np.concatenate((bkg_flux + flux, total, [bkg_flux])))
+    # Float columns: int-by-float products over (B, K) are several times slower.
+    counts = stats.counts[:, None].astype(float)
+    detect_term = _count_times(counts, logs[:k])
+    detect_term += _count_times(stats.detected - counts, logs[-1:])
+    pass_term = stats.passed[:, None].astype(float) * flux
+    return _law(stats, detect_term, pass_term, total, logs[k:-1])
 
 
 def timestamps_to_histogram(record: AcquisitionRecord, num_bins: int | None = None) -> DetectedHistogram:
@@ -421,26 +477,9 @@ def timestamps_to_histogram(record: AcquisitionRecord, num_bins: int | None = No
     b = int(num_bins) if num_bins is not None else record.num_bins
     if b != record.num_bins:
         raise ValueError("record and histogram have mismatched num_bins")
-    counts = np.zeros(b, dtype=np.int64)
-    if len(record) == 0:
-        return DetectedHistogram(counts=counts, denominators=counts.copy())
     det = record.detected
-    if det.any():
-        counts = np.bincount(record.timestamps[det], minlength=b).astype(np.int64)
+    counts = np.bincount(record.timestamps[det], minlength=b)
     # Scanned-window lengths in bins, detection bin inclusive.
     offsets = (record.timestamps - record.gates) % b
-    lengths = np.where(det, record.elapsed_periods * b + offsets + 1, record.elapsed_periods * b)
-    full, rem = np.divmod(lengths, b)
-    denom = np.full(b, int(full.sum()), dtype=np.int64)
-    # Partial windows [gate, gate + rem) via a cyclic difference array.
-    diff = np.zeros(b + 1, dtype=np.int64)
-    g = record.gates
-    end = g + rem
-    wraps = end > b
-    np.add.at(diff, g[rem > 0], 1)
-    np.add.at(diff, np.minimum(end[rem > 0], b), -1)
-    if wraps.any():
-        diff[0] += int(np.count_nonzero(wraps))
-        np.add.at(diff, end[wraps] - b, -1)
-    denom += np.cumsum(diff[:-1])
-    return DetectedHistogram(counts=counts, denominators=denom)
+    lengths = record.elapsed_periods * b + np.where(det, offsets + 1, 0)
+    return DetectedHistogram(counts=counts, denominators=_window_counts(record.gates, lengths, b))

@@ -3,36 +3,24 @@
 Two estimation routes are provided.  The histogram route inverts pile-up
 with Coates' correction and takes the argmax bin.  The Bayesian route
 keeps a discrete posterior over depth bins, jointly with a grid of
-candidate signal-flux values, updated per cycle from the exact folded
-detection likelihood; depth decisions marginalize the flux axis.  A
-log-domain parabola fit around the chosen bin recovers sub-bin depth
-(temporal dithering).
+candidate signal-flux values.  Its likelihood is the folded-timestamp law
+of ``core``, which reads a record only through four sufficient statistics
+(per-bin detection and passed-over counts, detected and censored cycle
+counts); a whole record and a single cycle fold in the same way.  Depth
+decisions marginalize the flux axis.  A log-domain parabola fit around
+the chosen bin recovers sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import AcquisitionRecord, DetectedHistogram, timestamps_to_histogram
-
-_LN2 = math.log(2.0)
-
-
-def log1mexp(x: np.ndarray | float) -> np.ndarray | float:
-    """log(1 - exp(-x)) for x >= 0, stable at both ends; -inf at x <= 0."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(arr.shape, -np.inf)
-    small = (arr > 0) & (arr <= _LN2)
-    large = arr > _LN2
-    out[small] = np.log(-np.expm1(-arr[small]))
-    out[large] = np.log1p(-np.exp(-arr[large]))
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+from .core import AcquisitionRecord, DetectedHistogram, LawStatistics, law_statistics, log1mexp, peak_log_likelihood
+from .core import timestamps_to_histogram
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -105,8 +93,8 @@ class DepthPosterior:
 
     ``log_mass`` is kept normalized (logsumexp 0) with shape (B,) for a
     known signal flux or (B, K) jointly with ``flux_grid`` of K candidate
-    values.  ``degraded_cycles`` counts updates whose observation had zero
-    probability under every hypothesis; those updates are skipped rather
+    values.  ``degraded_cycles`` counts cycles whose outcomes had zero
+    probability under every hypothesis; their update is skipped rather
     than aborting.
     """
 
@@ -173,40 +161,34 @@ def posterior_init(
     return DepthPosterior(log_mass=log_mass, flux_grid=flux_grid)
 
 
-def _cycle_log_likelihood(
-    num_bins: int,
-    flux: np.ndarray,
-    timestamp: int | None,
-    gate: int,
-    bkg_flux: float,
-) -> np.ndarray:
-    """Log likelihood matrix (depth x flux) of one cycle outcome.
+def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_flux: float | None) -> DepthPosterior:
+    """Bayes update by cycle outcomes summarized as ``stats``, in place.
 
-    Folded-timestamp model for a single-peak transient: the detection bin
-    contributes log(1 - exp(-(bkg + flux))) when the hypothesis depth is
-    the detection bin and log(1 - exp(-bkg)) otherwise; depths scanned
-    before the detection are attenuated by exp(-flux) (passed-over
-    penalty); the period-folding normalizer log(1 - exp(-(B*bkg + flux)))
-    depends on flux only.  Depth-constant terms are dropped, flux-varying
-    ones are not.
+    Joint posteriors update every (depth, flux) cell from their own
+    hypothesis; depth-only posteriors require ``signal_flux``.  If the
+    outcomes have zero probability under every cell, the posterior is left
+    unchanged and all of them count in ``degraded_cycles``.
     """
-    b = num_bins
-    total = b * bkg_flux + flux
-    if timestamp is None:
-        # Censored: one period with no detection, exp(-sum r).
-        return np.broadcast_to(-total, (b, flux.size)).copy()
-    out = np.broadcast_to(log1mexp(np.full(flux.size, bkg_flux)), (b, flux.size)).copy()
-    out[timestamp, :] = log1mexp(bkg_flux + flux)
-    n = (timestamp - gate) % b
-    scanned = ((np.arange(b) - gate) % b) < n
-    out[scanned, :] -= flux[None, :]
-    with np.errstate(invalid="ignore"):  # -inf - -inf when a hypothesis has zero total rate
-        out -= log1mexp(total)[None, :]
-    zero = total <= 0.0
-    if np.any(zero):
-        # A detection is impossible under a hypothesis with no rate at all.
-        out[:, zero] = -np.inf
-    return out
+    if bkg_flux < 0:
+        raise ValueError("bkg_flux cannot be negative")
+    if post.joint:
+        flux = post.flux_grid
+        if signal_flux is not None:
+            raise ValueError("joint posterior already carries a flux grid")
+    else:
+        if signal_flux is None or signal_flux < 0:
+            raise ValueError("depth-only posterior needs a nonnegative signal_flux")
+        flux = np.array([float(signal_flux)])
+    like = peak_log_likelihood(stats, bkg_flux, flux)
+    if not post.joint:
+        like = like[:, 0]
+    updated = post.log_mass + like
+    z = logsumexp(updated)
+    if not math.isfinite(z):
+        post.degraded_cycles += stats.detected + stats.censored
+        return post
+    post.log_mass = updated - z
+    return post
 
 
 def posterior_update(
@@ -219,36 +201,15 @@ def posterior_update(
     """Bayes update for one cycle outcome, in place; returns ``post``.
 
     ``timestamp`` is the folded detection bin, or None for a censored
-    cycle.  Joint posteriors update every (depth, flux) cell from their
-    own hypothesis; depth-only posteriors require ``signal_flux``.  If the
-    observation has zero probability under every cell, the posterior is
-    left unchanged and ``degraded_cycles`` is bumped.
+    cycle.  The one-cycle case of ``posterior_from_record``.
     """
     b = post.num_bins
     if not 0 <= gate < b:
         raise ValueError(f"gate {gate} outside [0, {b})")
     if timestamp is not None and not 0 <= timestamp < b:
         raise ValueError(f"timestamp {timestamp} outside [0, {b})")
-    if bkg_flux < 0:
-        raise ValueError("bkg_flux cannot be negative")
-    if post.joint:
-        flux = post.flux_grid
-        if signal_flux is not None:
-            raise ValueError("joint posterior already carries a flux grid")
-    else:
-        if signal_flux is None or signal_flux < 0:
-            raise ValueError("depth-only posterior needs a nonnegative signal_flux")
-        flux = np.array([float(signal_flux)])
-    like = _cycle_log_likelihood(b, flux, timestamp, gate, bkg_flux)
-    if not post.joint:
-        like = like[:, 0]
-    updated = post.log_mass + like
-    z = logsumexp(updated)
-    if not math.isfinite(z):
-        post.degraded_cycles += 1
-        return post
-    post.log_mass = updated - z
-    return post
+    stats = law_statistics(b, [gate], [-1 if timestamp is None else timestamp], [timestamp is not None])
+    return _fold(post, stats, bkg_flux, signal_flux)
 
 
 def posterior_from_record(
@@ -258,12 +219,16 @@ def posterior_from_record(
     flux_grid: np.ndarray | None = None,
     signal_flux: float | None = None,
 ) -> DepthPosterior:
-    """Batch posterior over a whole record, cycle by cycle in order."""
+    """Posterior over a whole record, folded in one step from its statistics.
+
+    Cycle order does not matter.  A record impossible under every cell
+    leaves the prior and counts all its cycles as degraded.
+    """
     post = posterior_init(record.num_bins, prior=prior, flux_grid=flux_grid)
-    for i in range(len(record)):
-        t = int(record.timestamps[i]) if record.detected[i] else None
-        posterior_update(post, t, int(record.gates[i]), bkg_flux, signal_flux=signal_flux)
-    return post
+    if len(record) == 0:  # renormalizing the bare prior would move its last bits
+        return post
+    stats = law_statistics(record.num_bins, record.gates, record.timestamps, record.detected)
+    return _fold(post, stats, bkg_flux, signal_flux)
 
 
 def map_depth(post: DepthPosterior) -> int:
@@ -277,7 +242,7 @@ def posterior_entropy(post: DepthPosterior) -> float:
     p = np.exp(lm)
     with np.errstate(invalid="ignore"):
         terms = np.where(p > 0, p * lm, 0.0)
-    return float(max(-terms.sum(), 0.0))
+    return max(0.0 - float(terms.sum()), 0.0)  # +0.0, not -0.0, at a point mass
 
 
 class BackgroundEstimate(NamedTuple):

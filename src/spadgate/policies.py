@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AcquisitionRecord, SceneTransient, detection_distribution, detection_likelihood, no_detection_probability
+from .core import SceneTransient, detection_distribution, detection_likelihood, no_detection_probability
 from .estimators import (
     BackgroundEstimate,
     DepthPosterior,
     default_flux_grid,
     estimate_background,
     posterior_entropy,
-    posterior_init,
+    posterior_from_record,
     posterior_update,
 )
-from .spadsim import FREE_RUN, CycleOutcome
+from .spadsim import FREE_RUN, CycleOutcome, outcomes_record
 
 
 def termination_value(post: DepthPosterior, metric: str = "termination") -> float:
@@ -41,7 +41,7 @@ def termination_value(post: DepthPosterior, metric: str = "termination") -> floa
     """
     if metric == "termination":
         peak = float(np.max(post.depth_log_marginal()))
-        return float(-math.expm1(min(peak, 0.0)))
+        return 0.0 - math.expm1(min(peak, 0.0))  # +0.0, not -0.0, at a point mass
     if metric == "entropy":
         return posterior_entropy(post)
     raise ValueError(f"unknown termination metric {metric!r}")
@@ -134,9 +134,9 @@ class AdaptiveGatePolicy:
 
     The first ``calibration_cycles`` cycles use uniformly spread gates and
     are buffered; the background flux is then estimated from them (unless
-    known up front), the posterior is initialized, and the buffered cycles
-    are replayed into it.  Every later cycle samples a depth from the
-    posterior marginal and gates at (depth - gate_offset) mod B.
+    known up front) and the posterior is folded from them in one step.
+    Every later cycle samples a depth from the posterior marginal and
+    gates at (depth - gate_offset) mod B.
     """
 
     def __init__(
@@ -197,7 +197,8 @@ class AdaptiveGatePolicy:
             if len(self._buffer) >= self.calibration_cycles:
                 self._finalize()
             return
-        self._update(outcome)
+        t = outcome.timestamp if outcome.detected else None
+        posterior_update(self.posterior, t, outcome.gate, self.bkg_flux)
 
     def should_stop(self) -> bool:
         if self.exposure is None or self.posterior is None:
@@ -210,36 +211,18 @@ class AdaptiveGatePolicy:
             self._finalize()
 
     def _finalize(self) -> None:
+        record = outcomes_record(self.num_bins, self._buffer, len(self._buffer))
         if self.known_bkg is not None:
             self.bkg_flux = float(self.known_bkg)
         else:
-            est = estimate_background(self._calibration_record(), fallback_flux=self.background_fallback)
+            est = estimate_background(record, fallback_flux=self.background_fallback)
             self.background_estimate = est
             self.bkg_flux = est.value
         grid = self.flux_grid_override
         if grid is None:
             grid = default_flux_grid(self.bkg_flux)
-        self.posterior = posterior_init(self.num_bins, prior=self.prior, flux_grid=grid)
-        for outcome in self._buffer:
-            self._update(outcome)
+        self.posterior = posterior_from_record(record, self.bkg_flux, prior=self.prior, flux_grid=grid)
         self._buffer = []
-
-    def _update(self, outcome: CycleOutcome) -> None:
-        t = outcome.timestamp if outcome.detected else None
-        posterior_update(self.posterior, t, outcome.gate, self.bkg_flux)
-
-    def _calibration_record(self) -> AcquisitionRecord:
-        n = len(self._buffer)
-        return AcquisitionRecord(
-            num_bins=self.num_bins,
-            gates=np.array([o.gate for o in self._buffer], dtype=np.int64),
-            timestamps=np.array([o.timestamp for o in self._buffer], dtype=np.int64),
-            detected=np.array([o.detected for o in self._buffer], dtype=bool),
-            elapsed_periods=np.array([o.elapsed_periods for o in self._buffer], dtype=np.int64),
-            cycle_durations=np.array([o.cycle_duration_bins for o in self._buffer], dtype=np.int64),
-            exposure_bins=int(sum(o.cycle_duration_bins for o in self._buffer)),
-            calibration_cycles=n,
-        )
 
 
 def reward(

@@ -51,7 +51,7 @@ class SimState:
     cycles: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleOutcome:
     """One armed cycle: effective gate, folded timestamp, time spent."""
 
@@ -195,11 +195,7 @@ def run_acquisition(
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
     state = SimState(rng=rng)
     min_cycle = 1 + config.dead_time_bins
-    gates: list[int] = []
-    stamps: list[int] = []
-    flags: list[bool] = []
-    periods: list[int] = []
-    durations: list[int] = []
+    outcomes: list[CycleOutcome] = []
     while True:
         if policy.should_stop():
             break
@@ -208,19 +204,23 @@ def run_acquisition(
         if budget_bins is not None and state.ready_time + min_cycle > budget_bins:
             break
         outcome = sample_cycle(scene, config, state, policy.next_gate(rng), method=method)
-        gates.append(outcome.gate)
-        stamps.append(outcome.timestamp)
-        flags.append(outcome.detected)
-        periods.append(outcome.elapsed_periods)
-        durations.append(outcome.cycle_duration_bins)
+        outcomes.append(outcome)
         policy.observe(outcome)
+    return outcomes_record(scene.num_bins, outcomes, int(getattr(policy, "calibration_cycles", 0)))
+
+
+def outcomes_record(num_bins: int, outcomes: list[CycleOutcome], calibration_cycles: int = 0) -> AcquisitionRecord:
+    """Record of consecutive cycles from the start of a run.
+
+    A run that ends inside calibration marks every cycle it has.
+    """
     return AcquisitionRecord(
-        num_bins=scene.num_bins,
-        gates=np.array(gates, dtype=np.int64),
-        timestamps=np.array(stamps, dtype=np.int64),
-        detected=np.array(flags, dtype=bool),
-        elapsed_periods=np.array(periods, dtype=np.int64),
-        cycle_durations=np.array(durations, dtype=np.int64),
-        exposure_bins=int(state.ready_time),
-        calibration_cycles=int(getattr(policy, "calibration_cycles", 0)),
+        num_bins=num_bins,
+        gates=np.array([o.gate for o in outcomes], dtype=np.int64),
+        timestamps=np.array([o.timestamp for o in outcomes], dtype=np.int64),
+        detected=np.array([o.detected for o in outcomes], dtype=bool),
+        elapsed_periods=np.array([o.elapsed_periods for o in outcomes], dtype=np.int64),
+        cycle_durations=np.array([o.cycle_duration_bins for o in outcomes], dtype=np.int64),
+        exposure_bins=sum(o.cycle_duration_bins for o in outcomes),
+        calibration_cycles=min(calibration_cycles, len(outcomes)),
     )

@@ -7,6 +7,7 @@ import pytest
 
 import spadgate as sg
 from conftest import brute_detection_likelihood, make_record
+from spadgate.core import law_statistics
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,16 @@ def test_sequence_log_likelihood_is_additive():
     assert sg.sequence_log_likelihood(scene, both) == pytest.approx(
         sg.sequence_log_likelihood(scene, r1) + sg.sequence_log_likelihood(scene, r2), rel=1e-12
     )
+
+
+def test_law_statistics_hand_example():
+    # gate 3 -> bin 1 two periods later passes over bins 3 and 0 of one pass;
+    # a detection at its own gate passes over nothing
+    record = make_record(4, [(3, 1, 2), (0, 0), (1, None, 16)])
+    stats = law_statistics(4, record.gates, record.timestamps, record.detected)
+    assert np.array_equal(stats.counts, [1, 1, 0, 0])
+    assert np.array_equal(stats.passed, [1, 0, 0, 1])
+    assert (stats.detected, stats.censored) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -222,14 +222,61 @@ def test_posterior_from_record_matches_brute(rng):
     grid = np.array([0.0, 0.3, 1.0])
     scene = sg.SceneTransient(num_bins=num_bins, ambient_flux=bkg, peaks=((5, 0.3),))
     spad = sg.SpadConfig(bin_resolution_ps=100.0, rep_rate_hz=20e6, num_bins=num_bins, dead_time_ns=1.0)
-    record = sg.run_acquisition(scene, spad, sg.UniformGatePolicy(num_bins), max_cycles=50, seed=123)
-    post = sg.posterior_from_record(record, bkg, flux_grid=grid)
-    outcomes = [
-        (int(record.gates[i]), int(record.timestamps[i]) if record.detected[i] else None)
-        for i in range(len(record))
-    ]
-    expected = _brute_posterior(num_bins, grid, bkg, outcomes)
-    assert np.allclose(np.exp(post.log_mass), expected, atol=1e-10)
+    uniform = sg.run_acquisition(scene, spad, sg.UniformGatePolicy(num_bins), max_cycles=50, seed=123)
+    # free running arms wherever the dead time ends, so gates are irregular
+    # and many cycles scan past a period boundary
+    free = sg.run_acquisition(scene, spad, sg.FreeRunningPolicy(), max_cycles=50, seed=124)
+    assert np.any(free.elapsed_periods > 0)
+    for record in (uniform, free):
+        post = sg.posterior_from_record(record, bkg, flux_grid=grid)
+        outcomes = [
+            (int(record.gates[i]), int(record.timestamps[i]) if record.detected[i] else None)
+            for i in range(len(record))
+        ]
+        expected = _brute_posterior(num_bins, grid, bkg, outcomes)
+        assert np.allclose(np.exp(post.log_mass), expected, atol=1e-10)
+        folded = sg.posterior_init(num_bins, flux_grid=grid)
+        for gate, ts in outcomes:
+            sg.posterior_update(folded, ts, gate, bkg)
+        assert np.allclose(post.log_mass, folded.log_mass, rtol=0.0, atol=1e-10)
+
+
+def test_posterior_from_record_is_the_sequence_likelihood_per_cell():
+    # Both evaluations of the law must agree cell by cell: the batch
+    # posterior's log mass is log prior + sequence_log_likelihood under the
+    # single-peak scene of that cell, up to one constant.
+    num_bins, bkg = 6, 0.15
+    grid = np.array([0.0, 0.4, 1.1])
+    prior = np.array([0.1, 0.3, 0.2, 0.2, 0.15, 0.05])
+    scene = sg.SceneTransient(num_bins=num_bins, ambient_flux=bkg, peaks=((2, 0.5),))
+    spad = sg.SpadConfig(num_bins=num_bins, dead_time_ns=0.3, max_active_periods=2)
+    simulated = sg.run_acquisition(scene, spad, sg.FreeRunningPolicy(), max_cycles=60, seed=9)
+    hand = make_record(num_bins, [(0, 4, 2), (3, None, 2), (5, 1, 1), (2, 2), (4, None, 2)])
+    for record in (simulated, hand):
+        assert np.any(record.elapsed_periods[record.detected] > 0)
+        assert not record.detected.all()
+        post = sg.posterior_from_record(record, bkg, prior=prior, flux_grid=grid)
+        expected = np.array([
+            [
+                math.log(prior[d] / prior.sum())
+                + sg.sequence_log_likelihood(
+                    sg.SceneTransient(num_bins=num_bins, ambient_flux=bkg, peaks=((d, f),)), record
+                )
+                for f in grid
+            ]
+            for d in range(num_bins)
+        ])
+        offset = post.log_mass - expected
+        assert np.ptp(offset) < 1e-10
+
+
+def test_impossible_record_keeps_prior_and_counts_every_cycle():
+    # With no background only the peak bin can fire, so detections on two
+    # different bins rule out every depth: the record is skipped as a whole.
+    record = make_record(4, [(0, 1), (0, 2), (3, None)])
+    post = sg.posterior_from_record(record, 0.0, signal_flux=0.5)
+    assert post.degraded_cycles == 3
+    assert np.array_equal(post.log_mass, sg.posterior_init(4).log_mass)
 
 
 def test_posterior_update_validation():

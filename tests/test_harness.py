@@ -171,6 +171,22 @@ def test_run_pixel_experiment_is_deterministic():
     assert row1.abs_error_m == pytest.approx(abs(row1.est_depth_m - row1.true_depth_m))
 
 
+def test_adaptive_rows_when_calibration_outlasts_the_budget():
+    # At 100 MHz a 600 ns dead time spans 60 pulse periods, so a 100 us
+    # budget holds fewer cycles than the 2% of its 10000 periods that are
+    # reserved for estimating the background.
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["spad"] = {"bin_resolution_ps": 100.0, "rep_rate_mhz": 100.0, "dead_time_ns": 600.0}
+    raw["scene"] = {"depth_bin": 60, "ambient_flux": 0.02, "sbr": 2.0}
+    raw["policies"] = [{"name": "adaptive", "kind": "adaptive"}]
+    raw["budget_us"] = 100.0
+    raw["background"] = {"mode": "estimated"}
+    rows, _, failures = sg.run_sweep(sg.parse_config(raw))
+    assert failures == []
+    assert len(rows) == 2
+    assert all(r.cycles < 200 for r in rows)
+
+
 def test_run_sweep_rows_sorted_and_aggregated():
     cfg = _config()
     rows, aggs, failures = sg.run_sweep(cfg)

@@ -28,8 +28,12 @@ def test_termination_value_uniform_and_sharp():
     assert sg.termination_value(post) == pytest.approx(0.75, rel=1e-12)
     assert sg.termination_value(post, "entropy") == pytest.approx(math.log(4), rel=1e-12)
     sharp = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]))
-    assert sg.termination_value(sharp) == pytest.approx(0.0, abs=1e-12)
-    assert sg.termination_value(sharp, "entropy") == pytest.approx(0.0, abs=1e-12)
+    sharp_joint = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]), flux_grid=np.array([0.5]))
+    for point in (sharp, sharp_joint):
+        for metric in ("termination", "entropy"):
+            # +0.0 exactly: a -0.0 would print as "-0" in results.csv
+            assert math.copysign(1.0, sg.termination_value(point, metric)) == 1.0
+            assert sg.termination_value(point, metric) == 0.0
     with pytest.raises(ValueError):
         sg.termination_value(post, "wat")
 

@@ -226,3 +226,7 @@ def test_record_calibration_marker_from_policy():
     assert rec.calibration_cycles == 6
     rec2 = sg.run_acquisition(scene, spad, sg.UniformGatePolicy(16), max_cycles=50, seed=12)
     assert rec2.calibration_cycles == 0
+    # a run that ends inside calibration marks only the cycles it has
+    short = sg.AdaptiveGatePolicy(num_bins=16, calibration_cycles=20)
+    rec3 = sg.run_acquisition(scene, spad, short, max_cycles=5, seed=12)
+    assert len(rec3) == 5 and rec3.calibration_cycles == 5
