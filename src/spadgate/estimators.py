@@ -6,15 +6,20 @@ keeps a discrete posterior over depth bins, jointly with a grid of
 candidate signal-flux values.  Its likelihood is the folded-timestamp law
 of ``core``, which reads a record only through four sufficient statistics
 (per-bin detection and passed-over counts, detected and censored cycle
-counts); a whole record and a single cycle fold in the same way.  Depth
-decisions marginalize the flux axis.  A log-domain parabola fit around
-the chosen bin recovers sub-bin depth (temporal dithering).
+counts).  A whole record folds in one step from its statistics.  One
+cycle gives each depth row one of three values (its detection bin, a bin
+of the window it passed over, any other bin; one value for a censored
+cycle), each a vector over the flux grid read off the same law once per
+posterior and background, so an update is three row adds and one
+normalization.  Depth decisions marginalize the flux axis; the depth
+marginal is computed once per posterior state.  A log-domain parabola fit
+around the chosen bin recovers sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +31,16 @@ from .core import timestamps_to_histogram
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """Max-shifted log(sum(exp(a))); tolerates all -inf slices."""
     a = np.asarray(a, dtype=float)
+    # With every max finite nothing can warn or need masking; the
+    # reductions are the same as below, so the result is the same bits.
+    if axis is None:
+        m = a.max()
+        if math.isfinite(m):
+            return float(np.log(np.exp(a - m).sum()) + m)
+    else:
+        m = a.max(axis=axis, keepdims=True)
+        if np.isfinite(m).all():
+            return (np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m).squeeze(axis)
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
@@ -95,12 +110,16 @@ class DepthPosterior:
     known signal flux or (B, K) jointly with ``flux_grid`` of K candidate
     values.  ``degraded_cycles`` counts cycles whose outcomes had zero
     probability under every hypothesis; their update is skipped rather
-    than aborting.
+    than aborting.  Updates replace ``log_mass`` with a new array and never
+    write into it: the depth marginal is cached against the array object
+    it came from, so code that edits the mass must assign a new array too.
     """
 
     log_mass: np.ndarray
     flux_grid: np.ndarray | None = None
     degraded_cycles: int = 0
+    _marginal: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_bins(self) -> int:
@@ -111,9 +130,14 @@ class DepthPosterior:
         return self.log_mass.ndim == 2
 
     def depth_log_marginal(self) -> np.ndarray:
-        if self.joint:
-            return logsumexp(self.log_mass, axis=1)
-        return self.log_mass
+        """Flux-marginalized depth log mass (read-only), once per ``log_mass`` array."""
+        if not self.joint:
+            return self.log_mass
+        if self._marginal is None or self._marginal[0] is not self.log_mass:
+            marginal = logsumexp(self.log_mass, axis=1)
+            marginal.flags.writeable = False
+            self._marginal = (self.log_mass, marginal)
+        return self._marginal[1]
 
     def flux_log_marginal(self) -> np.ndarray:
         if not self.joint:
@@ -161,34 +185,71 @@ def posterior_init(
     return DepthPosterior(log_mass=log_mass, flux_grid=flux_grid)
 
 
-def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_flux: float | None) -> DepthPosterior:
-    """Bayes update by cycle outcomes summarized as ``stats``, in place.
+def _flux_axis(post: DepthPosterior, bkg_flux: float, signal_flux: float | None) -> np.ndarray:
+    """The flux values of the posterior's columns, after checking the arguments.
 
-    Joint posteriors update every (depth, flux) cell from their own
-    hypothesis; depth-only posteriors require ``signal_flux``.  If the
-    outcomes have zero probability under every cell, the posterior is left
-    unchanged and all of them count in ``degraded_cycles``.
+    Joint posteriors carry their own grid; depth-only posteriors require
+    ``signal_flux``.
     """
     if bkg_flux < 0:
         raise ValueError("bkg_flux cannot be negative")
     if post.joint:
-        flux = post.flux_grid
         if signal_flux is not None:
             raise ValueError("joint posterior already carries a flux grid")
-    else:
-        if signal_flux is None or signal_flux < 0:
-            raise ValueError("depth-only posterior needs a nonnegative signal_flux")
-        flux = np.array([float(signal_flux)])
-    like = peak_log_likelihood(stats, bkg_flux, flux)
-    if not post.joint:
-        like = like[:, 0]
-    updated = post.log_mass + like
+        return post.flux_grid
+    if signal_flux is None or signal_flux < 0:
+        raise ValueError("depth-only posterior needs a nonnegative signal_flux")
+    return np.array([float(signal_flux)])
+
+
+def _normalize(post: DepthPosterior, updated: np.ndarray, cycles: int) -> DepthPosterior:
+    """Install ``updated`` renormalized, or count ``cycles`` as degraded if it has no mass."""
     z = logsumexp(updated)
     if not math.isfinite(z):
-        post.degraded_cycles += stats.detected + stats.censored
+        post.degraded_cycles += cycles
         return post
     post.log_mass = updated - z
     return post
+
+
+def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_flux: float | None) -> DepthPosterior:
+    """Bayes update by cycle outcomes summarized as ``stats``, in place.
+
+    Every (depth, flux) cell updates from its own hypothesis.  If the
+    outcomes have zero probability under every cell, the posterior is left
+    unchanged and all of them count in ``degraded_cycles``.
+    """
+    like = peak_log_likelihood(stats, bkg_flux, _flux_axis(post, bkg_flux, signal_flux))
+    if not post.joint:
+        like = like[:, 0]
+    return _normalize(post, post.log_mass + like, stats.detected + stats.censored)
+
+
+def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None) -> tuple:
+    """One cycle's log likelihood by depth row: (detection bin, window bin, other bin, censored).
+
+    A row's value depends only on its own detection and passed-over counts,
+    the cycle counts, B, the background and the flux grid, so each is read
+    off the law on a template cycle, once per posterior and background.
+    """
+    key = (post.log_mass.shape, bkg_flux, signal_flux)
+    if post._rows is not None and post._rows[0] == key and post._rows[1] is post.flux_grid:
+        return post._rows[2]
+    flux = _flux_axis(post, bkg_flux, signal_flux)
+    b = post.num_bins
+
+    def law(gate: int, timestamp: int) -> np.ndarray:
+        like = peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, flux)
+        return like if post.joint else like[:, 0]
+
+    # Templates: a detection at its own gate, bin 0, so the last bin is
+    # neither hit nor passed over; a detection at bin 0 whose window wrapped
+    # from the last bin; a censored cycle.  With one bin only the detection
+    # row is ever used.
+    at_gate, wrapped = law(0, 0), law(b - 1, 0)
+    rows = (at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0])
+    post._rows = (key, post.flux_grid, rows)
+    return rows
 
 
 def posterior_update(
@@ -201,15 +262,25 @@ def posterior_update(
     """Bayes update for one cycle outcome, in place; returns ``post``.
 
     ``timestamp`` is the folded detection bin, or None for a censored
-    cycle.  The one-cycle case of ``posterior_from_record``.
+    cycle.  The one-cycle case of ``posterior_from_record``, to the bit:
+    every row takes the "other" (or censored) value, then the window bins
+    and the detection bin take theirs, then one normalization.
     """
     b = post.num_bins
     if not 0 <= gate < b:
         raise ValueError(f"gate {gate} outside [0, {b})")
     if timestamp is not None and not 0 <= timestamp < b:
         raise ValueError(f"timestamp {timestamp} outside [0, {b})")
-    stats = law_statistics(b, [gate], [-1 if timestamp is None else timestamp], [timestamp is not None])
-    return _fold(post, stats, bkg_flux, signal_flux)
+    hit, window, other, censored = _cycle_rows(post, bkg_flux, signal_flux)
+    mass = post.log_mass
+    if timestamp is None:
+        return _normalize(post, mass + censored, 1)
+    updated = mass + other
+    spans = ((gate, timestamp),) if gate <= timestamp else ((gate, b), (0, timestamp))
+    for lo, hi in spans:
+        updated[lo:hi] = mass[lo:hi] + window
+    updated[timestamp] = mass[timestamp] + hit
+    return _normalize(post, updated, 1)
 
 
 def posterior_from_record(

@@ -489,6 +489,16 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         errors.append(f"exposure.metric must be termination or entropy, got {kwargs['exposure_metric']!r}")
     if kwargs["exposure_epsilon"] is not None and kwargs["exposure_epsilon"] <= 0:
         errors.append("exposure.epsilon must be positive")
+    if kwargs["exposure_min_cycles"] is not None and kwargs["exposure_min_cycles"] < 0:
+        errors.append("exposure.min_cycles cannot be negative")
+    for path, key in (("background.fallback_flux", "background_fallback"),
+                      ("estimator.flux_grid_lo", "flux_grid_lo"), ("estimator.flux_grid_hi", "flux_grid_hi")):
+        if not kwargs[key] > 0:
+            errors.append(f"{path} must be positive")
+    if kwargs["flux_grid_size"] < 1:
+        errors.append("estimator.flux_grid_size must be at least 1")
+    if kwargs["dither_window"] < 3 or kwargs["dither_window"] % 2 == 0:
+        errors.append("estimator.dither_window must be an odd count >= 3")
     if kwargs["background_mode"] not in ("estimated", "known"):
         errors.append(f"background.mode must be estimated or known, got {kwargs['background_mode']!r}")
     if kwargs["prior_kind"] not in ("uniform", "flatness", "external"):
@@ -685,9 +695,10 @@ def _build_policy(config: ExperimentConfig, spec: RowSpec, num_bins: int, prior:
             metric=config.exposure_metric,
             min_cycles=config.exposure_min_cycles,
         )
+    grid_spec = (config.flux_grid_size, config.flux_grid_lo, config.flux_grid_hi)
     grid = None
     if known is not None:
-        grid = default_flux_grid(known, config.flux_grid_size, config.flux_grid_lo, config.flux_grid_hi)
+        grid = default_flux_grid(known, *grid_spec)
     return AdaptiveGatePolicy(
         num_bins=num_bins,
         prior=prior,
@@ -697,6 +708,7 @@ def _build_policy(config: ExperimentConfig, spec: RowSpec, num_bins: int, prior:
         gate_offset=p.gate_offset,
         exposure=exposure,
         background_fallback=config.background_fallback,
+        flux_grid_spec=grid_spec,
     )
 
 

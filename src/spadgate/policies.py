@@ -135,6 +135,8 @@ class AdaptiveGatePolicy:
     The first ``calibration_cycles`` cycles use uniformly spread gates and
     are buffered; the background flux is then estimated from them (unless
     known up front) and the posterior is folded from them in one step.
+    Without an explicit ``flux_grid`` the posterior's grid is
+    ``default_flux_grid(background, *flux_grid_spec)``, spec (size, lo, hi).
     Every later cycle samples a depth from the posterior marginal and
     gates at (depth - gate_offset) mod B.
     """
@@ -149,6 +151,7 @@ class AdaptiveGatePolicy:
         gate_offset: int = 0,
         exposure: ExposureControl | None = None,
         background_fallback: float = 0.01,
+        flux_grid_spec: tuple[int, float, float] = (16, 0.1, 100.0),
     ):
         if bkg_flux is None and calibration_cycles < 1:
             raise ValueError("unknown background needs calibration cycles to estimate it")
@@ -158,6 +161,7 @@ class AdaptiveGatePolicy:
         self.prior = prior
         self.known_bkg = bkg_flux
         self.flux_grid_override = flux_grid
+        self.flux_grid_spec = flux_grid_spec
         self.calibration_cycles = int(calibration_cycles)
         self.gate_offset = int(gate_offset) % int(num_bins)
         self.exposure = exposure
@@ -186,8 +190,8 @@ class AdaptiveGatePolicy:
 
     def sample_depth(self, rng: np.random.Generator) -> int:
         """One Thompson draw from the depth marginal (one uniform consumed)."""
-        cdf = np.cumsum(np.exp(self.posterior.depth_log_marginal()))
-        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        cdf = np.exp(self.posterior.depth_log_marginal()).cumsum()
+        idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
         return min(idx, self.num_bins - 1)
 
     def observe(self, outcome: CycleOutcome) -> None:
@@ -220,7 +224,7 @@ class AdaptiveGatePolicy:
             self.bkg_flux = est.value
         grid = self.flux_grid_override
         if grid is None:
-            grid = default_flux_grid(self.bkg_flux)
+            grid = default_flux_grid(self.bkg_flux, *self.flux_grid_spec)
         self.posterior = posterior_from_record(record, self.bkg_flux, prior=self.prior, flux_grid=grid)
         self._buffer = []
 

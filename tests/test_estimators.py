@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spadgate as sg
 from conftest import brute_detection_likelihood, make_record
+from spadgate.core import law_statistics
+from spadgate.estimators import _fold
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +281,53 @@ def test_impossible_record_keeps_prior_and_counts_every_cycle():
     post = sg.posterior_from_record(record, 0.0, signal_flux=0.5)
     assert post.degraded_cycles == 3
     assert np.array_equal(post.log_mass, sg.posterior_init(4).log_mass)
+
+
+@st.composite
+def _one_cycle_cases(draw):
+    """A posterior state and two cycles to fold into it."""
+    b = draw(st.one_of(st.integers(1, 3), st.integers(1, 600)))
+    bkg = draw(st.floats(1e-6, 2.0))
+    grid = signal = None
+    if draw(st.booleans()):
+        grid = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20)))
+    else:
+        signal = draw(st.floats(0.0, 50.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = rng.random(b) + 0.01
+    if draw(st.booleans()):
+        prior[rng.random(b) < 0.5] = 0.0
+        prior[rng.integers(b)] = 1.0
+    # a folded history, so the state is not a product of prior and flux
+    history = make_record(b, [(int(g), None if c else int(t)) for g, t, c in
+                              zip(rng.integers(b, size=5), rng.integers(b, size=5), rng.random(5) < 0.2)])
+    cycles = []
+    for _ in range(2):
+        gate = draw(st.integers(0, b - 1))
+        kind = draw(st.sampled_from(["censored", "at gate", "wrapped", "any"]))
+        if kind == "censored":
+            t = None
+        elif kind == "at gate":
+            t = gate
+        elif kind == "wrapped" and gate > 0:
+            t = draw(st.integers(0, gate - 1))
+        else:
+            t = draw(st.integers(0, b - 1))
+        cycles.append((gate, t))
+    return b, bkg, grid, signal, prior, history, cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_cycle_cases())
+def test_posterior_update_is_the_one_cycle_fold_to_the_bit(case):
+    b, bkg, grid, signal, prior, history, cycles = case
+    post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid, signal_flux=signal)
+    ref = post.copy()
+    for gate, t in cycles:  # the second cycle reads the cached rows
+        sg.posterior_update(post, t, gate, bkg, signal)
+        _fold(ref, law_statistics(b, [gate], [-1 if t is None else t], [t is not None]), bkg, signal)
+        assert np.array_equal(post.log_mass, ref.log_mass)
+        assert post.degraded_cycles == ref.degraded_cycles
 
 
 def test_posterior_update_validation():

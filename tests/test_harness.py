@@ -9,7 +9,7 @@ import pytest
 
 import spadgate as sg
 from spadgate.cli import main
-from spadgate.harness import RowSpec, _format_cell, run_pixel_experiment
+from spadgate.harness import RowSpec, _build_policy, _format_cell, run_pixel_experiment
 
 
 BASE_CONFIG = {
@@ -71,6 +71,26 @@ def test_parse_config_type_errors_name_the_path():
     raw["spad"]["num_bins"] = "many"
     with pytest.raises(sg.ConfigError, match="spad.num_bins"):
         sg.parse_config(raw)
+    # Values of the right type that would fail every row (or mean nothing).
+    for section, key, value, message in [
+        ("estimator", "dither_window", 2, "estimator.dither_window must be an odd count >= 3"),
+        ("estimator", "dither_window", 4, "estimator.dither_window must be an odd count >= 3"),
+        ("estimator", "dither_window", 1, "estimator.dither_window must be an odd count >= 3"),
+        ("estimator", "flux_grid_size", 0, "estimator.flux_grid_size must be at least 1"),
+        ("estimator", "flux_grid_lo", 0.0, "estimator.flux_grid_lo must be positive"),
+        ("estimator", "flux_grid_hi", -1.0, "estimator.flux_grid_hi must be positive"),
+        ("background", "fallback_flux", 0.0, "background.fallback_flux must be positive"),
+        ("exposure", "min_cycles", -1, "exposure.min_cycles cannot be negative"),
+    ]:
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(sg.ConfigError) as exc:
+            sg.parse_config(raw)
+        assert str(exc.value) == message
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["estimator"] = {"dither_window": 5, "flux_grid_size": 1}
+    raw["exposure"] = {"min_cycles": 0}
+    sg.parse_config(raw)  # the edge values themselves are fine
 
 
 def test_parse_config_duplicate_policy_names():
@@ -185,6 +205,18 @@ def test_adaptive_rows_when_calibration_outlasts_the_budget():
     assert failures == []
     assert len(rows) == 2
     assert all(r.cycles < 200 for r in rows)
+
+
+def test_adaptive_policy_uses_the_configured_flux_grid():
+    estimator = {"flux_grid_size": 4, "flux_grid_lo": 0.5, "flux_grid_hi": 20.0}
+    for mode in ("estimated", "known"):
+        cfg = _config(background={"mode": mode}, estimator=estimator)
+        spec = next(s for s in sg.build_sweep_specs(cfg) if s.policy.kind == "adaptive")
+        policy = _build_policy(cfg, spec, cfg.resolved_num_bins, None)
+        policy.ensure_posterior()
+        expected = sg.default_flux_grid(policy.bkg_flux, 4, 0.5, 20.0)
+        assert np.array_equal(policy.posterior.flux_grid, expected)
+        assert policy.posterior.log_mass.shape == (40, 5)
 
 
 def test_run_sweep_rows_sorted_and_aggregated():

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import spadgate as sg
+from spadgate import estimators, policies
+from spadgate.core import law_statistics
+from spadgate.estimators import _fold
 from spadgate.spadsim import CycleOutcome
 
 
@@ -274,3 +277,81 @@ def test_reward_validation():
         sg.reward(0, 10, 10, 0.1, 0.5)
     with pytest.raises(ValueError):
         sg.reward(0, 0, 10, 0.1, 0.5, method="guess")
+
+
+# ---------------------------------------------------------------------------
+# The per-cycle fast path: one-cycle rows and the cached depth marginal
+
+
+def _general_update(post, timestamp, gate, bkg_flux, signal_flux=None):
+    """posterior_update written as the general fold of one-cycle statistics."""
+    detected = timestamp is not None
+    stats = law_statistics(post.num_bins, [gate], [timestamp if detected else -1], [detected])
+    return _fold(post, stats, bkg_flux, signal_flux)
+
+
+def test_thompson_draws_match_the_general_fold(monkeypatch):
+    num_bins = 100
+    scene = sg.SceneTransient(num_bins=num_bins, ambient_flux=0.01, peaks=((60, 0.02),))
+    spad = sg.SpadConfig(rep_rate_hz=100e6, num_bins=num_bins, dead_time_ns=8.1)
+
+    def acquire():
+        pol = sg.AdaptiveGatePolicy(num_bins=num_bins, calibration_cycles=20,
+                                    exposure=sg.ExposureControl(epsilon=0.25))
+        return sg.run_acquisition(scene, spad, pol, max_cycles=3000, seed=11), pol.posterior
+
+    fast, fast_post = acquire()
+    monkeypatch.setattr(policies, "posterior_update", _general_update)
+    general, general_post = acquire()
+    assert 20 < len(fast) < 3000  # Thompson cycles ran, and the stop rule ended the run
+    assert np.array_equal(fast.gates, general.gates)
+    assert np.array_equal(fast.timestamps, general.timestamps)
+    assert fast_post.log_mass.tobytes() == general_post.log_mass.tobytes()
+
+
+def test_depth_marginal_follows_log_mass_reassignment():
+    post = sg.posterior_init(5, flux_grid=np.array([0.2, 1.0]))
+    first = post.depth_log_marginal()
+    assert post.depth_log_marginal() is first
+    with pytest.raises(ValueError):
+        first[0] = 0.0  # read-only: the cache cannot be edited through it
+    mass = np.full((5, 2), -np.inf)
+    mass[3] = -math.log(2)
+    post.log_mass = mass
+    assert sg.map_depth(post) == 3
+    assert sg.termination_value(post) == 0.0
+    sg.posterior_update(post, 1, 0, 0.1)
+    assert np.array_equal(post.depth_log_marginal(), sg.logsumexp(post.log_mass, axis=1))
+
+
+def test_copy_does_not_serve_a_stale_marginal():
+    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.5]))
+    sg.posterior_update(post, 2, 0, 0.1)
+    before = post.depth_log_marginal().copy()
+    twin = post.copy()
+    sg.posterior_update(twin, 4, 4, 0.1)
+    assert np.array_equal(twin.depth_log_marginal(), sg.logsumexp(twin.log_mass, axis=1))
+    assert not np.array_equal(twin.depth_log_marginal(), before)
+    assert np.array_equal(post.depth_log_marginal(), before)
+
+
+def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
+    axis1_calls = []
+    real = estimators.logsumexp
+
+    def counting(a, axis=None):
+        if axis == 1:
+            axis1_calls.append(a.shape)
+        return real(a, axis)
+
+    monkeypatch.setattr(estimators, "logsumexp", counting)
+    num_bins = 20
+    control = sg.ExposureControl(epsilon=1e-9, min_cycles=0)
+    pol = sg.AdaptiveGatePolicy(num_bins=num_bins, bkg_flux=0.05, exposure=control)
+    rng = sg.stream_rng(3)
+    for cycle in range(6):
+        axis1_calls.clear()
+        assert not pol.should_stop()
+        gate = pol.next_gate(rng)
+        pol.observe(_outcome(gate, ts=None if cycle == 2 else (gate + cycle) % num_bins))
+        assert len(axis1_calls) == 1
