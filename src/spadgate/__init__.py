@@ -72,7 +72,6 @@ from .policies import (
     FixedGatePolicy,
     FreeRunningPolicy,
     UniformGatePolicy,
-    optimal_gate,
     reward,
     termination_value,
 )
@@ -99,81 +98,3 @@ from .spadsim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AcquisitionRecord",
-    "AdaptiveGatePolicy",
-    "AggregateRow",
-    "BackgroundEstimate",
-    "ConfigError",
-    "CycleOutcome",
-    "DepthPosterior",
-    "DetectedHistogram",
-    "ExperimentConfig",
-    "ExposureControl",
-    "FREE_RUN",
-    "FixedGatePolicy",
-    "FreeRunningPolicy",
-    "PolicySpec",
-    "ResultRow",
-    "RowSpec",
-    "SceneGrid",
-    "SceneTransient",
-    "SpadConfig",
-    "TransientEstimate",
-    "UniformGatePolicy",
-    "aggregate_rows",
-    "arm_free_running",
-    "arm_triggered",
-    "bin_to_depth",
-    "build_sweep_specs",
-    "coates_depth",
-    "coates_transient",
-    "compute_metrics",
-    "default_flux_grid",
-    "depth_to_bin",
-    "derive_num_bins",
-    "detection_distribution",
-    "detection_likelihood",
-    "dither_depth",
-    "estimate_background",
-    "external_prior_mass",
-    "flatness_prior",
-    "folded_detection_distribution",
-    "load_depth_map",
-    "load_external_prior",
-    "load_flux_map",
-    "load_results_csv",
-    "log1mexp",
-    "logsumexp",
-    "map_depth",
-    "mismatch_transient",
-    "no_detection_probability",
-    "normalization_check",
-    "optimal_gate",
-    "parse_config",
-    "pileup_distribution",
-    "pixel_transient",
-    "posterior_entropy",
-    "posterior_from_record",
-    "posterior_init",
-    "posterior_update",
-    "prior_params_to_bins",
-    "proposition_check",
-    "reward",
-    "reward_consistency_check",
-    "run_acquisition",
-    "run_pixel_experiment",
-    "run_scene_scan",
-    "run_sweep",
-    "sample_cycle",
-    "scan_order",
-    "sequence_log_likelihood",
-    "serialize_config",
-    "stream_rng",
-    "termination_value",
-    "timestamps_to_histogram",
-    "write_aggregates_csv",
-    "write_map_csv",
-    "write_results_csv",
-]

@@ -50,7 +50,6 @@ from .policies import (
     FixedGatePolicy,
     FreeRunningPolicy,
     UniformGatePolicy,
-    optimal_gate,
     reward,
     termination_value,
 )
@@ -179,87 +178,85 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical nested form, the inverse of parse_config."""
-        d: dict[str, Any] = {
-            "experiment": {
-                "id": self.experiment_id,
-                "out_dir": self.out_dir,
-                "seeds": self.seeds,
-                "global_seed": self.global_seed,
-            },
-            "spad": {
-                "bin_resolution_ps": self.bin_resolution_ps,
-                "rep_rate_mhz": self.rep_rate_hz / 1e6,
-                "dead_time_ns": self.dead_time_ns,
-                "max_active_periods": self.max_active_periods,
-            },
-            "scene": {},
-            "policies": [
-                {k: v for k, v in asdict(p).items() if v is not None} for p in self.policies
-            ],
-            "budget_us": self.budget_us,
-            "max_cycles": self.max_cycles,
-            "exposure": {
-                "enabled": self.exposure_enabled,
-                "epsilon": self.exposure_epsilon,
-                "metric": self.exposure_metric,
-                "min_cycles": self.exposure_min_cycles,
-            },
-            "background": {
-                "mode": self.background_mode,
-                "fallback_flux": self.background_fallback,
-            },
-            "estimator": {
-                "flux_grid_size": self.flux_grid_size,
-                "flux_grid_lo": self.flux_grid_lo,
-                "flux_grid_hi": self.flux_grid_hi,
-                "dither_window": self.dither_window,
-            },
-            "prior": {
-                "kind": self.prior_kind,
-                "sigma_bins": self.prior_sigma_bins,
-                "floor_weight": self.prior_floor_weight,
-            },
-        }
-        if self.num_bins is not None:
-            d["spad"]["num_bins"] = self.num_bins
-        scene = d["scene"]
-        for key, val in (
-            ("ambient_flux", self.ambient_flux),
-            ("sbr", self.sbr),
-            ("signal_flux", self.signal_flux),
-            ("depth_bin", self.depth_bin),
-            ("depth_m", self.depth_m),
-            ("depth_map", self.depth_map),
-            ("ambient_map", self.ambient_map),
-            ("signal_map", self.signal_map),
-        ):
-            if val is not None:
-                scene[key] = val
-        if self.mismatch_kind is not None:
-            mm: dict[str, Any] = {"kind": self.mismatch_kind}
-            for key, val in (
-                ("second_depth", self.mismatch_second_depth),
-                ("second_flux", self.mismatch_second_flux),
-                ("tail_amplitude", self.mismatch_tail_amplitude),
-                ("tail_decay", self.mismatch_tail_decay),
-            ):
-                if val is not None:
-                    mm[key] = val
-            scene["mismatch"] = mm
-        if self.prior_path is not None:
-            d["prior"]["path"] = self.prior_path
-        sweep = {}
-        for key, val in (
-            ("ambient_flux", self.sweep_ambient_flux),
-            ("sbr", self.sweep_sbr),
-            ("dead_time_ns", self.sweep_dead_time_ns),
-            ("budget_us", self.sweep_budget_us),
-        ):
-            if val is not None:
-                sweep[key] = list(val)
-        if sweep:
-            d["sweep"] = sweep
+        d: dict[str, Any] = {"scene": {}}
+        for section, key, field, kind in _SCHEMA:
+            value = getattr(self, field)
+            if value is None and field not in _WRITTEN_AS_NULL:
+                continue
+            if field == "rep_rate_hz":
+                value /= 1e6
+            elif kind is tuple:
+                value = list(value)
+            node = d
+            for name in filter(None, section.split(".")):
+                node = node.setdefault(name, {})
+            node[key] = value
+        d["policies"] = [{k: v for k, v in asdict(p).items() if v is not None} for p in self.policies]
         return d
+
+
+# The config schema, written once: (section, JSON key, ExperimentConfig field,
+# kind), in the order parse_config reads and reports them.  Section "" is the
+# top level.  Kind tuple is a sweep axis, a non-empty list of numbers.  Both
+# directions take their defaults from the dataclass; spad.rep_rate_mhz is the
+# one scaled key.  Policies and the cross-field checks live in parse_config.
+_SCHEMA = (
+    ("experiment", "id", "experiment_id", str),
+    ("experiment", "out_dir", "out_dir", str),
+    ("experiment", "seeds", "seeds", int),
+    ("experiment", "global_seed", "global_seed", int),
+    ("spad", "bin_resolution_ps", "bin_resolution_ps", float),
+    ("spad", "rep_rate_mhz", "rep_rate_hz", float),
+    ("spad", "num_bins", "num_bins", int),
+    ("spad", "dead_time_ns", "dead_time_ns", float),
+    ("spad", "max_active_periods", "max_active_periods", int),
+    ("scene", "ambient_flux", "ambient_flux", float),
+    ("scene", "sbr", "sbr", float),
+    ("scene", "signal_flux", "signal_flux", float),
+    ("scene", "depth_bin", "depth_bin", int),
+    ("scene", "depth_m", "depth_m", float),
+    ("scene", "depth_map", "depth_map", str),
+    ("scene", "ambient_map", "ambient_map", str),
+    ("scene", "signal_map", "signal_map", str),
+    ("scene.mismatch", "kind", "mismatch_kind", str),
+    ("scene.mismatch", "second_depth", "mismatch_second_depth", int),
+    ("scene.mismatch", "second_flux", "mismatch_second_flux", float),
+    ("scene.mismatch", "tail_amplitude", "mismatch_tail_amplitude", float),
+    ("scene.mismatch", "tail_decay", "mismatch_tail_decay", float),
+    ("", "budget_us", "budget_us", float),
+    ("", "max_cycles", "max_cycles", int),
+    ("exposure", "enabled", "exposure_enabled", bool),
+    ("exposure", "epsilon", "exposure_epsilon", float),
+    ("exposure", "metric", "exposure_metric", str),
+    ("exposure", "min_cycles", "exposure_min_cycles", int),
+    ("background", "mode", "background_mode", str),
+    ("background", "fallback_flux", "background_fallback", float),
+    ("estimator", "flux_grid_size", "flux_grid_size", int),
+    ("estimator", "flux_grid_lo", "flux_grid_lo", float),
+    ("estimator", "flux_grid_hi", "flux_grid_hi", float),
+    ("estimator", "dither_window", "dither_window", int),
+    ("prior", "kind", "prior_kind", str),
+    ("prior", "sigma_bins", "prior_sigma_bins", float),
+    ("prior", "floor_weight", "prior_floor_weight", float),
+    ("prior", "path", "prior_path", str),
+    ("sweep", "ambient_flux", "sweep_ambient_flux", tuple),
+    ("sweep", "sbr", "sweep_sbr", tuple),
+    ("sweep", "dead_time_ns", "sweep_dead_time_ns", tuple),
+    ("sweep", "budget_us", "sweep_budget_us", tuple),
+)
+_SECTIONS = {sec: [row for row in _SCHEMA if row[0] == sec] for sec in dict.fromkeys(row[0] for row in _SCHEMA)}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_FIELD_AT = {f"{sec}.{key}".lstrip("."): field for sec, key, field, _ in _SCHEMA}
+# Every other unset field is left out of the canonical form; a null budget
+# means cycle-capped only.
+_WRITTEN_AS_NULL = frozenset({"budget_us", "max_cycles", "exposure_min_cycles"})
+# Range rules, named by the message they report; every value of a sweep axis
+# must keep its rule.
+_RULES = {
+    "must be positive": lambda v: v > 0,
+    "must be at least 1": lambda v: v >= 1,
+    "cannot be negative": lambda v: v >= 0,
+}
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -274,26 +271,18 @@ def _take(section: dict, errors: list[str], path: str, key: str, kind, default=N
     if val is None:  # JSON null reads as "use the default"
         return default
     try:
-        if kind is bool:
-            if not isinstance(val, bool):
+        if kind in (bool, str, list):
+            if not isinstance(val, kind):
                 raise ValueError
             return val
+        if isinstance(val, bool):
+            raise ValueError
         if kind is int:
-            if isinstance(val, bool) or int(val) != val:
+            if int(val) != val:
                 raise ValueError
             return int(val)
         if kind is float:
-            if isinstance(val, bool):
-                raise ValueError
             return float(val)
-        if kind is str:
-            if not isinstance(val, str):
-                raise ValueError
-            return str(val)
-        if kind is list:
-            if not isinstance(val, list):
-                raise ValueError
-            return val
     except (TypeError, ValueError):
         errors.append(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
         return default
@@ -320,9 +309,7 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
 
     Accepts a path, raw JSON text, or an already-decoded dict.  Unknown
     keys and missing required fields are collected and reported together
-    in a ConfigError.  Documented defaults: 100 ps bins, 20 MHz repetition
-    rate (500 bins), 81 ns dead time, 100 us budget, epsilon 0.25 with the
-    "termination" metric.
+    in a ConfigError.  Absent keys take the ExperimentConfig defaults.
     """
     if isinstance(source, dict):
         raw = json.loads(json.dumps(source))  # deep copy, ensure JSON-compatible
@@ -343,160 +330,32 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
 
     errors: list[str] = []
     kwargs: dict[str, Any] = {}
-
-    exp = raw.pop("experiment", {}) or {}
-    if not isinstance(exp, dict):
-        errors.append("experiment: expected an object")
-        exp = {}
-    kwargs["experiment_id"] = _take(exp, errors, "experiment", "id", str, "experiment")
-    kwargs["out_dir"] = _take(exp, errors, "experiment", "out_dir", str, "results")
-    kwargs["seeds"] = _take(exp, errors, "experiment", "seeds", int, 1)
-    kwargs["global_seed"] = _take(exp, errors, "experiment", "global_seed", int, 0)
-    errors.extend(f"unknown key experiment.{k}" for k in exp)
-
-    spad = raw.pop("spad", {}) or {}
-    if not isinstance(spad, dict):
-        errors.append("spad: expected an object")
-        spad = {}
-    kwargs["bin_resolution_ps"] = _take(spad, errors, "spad", "bin_resolution_ps", float, 100.0)
-    rep_mhz = _take(spad, errors, "spad", "rep_rate_mhz", float, 20.0)
-    kwargs["rep_rate_hz"] = rep_mhz * 1e6
-    kwargs["num_bins"] = _take(spad, errors, "spad", "num_bins", int)
-    kwargs["dead_time_ns"] = _take(spad, errors, "spad", "dead_time_ns", float, 81.0)
-    kwargs["max_active_periods"] = _take(spad, errors, "spad", "max_active_periods", int, 16)
-    errors.extend(f"unknown key spad.{k}" for k in spad)
-
-    scn = raw.pop("scene", {}) or {}
-    if not isinstance(scn, dict):
-        errors.append("scene: expected an object")
-        scn = {}
-    kwargs["ambient_flux"] = _take(scn, errors, "scene", "ambient_flux", float)
-    kwargs["sbr"] = _take(scn, errors, "scene", "sbr", float)
-    kwargs["signal_flux"] = _take(scn, errors, "scene", "signal_flux", float)
-    kwargs["depth_bin"] = _take(scn, errors, "scene", "depth_bin", int)
-    kwargs["depth_m"] = _take(scn, errors, "scene", "depth_m", float)
-    kwargs["depth_map"] = _take(scn, errors, "scene", "depth_map", str)
-    kwargs["ambient_map"] = _take(scn, errors, "scene", "ambient_map", str)
-    kwargs["signal_map"] = _take(scn, errors, "scene", "signal_map", str)
-    for key in ("mismatch_kind", "mismatch_second_depth", "mismatch_second_flux",
-                "mismatch_tail_amplitude", "mismatch_tail_decay"):
-        kwargs[key] = None
-    mm = scn.pop("mismatch", None)
-    if mm is not None:
-        if not isinstance(mm, dict):
-            errors.append("scene.mismatch: expected an object")
-        else:
-            kwargs["mismatch_kind"] = _take(mm, errors, "scene.mismatch", "kind", str)
-            kwargs["mismatch_second_depth"] = _take(mm, errors, "scene.mismatch", "second_depth", int)
-            kwargs["mismatch_second_flux"] = _take(mm, errors, "scene.mismatch", "second_flux", float)
-            kwargs["mismatch_tail_amplitude"] = _take(mm, errors, "scene.mismatch", "tail_amplitude", float)
-            kwargs["mismatch_tail_decay"] = _take(mm, errors, "scene.mismatch", "tail_decay", float)
-            errors.extend(f"unknown key scene.mismatch.{k}" for k in mm)
-    errors.extend(f"unknown key scene.{k}" for k in scn)
-
-    pols = raw.pop("policies", None)
-    if pols is None:
-        kwargs["policies"] = _DEFAULT_POLICIES
-    elif not isinstance(pols, list) or not pols:
-        errors.append("policies: expected a non-empty list")
-        kwargs["policies"] = _DEFAULT_POLICIES
-    else:
-        parsed = []
-        for i, entry in enumerate(pols):
-            if not isinstance(entry, dict):
-                errors.append(f"policies[{i}]: expected an object")
-                continue
-            entry = dict(entry)
-            path = f"policies[{i}]"
-            kind = _take(entry, errors, path, "kind", str, "adaptive")
-            name = _take(entry, errors, path, "name", str, kind)
-            est = _take(entry, errors, path, "estimator", str, "map" if kind in ("adaptive", "free_running") else "coates")
-            gate = _take(entry, errors, path, "gate", int)
-            offset = _take(entry, errors, path, "gate_offset", int, 0)
-            errors.extend(f"unknown key {path}.{k}" for k in entry)
-            try:
-                parsed.append(PolicySpec(name=name, kind=kind, estimator=est, gate=gate, gate_offset=offset))
-            except ConfigError as exc:
-                errors.append(str(exc))
-        kwargs["policies"] = tuple(parsed) if parsed else _DEFAULT_POLICIES
-        names = [p.name for p in kwargs["policies"]]
-        if len(set(names)) != len(names):
-            errors.append("policies: names must be unique")
-
-    # An explicit null budget means "cycle-capped only"; an absent key means
-    # the default 100 us.
-    if "budget_us" in raw and raw["budget_us"] is None:
-        raw.pop("budget_us")
-        kwargs["budget_us"] = None
-    else:
-        kwargs["budget_us"] = _take(raw, errors, "config", "budget_us", float, 100.0)
-    kwargs["max_cycles"] = _take(raw, errors, "config", "max_cycles", int)
-
-    expo = raw.pop("exposure", {}) or {}
-    if not isinstance(expo, dict):
-        errors.append("exposure: expected an object")
-        expo = {}
-    kwargs["exposure_enabled"] = _take(expo, errors, "exposure", "enabled", bool, False)
-    kwargs["exposure_epsilon"] = _take(expo, errors, "exposure", "epsilon", float, 0.25)
-    kwargs["exposure_metric"] = _take(expo, errors, "exposure", "metric", str, "termination")
-    kwargs["exposure_min_cycles"] = _take(expo, errors, "exposure", "min_cycles", int)
-    errors.extend(f"unknown key exposure.{k}" for k in expo)
-
-    bkg = raw.pop("background", {}) or {}
-    if not isinstance(bkg, dict):
-        errors.append("background: expected an object")
-        bkg = {}
-    kwargs["background_mode"] = _take(bkg, errors, "background", "mode", str, "estimated")
-    kwargs["background_fallback"] = _take(bkg, errors, "background", "fallback_flux", float, 0.01)
-    errors.extend(f"unknown key background.{k}" for k in bkg)
-
-    est_sec = raw.pop("estimator", {}) or {}
-    if not isinstance(est_sec, dict):
-        errors.append("estimator: expected an object")
-        est_sec = {}
-    kwargs["flux_grid_size"] = _take(est_sec, errors, "estimator", "flux_grid_size", int, 16)
-    kwargs["flux_grid_lo"] = _take(est_sec, errors, "estimator", "flux_grid_lo", float, 0.1)
-    kwargs["flux_grid_hi"] = _take(est_sec, errors, "estimator", "flux_grid_hi", float, 100.0)
-    kwargs["dither_window"] = _take(est_sec, errors, "estimator", "dither_window", int, 3)
-    errors.extend(f"unknown key estimator.{k}" for k in est_sec)
-
-    pri = raw.pop("prior", {}) or {}
-    if not isinstance(pri, dict):
-        errors.append("prior: expected an object")
-        pri = {}
-    kwargs["prior_kind"] = _take(pri, errors, "prior", "kind", str, "uniform")
-    kwargs["prior_sigma_bins"] = _take(pri, errors, "prior", "sigma_bins", float, 10.0)
-    kwargs["prior_floor_weight"] = _take(pri, errors, "prior", "floor_weight", float, 0.1)
-    kwargs["prior_path"] = _take(pri, errors, "prior", "path", str)
-    errors.extend(f"unknown key prior.{k}" for k in pri)
-
-    swp = raw.pop("sweep", {}) or {}
-    if not isinstance(swp, dict):
-        errors.append("sweep: expected an object")
-        swp = {}
-    kwargs["sweep_ambient_flux"] = _float_list(swp, errors, "sweep", "ambient_flux")
-    kwargs["sweep_sbr"] = _float_list(swp, errors, "sweep", "sbr")
-    kwargs["sweep_dead_time_ns"] = _float_list(swp, errors, "sweep", "dead_time_ns")
-    kwargs["sweep_budget_us"] = _float_list(swp, errors, "sweep", "budget_us")
-    errors.extend(f"unknown key sweep.{k}" for k in swp)
-
+    for path in (sec for sec in _SECTIONS if "." not in sec):
+        if path == "":  # the policies list comes just before the top-level keys
+            kwargs["policies"] = _parse_policies(raw.pop("policies", None), errors)
+        _take_section(raw, path, errors, kwargs)
     errors.extend(f"unknown section {k}" for k in raw)
 
-    # Cross-field requirements.
-    if kwargs["seeds"] is not None and kwargs["seeds"] < 1:
+    # Value ranges and cross-field requirements, in the order they are reported.
+    if kwargs["seeds"] < 1:
         errors.append("experiment.seeds must be at least 1")
     if kwargs["exposure_metric"] not in ("termination", "entropy"):
         errors.append(f"exposure.metric must be termination or entropy, got {kwargs['exposure_metric']!r}")
-    if kwargs["exposure_epsilon"] is not None and kwargs["exposure_epsilon"] <= 0:
-        errors.append("exposure.epsilon must be positive")
-    if kwargs["exposure_min_cycles"] is not None and kwargs["exposure_min_cycles"] < 0:
-        errors.append("exposure.min_cycles cannot be negative")
-    for path, key in (("background.fallback_flux", "background_fallback"),
-                      ("estimator.flux_grid_lo", "flux_grid_lo"), ("estimator.flux_grid_hi", "flux_grid_hi")):
-        if not kwargs[key] > 0:
-            errors.append(f"{path} must be positive")
-    if kwargs["flux_grid_size"] < 1:
-        errors.append("estimator.flux_grid_size must be at least 1")
+    for path, rule in (
+        ("exposure.epsilon", "must be positive"), ("exposure.min_cycles", "cannot be negative"),
+        ("background.fallback_flux", "must be positive"), ("estimator.flux_grid_lo", "must be positive"),
+        ("estimator.flux_grid_hi", "must be positive"), ("estimator.flux_grid_size", "must be at least 1"),
+        ("spad.bin_resolution_ps", "must be positive"), ("spad.rep_rate_mhz", "must be positive"),
+        ("spad.num_bins", "must be at least 1"), ("spad.dead_time_ns", "cannot be negative"),
+        ("spad.max_active_periods", "must be at least 1"), ("scene.ambient_flux", "cannot be negative"),
+        ("scene.sbr", "cannot be negative"), ("scene.signal_flux", "cannot be negative"),
+        ("budget_us", "must be positive"), ("sweep.ambient_flux", "cannot be negative"),
+        ("sweep.sbr", "cannot be negative"), ("sweep.dead_time_ns", "cannot be negative"),
+        ("sweep.budget_us", "must be positive"),
+    ):
+        value = kwargs[_FIELD_AT[path]]
+        if value is not None and not all(map(_RULES[rule], value if isinstance(value, tuple) else (value,))):
+            errors.append(f"{path} {rule}")
     if kwargs["dither_window"] < 3 or kwargs["dither_window"] % 2 == 0:
         errors.append("estimator.dither_window must be an odd count >= 3")
     if kwargs["background_mode"] not in ("estimated", "known"):
@@ -508,26 +367,90 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
     if kwargs["budget_us"] is None and kwargs["max_cycles"] is None:
         errors.append("need budget_us or max_cycles")
     scan_mode = kwargs["depth_map"] is not None
-    if not scan_mode:
-        if kwargs["depth_bin"] is None and kwargs["depth_m"] is None:
-            errors.append("scene needs depth_bin, depth_m or depth_map")
-        if kwargs["ambient_flux"] is None and kwargs["ambient_map"] is None:
-            errors.append("scene needs ambient_flux")
-        if kwargs["sbr"] is None and kwargs["signal_flux"] is None and kwargs["signal_map"] is None:
-            errors.append("scene needs sbr or signal_flux")
-    else:
-        if kwargs["ambient_flux"] is None and kwargs["ambient_map"] is None:
-            errors.append("scene needs ambient_flux or ambient_map")
-        if kwargs["sbr"] is None and kwargs["signal_flux"] is None and kwargs["signal_map"] is None:
-            errors.append("scene needs sbr, signal_flux or signal_map")
+    if not scan_mode and kwargs["depth_bin"] is None and kwargs["depth_m"] is None:
+        errors.append("scene needs depth_bin, depth_m or depth_map")
+    if kwargs["ambient_flux"] is None and kwargs["ambient_map"] is None:
+        errors.append("scene needs ambient_flux or ambient_map" if scan_mode else "scene needs ambient_flux")
+    if kwargs["sbr"] is None and kwargs["signal_flux"] is None and kwargs["signal_map"] is None:
+        errors.append("scene needs sbr, signal_flux or signal_map" if scan_mode else "scene needs sbr or signal_flux")
     if kwargs["sbr"] is not None and kwargs["signal_flux"] is not None:
         errors.append("scene.sbr and scene.signal_flux are mutually exclusive")
     if kwargs["mismatch_kind"] is not None and kwargs["mismatch_kind"] not in ("two_peak", "corner_tail"):
         errors.append(f"scene.mismatch.kind must be two_peak or corner_tail, got {kwargs['mismatch_kind']!r}")
-
     if errors:
         raise ConfigError("; ".join(errors))
-    return ExperimentConfig(**kwargs)
+
+    # Bin indices, once the period's bin count is known to be valid.
+    config = ExperimentConfig(**kwargs)
+    num_bins = config.resolved_num_bins
+    if num_bins < 1:
+        raise ConfigError("spad.bin_resolution_ps is longer than one pulse period")
+    if not scan_mode:
+        key = "depth_bin" if config.depth_bin is not None else "depth_m"
+        value = getattr(config, key)
+        depth = config.resolved_depth_bin() if math.isfinite(value) else value
+        if not 0 <= depth < num_bins:
+            errors.append(f"scene.{key} gives depth bin {depth}, outside [0, {num_bins})")
+    errors.extend(f"policies[{i}].gate {p.gate} outside [0, {num_bins})"
+                  for i, p in enumerate(config.policies) if p.kind == "fixed" and not 0 <= p.gate < num_bins)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return config
+
+
+def _take_section(parent: dict, path: str, errors: list[str], kwargs: dict) -> None:
+    """Move the schema fields of section ``path`` (and its subsections) into kwargs."""
+    section = parent
+    if path:
+        section = parent.pop(path.rpartition(".")[2], None)
+        if not section and (section is None or "." not in path):
+            section = {}  # absent or null, or a falsy top-level value
+        if not isinstance(section, dict):
+            errors.append(f"{path}: expected an object")
+            section = {}
+    where = path or "config"
+    for _, key, field, kind in _SECTIONS[path]:
+        if kind is tuple:
+            kwargs[field] = _float_list(section, errors, where, key)
+        elif field == "rep_rate_hz":
+            kwargs[field] = _take(section, errors, where, key, kind, _DEFAULTS[field] / 1e6) * 1e6
+        elif field == "budget_us" and section.get(key, 0) is None:
+            kwargs[field] = section.pop(key)  # an explicit null: cycle-capped only
+        else:
+            kwargs[field] = _take(section, errors, where, key, kind, _DEFAULTS[field])
+    if path:
+        for sub in (sec for sec in _SECTIONS if sec.rpartition(".")[0] == path):
+            _take_section(section, sub, errors, kwargs)
+        errors.extend(f"unknown key {path}.{k}" for k in section)
+
+
+def _parse_policies(pols: Any, errors: list[str]) -> tuple[PolicySpec, ...]:
+    """The policies list; the default pair when it is absent or unusable."""
+    if pols is None:
+        return _DEFAULT_POLICIES
+    if not isinstance(pols, list) or not pols:
+        errors.append("policies: expected a non-empty list")
+        return _DEFAULT_POLICIES
+    parsed = []
+    for i, entry in enumerate(pols):
+        path = f"policies[{i}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{path}: expected an object")
+            continue
+        kind = _take(entry, errors, path, "kind", str, "adaptive")
+        name = _take(entry, errors, path, "name", str, kind)
+        est = _take(entry, errors, path, "estimator", str, "map" if kind in ("adaptive", "free_running") else "coates")
+        gate = _take(entry, errors, path, "gate", int)
+        offset = _take(entry, errors, path, "gate_offset", int, 0)
+        errors.extend(f"unknown key {path}.{k}" for k in entry)
+        try:
+            parsed.append(PolicySpec(name=name, kind=kind, estimator=est, gate=gate, gate_offset=offset))
+        except ConfigError as exc:
+            errors.append(str(exc))
+    policies = tuple(parsed) or _DEFAULT_POLICIES
+    if len({p.name for p in policies}) != len(policies):
+        errors.append("policies: names must be unique")
+    return policies
 
 
 def _looks_like_path(source: str | Path) -> bool:
@@ -592,8 +515,7 @@ class RowSpec:
     use_mismatch: bool = False
 
 
-def _group_key(row: ResultRow) -> tuple:
-    return (row.policy, row.ambient_flux, row.sbr, row.dead_time_ns, row.budget_us)
+_GROUP_FIELDS = ("policy", "ambient_flux", "sbr", "dead_time_ns", "budget_us")
 
 
 def compute_metrics(rows: Iterable[ResultRow]) -> dict[str, float]:
@@ -646,27 +568,16 @@ def aggregate_rows(rows: list[ResultRow]) -> list[AggregateRow]:
     """Group means/medians in sorted group-key order (thread invariant)."""
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
-        groups.setdefault(_group_key(row), []).append(row)
+        groups.setdefault(tuple(getattr(row, f) for f in _GROUP_FIELDS), []).append(row)
     out = []
     for key in sorted(groups):
         grp = groups[key]
-        m = compute_metrics(grp)
-        with np.errstate(invalid="ignore"):
-            term = [r.termination_value for r in grp if not math.isnan(r.termination_value)]
-            ent = [r.entropy_nats for r in grp if not math.isnan(r.entropy_nats)]
+        term = [r.termination_value for r in grp if not math.isnan(r.termination_value)]
+        ent = [r.entropy_nats for r in grp if not math.isnan(r.entropy_nats)]
         out.append(AggregateRow(
             experiment_id=grp[0].experiment_id,
-            policy=key[0],
-            ambient_flux=key[1],
-            sbr=key[2],
-            dead_time_ns=key[3],
-            budget_us=key[4],
-            n_rows=m["n_rows"],
-            rmse_m=m["rmse_m"],
-            mean_zero_one_loss=m["mean_zero_one_loss"],
-            median_abs_error_m=m["median_abs_error_m"],
-            mean_exposure_us=m["mean_exposure_us"],
-            mean_cycles=m["mean_cycles"],
+            **dict(zip(_GROUP_FIELDS, key)),
+            **compute_metrics(grp),
             mean_termination_value=float(np.mean(term)) if term else float("nan"),
             mean_entropy_nats=float(np.mean(ent)) if ent else float("nan"),
             mean_detections_true_bin=float(np.mean([r.detections_true_bin for r in grp])),
@@ -695,20 +606,15 @@ def _build_policy(config: ExperimentConfig, spec: RowSpec, num_bins: int, prior:
             metric=config.exposure_metric,
             min_cycles=config.exposure_min_cycles,
         )
-    grid_spec = (config.flux_grid_size, config.flux_grid_lo, config.flux_grid_hi)
-    grid = None
-    if known is not None:
-        grid = default_flux_grid(known, *grid_spec)
     return AdaptiveGatePolicy(
         num_bins=num_bins,
         prior=prior,
         bkg_flux=known,
-        flux_grid=grid,
         calibration_cycles=n_cal,
         gate_offset=p.gate_offset,
         exposure=exposure,
         background_fallback=config.background_fallback,
-        flux_grid_spec=grid_spec,
+        flux_grid_spec=(config.flux_grid_size, config.flux_grid_lo, config.flux_grid_hi),
     )
 
 
@@ -897,6 +803,11 @@ def _map_rows(config: ExperimentConfig, specs: list[RowSpec], threads: int) -> l
         return list(pool.map(_run_row_safe, args, chunksize=chunk))
 
 
+# Scan map name -> the ResultRow field it shows.
+_MAP_FIELDS = {"depth_m": "est_depth_m", "abs_error_m": "abs_error_m", "entropy_nats": "entropy_nats",
+               "exposure_us": "exposure_us"}
+
+
 def run_scene_scan(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[list[ResultRow], dict[str, dict[str, np.ndarray]], list[RowFailure]]:
@@ -933,11 +844,9 @@ def run_scene_scan(
     maps: dict[str, dict[str, np.ndarray]] = {}
     chained = config.prior_kind == "flatness"
     for p_idx, policy in enumerate(config.policies):
-        est_map = np.full((grid.height, grid.width), np.nan)
-        err_map = np.full((grid.height, grid.width), np.nan)
-        ent_map = np.full((grid.height, grid.width), np.nan)
-        exp_map = np.full((grid.height, grid.width), np.nan)
+        policy_maps = maps[policy.name] = {key: np.full((grid.height, grid.width), np.nan) for key in _MAP_FIELDS}
         specs: list[RowSpec] = []
+        results: list[ResultRow | RowFailure] = []
         prev_estimate: float | None = None
         for x, y in order:
             center = None
@@ -962,37 +871,22 @@ def run_scene_scan(
                 prior_sigma_bins=sigma,
             )
             if chained:
-                result = _run_row_safe((config, spec))
-                if isinstance(result, ResultRow):
-                    prev_estimate = result.est_depth_subbin
-                    rows.append(result)
-                    _fill_maps(result, est_map, err_map, ent_map, exp_map)
-                else:
-                    failures.append(result)
+                results.append(_run_row_safe((config, spec)))
+                if isinstance(results[-1], ResultRow):
+                    prev_estimate = results[-1].est_depth_subbin
             else:
                 specs.append(spec)
         if not chained:
-            for result in _map_rows(config, specs, threads):
-                if isinstance(result, ResultRow):
-                    rows.append(result)
-                    _fill_maps(result, est_map, err_map, ent_map, exp_map)
-                else:
-                    failures.append(result)
-        maps[policy.name] = {
-            "depth_m": est_map,
-            "abs_error_m": err_map,
-            "entropy_nats": ent_map,
-            "exposure_us": exp_map,
-        }
+            results = _map_rows(config, specs, threads)
+        for result in results:
+            if isinstance(result, ResultRow):
+                rows.append(result)
+                for key, field in _MAP_FIELDS.items():
+                    policy_maps[key][result.y, result.x] = getattr(result, field)
+            else:
+                failures.append(result)
     rows.sort(key=lambda r: (r.policy, r.y, r.x))
     return rows, maps, failures
-
-
-def _fill_maps(row: ResultRow, est, err, ent, exp) -> None:
-    est[row.y, row.x] = row.est_depth_m
-    err[row.y, row.x] = row.abs_error_m
-    ent[row.y, row.x] = row.entropy_nats
-    exp[row.y, row.x] = row.exposure_us
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +991,7 @@ def proposition_check(
             for d in range(b):
                 vals = np.array([reward(d, g, b, bkg, sig, method="brute") for g in range(b)])
                 best = int(np.argmax(vals))
-                if best != optimal_gate(d, b):
+                if best != d:
                     return False, f"B={b} fluxes=({bkg},{sig}) depth={d}: argmax gate {best}"
                 order = np.sort(vals)
                 if order[-1] <= order[-2]:

@@ -135,8 +135,8 @@ class AdaptiveGatePolicy:
     The first ``calibration_cycles`` cycles use uniformly spread gates and
     are buffered; the background flux is then estimated from them (unless
     known up front) and the posterior is folded from them in one step.
-    Without an explicit ``flux_grid`` the posterior's grid is
-    ``default_flux_grid(background, *flux_grid_spec)``, spec (size, lo, hi).
+    The posterior's flux grid is ``default_flux_grid(background,
+    *flux_grid_spec)``, spec (size, lo, hi).
     Every later cycle samples a depth from the posterior marginal and
     gates at (depth - gate_offset) mod B.
     """
@@ -146,7 +146,6 @@ class AdaptiveGatePolicy:
         num_bins: int,
         prior: np.ndarray | None = None,
         bkg_flux: float | None = None,
-        flux_grid: np.ndarray | None = None,
         calibration_cycles: int = 0,
         gate_offset: int = 0,
         exposure: ExposureControl | None = None,
@@ -155,12 +154,9 @@ class AdaptiveGatePolicy:
     ):
         if bkg_flux is None and calibration_cycles < 1:
             raise ValueError("unknown background needs calibration cycles to estimate it")
-        if bkg_flux is not None and bkg_flux <= 0:
-            raise ValueError("bkg_flux must be positive")
         self.num_bins = int(num_bins)
         self.prior = prior
         self.known_bkg = bkg_flux
-        self.flux_grid_override = flux_grid
         self.flux_grid_spec = flux_grid_spec
         self.calibration_cycles = int(calibration_cycles)
         self.gate_offset = int(gate_offset) % int(num_bins)
@@ -222,9 +218,7 @@ class AdaptiveGatePolicy:
             est = estimate_background(record, fallback_flux=self.background_fallback)
             self.background_estimate = est
             self.bkg_flux = est.value
-        grid = self.flux_grid_override
-        if grid is None:
-            grid = default_flux_grid(self.bkg_flux, *self.flux_grid_spec)
+        grid = default_flux_grid(self.bkg_flux, *self.flux_grid_spec)
         self.posterior = posterior_from_record(record, self.bkg_flux, prior=self.prior, flux_grid=grid)
         self._buffer = []
 
@@ -261,14 +255,3 @@ def reward(
         return -loss
     raise ValueError(f"unknown reward method {method!r}")
 
-
-def optimal_gate(sampled_depth: int, num_bins: int) -> int:
-    """Reward-maximizing gate for a depth hypothesis: the depth itself.
-
-    Any other gate multiplies the sampled bin's detection probability by
-    the survival of the bins scanned before it, which can only shrink it.
-    Verified exhaustively against the brute-force reward in the tests.
-    """
-    if not 0 <= sampled_depth < num_bins:
-        raise ValueError(f"depth {sampled_depth} outside [0, {num_bins})")
-    return int(sampled_depth)

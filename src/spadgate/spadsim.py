@@ -6,10 +6,10 @@ photon detections with per-bin probability 1 - exp(-r[i]), and on its
 first detection goes dead for the configured dead time.  A cycle with no
 detection within ``max_active_periods`` pulse periods is censored.
 
-Two sampling paths produce identically distributed outcomes: a per-bin
-Bernoulli walk (the reference), and a fast path that draws one unit
-exponential and locates the detection bin in the cumulative rate profile
-(the Bernoulli walk is exactly a discretized exponential clock).
+The per-bin Bernoulli walk is exactly a discretized exponential clock, so
+a cycle draws one unit exponential and locates the detection bin in the
+cumulative rate profile; the tests check the resulting outcome law
+against ``detection_likelihood``.
 
 Determinism: all randomness flows through one numpy PCG64 generator.
 Identical seeds give bit-identical records; per-pixel streams come from
@@ -19,8 +19,7 @@ SeedSequence, a documented, platform-stable construction.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def _scan_exponential(
     """Detection offset for a unit-exponential draw, or None if censored.
 
     The offset is the largest n with cumsum(rates scanned) <= e; bins with
-    zero rate are skipped for free.  Exactly matches the per-bin Bernoulli
+    zero rate are skipped for free.  Exactly matches a per-bin Bernoulli
     walk in distribution.
     """
     b = scene.num_bins
@@ -105,24 +104,11 @@ def _scan_exponential(
     return offset
 
 
-def _scan_per_bin(
-    scene: SceneTransient, arm_phase: int, rng: np.random.Generator, max_periods: int
-) -> int | None:
-    """Reference path: one Bernoulli draw per scanned bin."""
-    b = scene.num_bins
-    trigger = -np.expm1(-scene.rates)
-    for n in range(max_periods * b):
-        if rng.random() < trigger[(arm_phase + n) % b]:
-            return n
-    return None
-
-
 def sample_cycle(
     scene: SceneTransient,
     config: SpadConfig,
     state: SimState,
     gate: int | _FreeRunDirective,
-    method: str = "skip",
 ) -> CycleOutcome:
     """Run one armed cycle and advance ``state`` past its dead time.
 
@@ -142,12 +128,7 @@ def sample_cycle(
         arm = arm_triggered(start, int(gate), b)
     arm_phase = arm % b
     cap = config.max_active_periods
-    if method == "skip":
-        offset = _scan_exponential(scene, arm_phase, float(state.rng.exponential()), cap)
-    elif method == "per_bin":
-        offset = _scan_per_bin(scene, arm_phase, state.rng, cap)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    offset = _scan_exponential(scene, arm_phase, float(state.rng.exponential()), cap)
     if offset is None:
         ready = arm + cap * b
         outcome = CycleOutcome(
@@ -179,7 +160,6 @@ def run_acquisition(
     budget_bins: int | None = None,
     max_cycles: int | None = None,
     seed: int | np.random.Generator = 0,
-    method: str = "skip",
 ) -> AcquisitionRecord:
     """Acquire cycles under a gating policy until a stop condition.
 
@@ -203,7 +183,7 @@ def run_acquisition(
             break
         if budget_bins is not None and state.ready_time + min_cycle > budget_bins:
             break
-        outcome = sample_cycle(scene, config, state, policy.next_gate(rng), method=method)
+        outcome = sample_cycle(scene, config, state, policy.next_gate(rng))
         outcomes.append(outcome)
         policy.observe(outcome)
     return outcomes_record(scene.num_bins, outcomes, int(getattr(policy, "calibration_cycles", 0)))

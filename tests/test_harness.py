@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spadgate as sg
+from spadgate import harness
 from spadgate.cli import main
 from spadgate.harness import RowSpec, _build_policy, _format_cell, run_pixel_experiment
 
@@ -81,16 +82,54 @@ def test_parse_config_type_errors_name_the_path():
         ("estimator", "flux_grid_hi", -1.0, "estimator.flux_grid_hi must be positive"),
         ("background", "fallback_flux", 0.0, "background.fallback_flux must be positive"),
         ("exposure", "min_cycles", -1, "exposure.min_cycles cannot be negative"),
+        ("spad", "num_bins", 0, "spad.num_bins must be at least 1"),
+        ("spad", "max_active_periods", 0, "spad.max_active_periods must be at least 1"),
+        ("spad", "dead_time_ns", -1.0, "spad.dead_time_ns cannot be negative"),
+        ("spad", "bin_resolution_ps", 0.0, "spad.bin_resolution_ps must be positive"),
+        ("spad", "rep_rate_mhz", -20.0, "spad.rep_rate_mhz must be positive"),
+        ("scene", "ambient_flux", -0.01, "scene.ambient_flux cannot be negative"),
+        ("scene", "sbr", -1.0, "scene.sbr cannot be negative"),
+        ("scene", "depth_bin", 40, "scene.depth_bin gives depth bin 40, outside [0, 40)"),
+        ("scene", "depth_bin", -1, "scene.depth_bin gives depth bin -1, outside [0, 40)"),
+        (None, "budget_us", 0.0, "budget_us must be positive"),
+        (None, "budget_us", -5.0, "budget_us must be positive"),
+        ("sweep", "ambient_flux", [0.01, -0.01], "sweep.ambient_flux cannot be negative"),
+        ("sweep", "sbr", [-1.0], "sweep.sbr cannot be negative"),
+        ("sweep", "dead_time_ns", [-1.0, 20.0], "sweep.dead_time_ns cannot be negative"),
+        ("sweep", "budget_us", [10.0, 0.0], "sweep.budget_us must be positive"),
     ]:
         raw = json.loads(json.dumps(BASE_CONFIG))
-        raw.setdefault(section, {})[key] = value
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        with pytest.raises(sg.ConfigError) as exc:
+            sg.parse_config(raw)
+        assert str(exc.value) == message
+    for scene, spad, gate, message in [
+        ({"depth_bin": 11, "ambient_flux": 0.02, "signal_flux": -0.1}, {}, 0,
+         "scene.signal_flux cannot be negative"),
+        ({"depth_m": 100.0, "ambient_flux": 0.02, "sbr": 5.0}, {}, 0,
+         "scene.depth_m gives depth bin 6671, outside [0, 40)"),
+        (BASE_CONFIG["scene"], {}, 40, "policies[0].gate 40 outside [0, 40)"),
+        (BASE_CONFIG["scene"], {"num_bins": None, "rep_rate_mhz": 20000.0}, 0,
+         "spad.bin_resolution_ps is longer than one pulse period"),
+    ]:
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["scene"] = scene
+        raw["spad"].update(spad)
+        raw["policies"][0]["gate"] = gate
         with pytest.raises(sg.ConfigError) as exc:
             sg.parse_config(raw)
         assert str(exc.value) == message
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["estimator"] = {"dither_window": 5, "flux_grid_size": 1}
     raw["exposure"] = {"min_cycles": 0}
+    raw["spad"].update(num_bins=1, max_active_periods=1, dead_time_ns=0.0)
+    raw["scene"] = {"depth_bin": 0, "ambient_flux": 0.0, "sbr": 0.0}
+    raw["sweep"] = {"ambient_flux": [0.0], "sbr": [0.0], "dead_time_ns": [0.0], "budget_us": [0.1]}
     sg.parse_config(raw)  # the edge values themselves are fine
+    raw["spad"]["num_bins"] = 40
+    raw["scene"] = {"depth_bin": 39, "ambient_flux": 0.02, "signal_flux": 0.0}
+    raw["policies"][0]["gate"] = 39
+    sg.parse_config(raw)
 
 
 def test_parse_config_duplicate_policy_names():
@@ -131,6 +170,116 @@ def test_serialize_parse_round_trip():
     assert again == cfg
     assert sg.serialize_config(again) == text
     assert text.endswith("\n")
+    # The canonical form: unset keys are left out, except the three written as null.
+    assert json.loads(sg.serialize_config(_config())) == {
+        "experiment": {"id": "unit", "out_dir": "results", "seeds": 2, "global_seed": 7},
+        "spad": {"bin_resolution_ps": 100.0, "rep_rate_mhz": 20.0, "num_bins": 40, "dead_time_ns": 20.0,
+                 "max_active_periods": 16},
+        "scene": {"depth_bin": 11, "ambient_flux": 0.02, "sbr": 5.0},
+        "policies": [{"name": "fixed0", "kind": "fixed", "estimator": "coates", "gate": 0, "gate_offset": 0},
+                     {"name": "adaptive", "kind": "adaptive", "estimator": "map", "gate_offset": 0}],
+        "budget_us": 20.0,
+        "max_cycles": None,
+        "exposure": {"enabled": False, "epsilon": 0.25, "metric": "termination", "min_cycles": None},
+        "background": {"mode": "known", "fallback_flux": 0.01},
+        "estimator": {"flux_grid_size": 16, "flux_grid_lo": 0.1, "flux_grid_hi": 100.0, "dither_window": 3},
+        "prior": {"kind": "uniform", "sigma_bins": 10.0, "floor_weight": 0.1},
+    }
+
+
+def test_config_schema_lists_every_field_once():
+    table = [field for _, _, field, _ in harness._SCHEMA]
+    assert sorted(table) == sorted(f.name for f in dataclasses.fields(sg.ExperimentConfig) if f.name != "policies")
+    assert len({(section, key) for section, key, _, _ in harness._SCHEMA}) == len(table)
+
+
+def test_round_trip_with_every_field_set():
+    full = sg.ExperimentConfig(
+        experiment_id="full", out_dir="out", seeds=3, global_seed=9,
+        bin_resolution_ps=50.0, rep_rate_hz=25e6, num_bins=600, dead_time_ns=40.0, max_active_periods=4,
+        ambient_flux=0.03, sbr=3.0, depth_bin=120, depth_m=2.5,
+        mismatch_kind="corner_tail", mismatch_second_depth=300, mismatch_second_flux=0.02,
+        mismatch_tail_amplitude=0.4, mismatch_tail_decay=12.0,
+        depth_map="depth.txt", ambient_map="ambient.txt", signal_map="signal.txt",
+        policies=(sg.PolicySpec(name="fixed9", kind="fixed", estimator="map", gate=9, gate_offset=2),),
+        budget_us=50.0, max_cycles=900,
+        exposure_enabled=True, exposure_epsilon=0.1, exposure_metric="entropy", exposure_min_cycles=25,
+        background_mode="known", background_fallback=0.02,
+        flux_grid_size=8, flux_grid_lo=0.2, flux_grid_hi=50.0, dither_window=5,
+        prior_kind="external", prior_sigma_bins=4.0, prior_floor_weight=0.3, prior_path="prior.txt",
+        sweep_ambient_flux=(0.01, 0.05), sweep_sbr=(1.0, 4.0), sweep_dead_time_ns=(20.0, 81.0),
+        sweep_budget_us=(25.0, 75.0),
+    )
+    # sbr and signal_flux are exclusive, so the second config sets the other
+    with_signal = dataclasses.replace(full, sbr=None, signal_flux=0.09)
+    default = sg.ExperimentConfig()
+    left_at_default = [f.name for f in dataclasses.fields(full)
+                       if getattr(default, f.name) == getattr(full, f.name) == getattr(with_signal, f.name)]
+    assert left_at_default == []
+    for cfg in (full, with_signal):
+        text = sg.serialize_config(cfg)
+        assert sg.parse_config(text) == cfg
+        assert sg.serialize_config(sg.parse_config(text)) == text
+
+
+def test_config_error_text_and_order_are_pinned():
+    # Errors in several sections at once; the joined text keeps its order.
+    several = {
+        "experiment": {"id": 5, "seeds": 0, "colour": "red"},
+        "spad": {"rep_rate_mhz": "fast", "num_bins": 2.5, "bogus": 1},
+        "scene": {"depth_bin": "deep", "sbr": 2.0, "signal_flux": 0.1,
+                  "mismatch": {"kind": "three_peak", "second_depth": 1.5, "extra": 0}},
+        "policies": [{"name": "a", "kind": "fixed"}, {"name": "a", "kind": "uniform"}, 7],
+        "budget_us": "soon",
+        "exposure": {"enabled": "yes", "metric": "variance", "epsilon": 0, "min_cycles": -2},
+        "estimator": {"flux_grid_size": 0, "flux_grid_lo": -1, "dither_window": 4},
+        "sweep": {"sbr": [], "budget_us": ["a"], "speed": [1]},
+        "extra_section": {},
+    }
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(several)
+    assert str(exc.value) == (
+        "experiment.id: expected str, got 5; unknown key experiment.colour; "
+        "spad.rep_rate_mhz: expected float, got 'fast'; spad.num_bins: expected int, got 2.5; "
+        "unknown key spad.bogus; scene.depth_bin: expected int, got 'deep'; "
+        "scene.mismatch.second_depth: expected int, got 1.5; unknown key scene.mismatch.extra; "
+        "policy 'a': fixed gating needs a gate; policies[2]: expected an object; "
+        "config.budget_us: expected float, got 'soon'; exposure.enabled: expected bool, got 'yes'; "
+        "sweep.sbr: empty sweep axis; sweep.budget_us: expected a list of numbers; unknown key sweep.speed; "
+        "unknown section extra_section; experiment.seeds must be at least 1; "
+        "exposure.metric must be termination or entropy, got 'variance'; exposure.epsilon must be positive; "
+        "exposure.min_cycles cannot be negative; estimator.flux_grid_lo must be positive; "
+        "estimator.flux_grid_size must be at least 1; estimator.dither_window must be an odd count >= 3; "
+        "scene needs depth_bin, depth_m or depth_map; scene needs ambient_flux; "
+        "scene.sbr and scene.signal_flux are mutually exclusive; "
+        "scene.mismatch.kind must be two_peak or corner_tail, got 'three_peak'"
+    )
+    # Sections of the wrong type; a falsy top-level section reads as empty.
+    sections = {
+        "experiment": [],
+        "spad": "fast",
+        "scene": {"ambient_map": 3, "unknown": 1, "mismatch": 0},
+        "policies": "all",
+        "budget_us": None,
+        "max_cycles": "ten",
+        "exposure": {"epsilon": -0.5, "metric": 3},
+        "background": {"mode": "guess", "fallback_flux": 0},
+        "estimator": {"flux_grid_hi": 0, "flux_grid_size": 2.5},
+        "prior": {"kind": "external", "sigma_bins": "wide"},
+        "sweep": 5,
+    }
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(sections)
+    assert str(exc.value) == (
+        "spad: expected an object; scene.ambient_map: expected str, got 3; scene.mismatch: expected an object; "
+        "unknown key scene.unknown; policies: expected a non-empty list; config.max_cycles: expected int, got 'ten'; "
+        "exposure.metric: expected str, got 3; estimator.flux_grid_size: expected int, got 2.5; "
+        "prior.sigma_bins: expected float, got 'wide'; sweep: expected an object; exposure.epsilon must be positive; "
+        "background.fallback_flux must be positive; estimator.flux_grid_hi must be positive; "
+        "background.mode must be estimated or known, got 'guess'; prior.path required when prior.kind is external; "
+        "need budget_us or max_cycles; scene needs depth_bin, depth_m or depth_map; scene needs ambient_flux; "
+        "scene needs sbr or signal_flux"
+    )
 
 
 def test_parse_config_from_file(tmp_path):

@@ -100,13 +100,12 @@ def _analytic_offsets(scene, gate, cap):
     return np.array(probs + [q**cap])
 
 
-@pytest.mark.parametrize("method", ["skip", "per_bin"])
-def test_sampler_matches_analytic_distribution(method):
+def test_sampler_matches_analytic_distribution():
     b, cap, gate = 16, 2, 5
     scene = sg.SceneTransient(num_bins=b, ambient_flux=0.04, peaks=((11, 0.8),))
     spad = sg.SpadConfig(num_bins=b, dead_time_ns=0.0, max_active_periods=cap)
     record = sg.run_acquisition(
-        scene, spad, sg.FixedGatePolicy(gate, b), max_cycles=20_000, seed=101, method=method
+        scene, spad, sg.FixedGatePolicy(gate, b), max_cycles=20_000, seed=101
     )
     emp = _offset_histogram(record, b, cap)
     ana = _analytic_offsets(scene, gate, cap)
