@@ -158,6 +158,11 @@ class SceneTransient:
         return p
 
     @cached_property
+    def scan_prefix_list(self) -> list[float]:
+        """``scan_prefix`` as Python floats, for the scalar scan's bisection."""
+        return self.scan_prefix.tolist()
+
+    @cached_property
     def total_rate(self) -> float:
         # Taken from scan_prefix so samplers that walk the prefix and code
         # that folds whole periods agree to the last ulp.

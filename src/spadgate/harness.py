@@ -195,6 +195,11 @@ class ExperimentConfig:
         return d
 
 
+# Largest bins per pulse period a config may ask for.  The biggest per-row
+# allocation is the (B, K) float64 depth posterior: at the default K = 17
+# flux columns, 2**20 bins make it 136 MiB, and an update holds a few.
+MAX_NUM_BINS = 1 << 20
+
 # The config schema, written once: (section, JSON key, ExperimentConfig field,
 # kind), in the order parse_config reads and reports them.  Section "" is the
 # top level.  Kind tuple is a sweep axis, a non-empty list of numbers.  Both
@@ -377,12 +382,18 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         errors.append("scene.sbr and scene.signal_flux are mutually exclusive")
     if kwargs["mismatch_kind"] is not None and kwargs["mismatch_kind"] not in ("two_peak", "corner_tail"):
         errors.append(f"scene.mismatch.kind must be two_peak or corner_tail, got {kwargs['mismatch_kind']!r}")
+    kindless = [key for _, key, field, _ in _SECTIONS["scene.mismatch"] if kwargs[field] is not None]
+    if kwargs["mismatch_kind"] is None and kindless:
+        errors.append(f"scene.mismatch.kind required when scene.mismatch sets {', '.join(kindless)}")
     if errors:
         raise ConfigError("; ".join(errors))
 
     # Bin indices, once the period's bin count is known to be valid.
     config = ExperimentConfig(**kwargs)
-    num_bins = config.resolved_num_bins
+    try:
+        num_bins = config.resolved_num_bins
+    except (ZeroDivisionError, OverflowError):  # a period of more bins than a float holds
+        num_bins = math.inf
     if num_bins < 1:
         raise ConfigError("spad.bin_resolution_ps is longer than one pulse period")
     if not scan_mode:
@@ -393,6 +404,10 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
             errors.append(f"scene.{key} gives depth bin {depth}, outside [0, {num_bins})")
     errors.extend(f"policies[{i}].gate {p.gate} outside [0, {num_bins})"
                   for i, p in enumerate(config.policies) if p.kind == "fixed" and not 0 <= p.gate < num_bins)
+    if num_bins > MAX_NUM_BINS:
+        source = (f"spad.num_bins {num_bins} is" if config.num_bins is not None else
+                  f"spad.rep_rate_mhz and spad.bin_resolution_ps give {num_bins} bins per period,")
+        errors.append(f"{source} above the spad.num_bins limit of {MAX_NUM_BINS}")
     if errors:
         raise ConfigError("; ".join(errors))
     return config

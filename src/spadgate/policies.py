@@ -8,6 +8,12 @@ the gate position only attenuates the sampled bin through the rates
 scanned before it; an exhaustive check over all gates backs the closed
 form in the tests.
 
+Fixed, uniform and free running are open loop: besides the per-cycle
+``next_gate`` they give the gates of cycles ``start .. start+count-1`` at
+once through ``gates(start, count)`` (an int64 array, or FREE_RUN), which
+``run_acquisition`` uses to simulate them in blocks.  The adaptive policy
+has no ``gates``: it chooses each gate after seeing the last outcome.
+
 Adaptive exposure stops an acquisition once the posterior is confident:
 when 1 - (posterior mass at the MAP bin), or optionally the posterior
 entropy, drops below a threshold after a minimum cycle count.
@@ -87,6 +93,9 @@ class FixedGatePolicy:
     def next_gate(self, rng: np.random.Generator):
         return self.gate
 
+    def gates(self, start: int, count: int) -> np.ndarray:
+        return np.full(count, self.gate, dtype=np.int64)
+
     def observe(self, outcome: CycleOutcome) -> None:
         self.cycle_index += 1
 
@@ -105,6 +114,9 @@ class UniformGatePolicy:
     def next_gate(self, rng: np.random.Generator):
         return self.cycle_index % self.num_bins
 
+    def gates(self, start: int, count: int) -> np.ndarray:
+        return np.arange(start, start + count, dtype=np.int64) % self.num_bins
+
     def observe(self, outcome: CycleOutcome) -> None:
         self.cycle_index += 1
 
@@ -120,6 +132,9 @@ class FreeRunningPolicy:
         self.calibration_cycles = 0
 
     def next_gate(self, rng: np.random.Generator):
+        return FREE_RUN
+
+    def gates(self, start: int, count: int):
         return FREE_RUN
 
     def observe(self, outcome: CycleOutcome) -> None:

@@ -97,6 +97,11 @@ def test_parse_config_type_errors_name_the_path():
         ("sweep", "sbr", [-1.0], "sweep.sbr cannot be negative"),
         ("sweep", "dead_time_ns", [-1.0, 20.0], "sweep.dead_time_ns cannot be negative"),
         ("sweep", "budget_us", [10.0, 0.0], "sweep.budget_us must be positive"),
+        ("spad", "num_bins", 2_000_000, "spad.num_bins 2000000 is above the spad.num_bins limit of 1048576"),
+        ("scene", "mismatch", {"second_depth": 30},
+         "scene.mismatch.kind required when scene.mismatch sets second_depth"),
+        ("scene", "mismatch", {"second_flux": 0.05, "tail_decay": 3.0},
+         "scene.mismatch.kind required when scene.mismatch sets second_flux, tail_decay"),
     ]:
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw if section is None else raw.setdefault(section, {}))[key] = value
@@ -111,6 +116,13 @@ def test_parse_config_type_errors_name_the_path():
         (BASE_CONFIG["scene"], {}, 40, "policies[0].gate 40 outside [0, 40)"),
         (BASE_CONFIG["scene"], {"num_bins": None, "rep_rate_mhz": 20000.0}, 0,
          "spad.bin_resolution_ps is longer than one pulse period"),
+        # a 1000 s period: only the bin count is computed, nothing of that size is allocated
+        (BASE_CONFIG["scene"], {"num_bins": None, "rep_rate_mhz": 1e-9}, 0,
+         "spad.rep_rate_mhz and spad.bin_resolution_ps give 10000000010000 bins per period, "
+         "above the spad.num_bins limit of 1048576"),
+        (BASE_CONFIG["scene"], {"num_bins": None, "rep_rate_mhz": 1e-320}, 0,
+         "spad.rep_rate_mhz and spad.bin_resolution_ps give inf bins per period, "
+         "above the spad.num_bins limit of 1048576"),
     ]:
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["scene"] = scene
@@ -126,6 +138,8 @@ def test_parse_config_type_errors_name_the_path():
     raw["scene"] = {"depth_bin": 0, "ambient_flux": 0.0, "sbr": 0.0}
     raw["sweep"] = {"ambient_flux": [0.0], "sbr": [0.0], "dead_time_ns": [0.0], "budget_us": [0.1]}
     sg.parse_config(raw)  # the edge values themselves are fine
+    raw["spad"]["num_bins"] = harness.MAX_NUM_BINS
+    sg.parse_config(raw)
     raw["spad"]["num_bins"] = 40
     raw["scene"] = {"depth_bin": 39, "ambient_flux": 0.02, "signal_flux": 0.0}
     raw["policies"][0]["gate"] = 39

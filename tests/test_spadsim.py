@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spadgate as sg
+from spadgate import spadsim
 from spadgate.spadsim import SimState
 
 
@@ -229,3 +232,98 @@ def test_record_calibration_marker_from_policy():
     short = sg.AdaptiveGatePolicy(num_bins=16, calibration_cycles=20)
     rec3 = sg.run_acquisition(scene, spad, short, max_cycles=5, seed=12)
     assert len(rec3) == 5 and rec3.calibration_cycles == 5
+
+
+class _PerCycle:
+    """An open-loop policy without ``gates``, forcing the per-cycle path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_gate(self, rng):
+        return self.inner.next_gate(rng)
+
+    def observe(self, outcome):
+        self.inner.observe(outcome)
+
+    def should_stop(self):
+        return self.inner.should_stop()
+
+
+def _assert_block_path_is_per_cycle_path(scene, spad, make_policy, budget, max_cycles, seed=3):
+    block_policy, cycle_policy = make_policy(), make_policy()
+    block_rng, cycle_rng = sg.stream_rng(seed), sg.stream_rng(seed)
+    block = sg.run_acquisition(scene, spad, block_policy, budget_bins=budget, max_cycles=max_cycles, seed=block_rng)
+    cycle = sg.run_acquisition(scene, spad, _PerCycle(cycle_policy), budget_bins=budget, max_cycles=max_cycles,
+                               seed=cycle_rng)
+    for field in ("gates", "timestamps", "detected", "elapsed_periods", "cycle_durations"):
+        assert np.array_equal(getattr(block, field), getattr(cycle, field)), field
+    assert block.exposure_bins == cycle.exposure_bins
+    assert block.calibration_cycles == cycle.calibration_cycles == 0
+    assert block_policy.cycle_index == cycle_policy.cycle_index
+    assert np.array_equal(block_rng.random(4), cycle_rng.random(4))  # the generator ends in the same state
+    return block
+
+
+_OPEN_LOOP = {
+    "fixed": lambda b, gate: sg.FixedGatePolicy(gate % b, b),
+    "uniform": lambda b, gate: sg.UniformGatePolicy(b),
+    "free_running": lambda b, gate: sg.FreeRunningPolicy(),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 60),
+    ambient=st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.5, 3.0)),
+    peak=st.one_of(st.none(), st.tuples(st.integers(0, 59), st.floats(0.0, 5.0))),
+    dead_bins=st.one_of(st.just(0), st.integers(0, 120)),
+    cap=st.one_of(st.just(1), st.integers(1, 16)),
+    budget=st.one_of(st.none(), st.integers(0, 40_000)),
+    max_cycles=st.one_of(st.none(), st.integers(0, 3000)),
+    gate=st.integers(0, 59),
+    seed=st.integers(0, 2**16),
+)
+def test_open_loop_blocks_match_the_per_cycle_loop(b, ambient, peak, dead_bins, cap, budget, max_cycles, gate, seed):
+    if budget is None and max_cycles is None:
+        max_cycles = 500
+    peaks = () if peak is None else ((peak[0] % b, peak[1]),)
+    scene = sg.SceneTransient(num_bins=b, ambient_flux=ambient, peaks=peaks)
+    spad = sg.SpadConfig(num_bins=b, bin_resolution_ps=100.0, dead_time_ns=dead_bins / 10, max_active_periods=cap)
+    assert spad.dead_time_bins == dead_bins
+    for make in _OPEN_LOOP.values():
+        _assert_block_path_is_per_cycle_path(scene, spad, lambda: make(b, gate), budget, max_cycles, seed)
+
+
+@pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
+def test_open_loop_runs_longer_than_one_block(kind):
+    scene = sg.SceneTransient(num_bins=50, ambient_flux=0.02, peaks=((27, 0.3),))
+    spad = sg.SpadConfig(num_bins=50, dead_time_ns=8.1, max_active_periods=4)
+    rec = _assert_block_path_is_per_cycle_path(scene, spad, lambda: _OPEN_LOOP[kind](50, 22), 1_500_000, None)
+    assert len(rec) > 2 * spadsim.BLOCK_CYCLES
+    capped = _assert_block_path_is_per_cycle_path(
+        scene, spad, lambda: _OPEN_LOOP[kind](50, 22), None, 2 * spadsim.BLOCK_CYCLES + 5)
+    assert len(capped) == 2 * spadsim.BLOCK_CYCLES + 5
+
+
+def test_uniform_blocks_continue_from_the_cycle_index():
+    scene = sg.SceneTransient(num_bins=16, ambient_flux=0.05, peaks=((4, 0.5),))
+    spad = sg.SpadConfig(num_bins=16, dead_time_ns=3.0, max_active_periods=3)
+
+    def started():
+        policy = sg.UniformGatePolicy(16)
+        policy.cycle_index = 11
+        return policy
+
+    rec = _assert_block_path_is_per_cycle_path(scene, spad, started, 5_000, None)
+    assert list(rec.gates[:6]) == [11, 12, 13, 14, 15, 0]
+
+
+@pytest.mark.parametrize("ambient", [0.0, 1e-310])  # zero rate, and one so small that e / total overflows
+@pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
+def test_open_loop_record_with_every_cycle_censored(kind, ambient):
+    scene = sg.SceneTransient(num_bins=12, ambient_flux=ambient)
+    spad = sg.SpadConfig(num_bins=12, dead_time_ns=2.0, max_active_periods=2)
+    rec = _assert_block_path_is_per_cycle_path(scene, spad, lambda: _OPEN_LOOP[kind](12, 5), 10_000, None)
+    assert len(rec) > 0 and not rec.detected.any()
+    assert np.all(rec.timestamps == -1) and np.all(rec.elapsed_periods == 2)
