@@ -11,9 +11,13 @@ cycle gives each depth row one of three values (its detection bin, a bin
 of the window it passed over, any other bin; one value for a censored
 cycle), each a vector over the flux grid read off the same law once per
 posterior and background, so an update is three row adds and one
-normalization.  Depth decisions marginalize the flux axis; the depth
-marginal is computed once per posterior state.  A log-domain parabola fit
-around the chosen bin recovers sub-bin depth (temporal dithering).
+normalization.  The joint (depth, flux) mass is stored flux-major
+(Fortran order), so reductions over the flux axis run over contiguous
+columns.  The normalization shifts by the global max, takes one exp over
+the joint and sums it over the flux axis: those row sums are the depth
+marginal, and their total is the normalizer, so depth decisions read a
+vector cached by the update itself.  A log-domain parabola fit around
+the chosen bin recovers sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
@@ -108,11 +112,21 @@ class DepthPosterior:
 
     ``log_mass`` is kept normalized (logsumexp 0) with shape (B,) for a
     known signal flux or (B, K) jointly with ``flux_grid`` of K candidate
-    values.  ``degraded_cycles`` counts cycles whose outcomes had zero
-    probability under every hypothesis; their update is skipped rather
-    than aborting.  Updates replace ``log_mass`` with a new array and never
-    write into it: the depth marginal is cached against the array object
-    it came from, so code that edits the mass must assign a new array too.
+    values; a joint mass is Fortran-ordered (flux-major), and every update
+    installs it so.  ``degraded_cycles`` counts cycles whose outcomes had
+    zero probability under every hypothesis; their update is skipped
+    rather than aborting.  Updates replace ``log_mass`` with a new array
+    and never write into it: the depth marginal is cached against the
+    array object it came from, so code that edits the mass must assign a
+    new array too.
+
+    An update builds the depth marginal in the same pass as the
+    normalizer, shifted by the global max of the joint.  A depth row whose
+    whole mass lies more than about 745 nats below the peak cell therefore
+    reads -inf in the marginal (its exp underflows), where a per-row shift
+    would give a finite value; its probability is 0.0 either way in the
+    Thompson draw, the entropy and the MAP.  Rows of zero prior mass read
+    -inf as well.
     """
 
     log_mass: np.ndarray
@@ -146,7 +160,7 @@ class DepthPosterior:
 
     def copy(self) -> "DepthPosterior":
         return DepthPosterior(
-            log_mass=self.log_mass.copy(),
+            log_mass=self.log_mass.copy(order="K"),  # keeps the flux-major layout
             flux_grid=None if self.flux_grid is None else self.flux_grid.copy(),
             degraded_cycles=self.degraded_cycles,
         )
@@ -181,7 +195,7 @@ def posterior_init(
     if flux_grid.ndim != 1 or flux_grid.size < 1 or np.any(flux_grid < 0):
         raise ValueError("flux_grid must be a 1-d nonnegative array")
     k = flux_grid.size
-    log_mass = log_prior[:, None] - math.log(k) + np.zeros((1, k))
+    log_mass = np.add(log_prior[:, None] - math.log(k), np.zeros((1, k)), order="F")
     return DepthPosterior(log_mass=log_mass, flux_grid=flux_grid)
 
 
@@ -203,12 +217,32 @@ def _flux_axis(post: DepthPosterior, bkg_flux: float, signal_flux: float | None)
 
 
 def _normalize(post: DepthPosterior, updated: np.ndarray, cycles: int) -> DepthPosterior:
-    """Install ``updated`` renormalized, or count ``cycles`` as degraded if it has no mass."""
-    z = logsumexp(updated)
-    if not math.isfinite(z):
+    """Install ``updated`` renormalized, or count ``cycles`` as degraded if it has no mass.
+
+    ``updated`` is a fresh array the caller gives up; it is normalized in
+    place.  One shift by the global max and one exp give the normalizer
+    and, for a joint mass (installed flux-major), the flux-axis row sums:
+    the depth marginal, installed with it.
+    """
+    updated = np.asfortranarray(updated)
+    shift = updated.max()
+    if not math.isfinite(shift):  # no mass anywhere (or a NaN)
         post.degraded_cycles += cycles
         return post
-    post.log_mass = updated - z
+    scaled = np.subtract(updated, shift)
+    np.exp(scaled, out=scaled)
+    rows = scaled.sum(axis=1) if post.joint else scaled
+    z = shift + np.log(rows.sum())  # finite: the peak cell adds exp(0) = 1
+    updated -= z
+    post.log_mass = updated
+    if post.joint:
+        if rows.all():
+            log_rows = np.log(rows)
+        else:  # rows of zero prior mass, or mass below float range
+            log_rows = np.log(rows, out=np.full_like(rows, -np.inf), where=rows > 0)
+        marginal = log_rows + (shift - z)
+        marginal.flags.writeable = False
+        post._marginal = (updated, marginal)
     return post
 
 
@@ -311,8 +345,7 @@ def posterior_entropy(post: DepthPosterior) -> float:
     """Shannon entropy (nats) of the flux-marginalized depth posterior."""
     lm = post.depth_log_marginal()
     p = np.exp(lm)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(p > 0, p * lm, 0.0)
+    terms = p * np.where(p > 0, lm, 0.0)  # 0 log 0 = 0, without forming 0 * -inf
     return max(0.0 - float(terms.sum()), 0.0)  # +0.0, not -0.0, at a point mass
 
 

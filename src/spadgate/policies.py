@@ -46,7 +46,7 @@ def termination_value(post: DepthPosterior, metric: str = "termination") -> floa
     depth-marginal Shannon entropy in nats.
     """
     if metric == "termination":
-        peak = float(np.max(post.depth_log_marginal()))
+        peak = float(post.depth_log_marginal().max())
         return 0.0 - math.expm1(min(peak, 0.0))  # +0.0, not -0.0, at a point mass
     if metric == "entropy":
         return posterior_entropy(post)

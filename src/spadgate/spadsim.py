@@ -146,7 +146,8 @@ def _locate_block(
     if total <= 0.0:
         return np.zeros_like(gates), np.ones(gates.shape, dtype=bool)
     prefix = scene.scan_prefix
-    k, x = np.divmod(prefix[gates] + e, total)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny total overflows k; clipped below
+        k, x = np.divmod(prefix[gates] + e, total)
     up = x >= total
     k[up] += 1.0
     x[up] = 0.0

@@ -344,6 +344,69 @@ def test_posterior_update_validation():
 
 
 # ---------------------------------------------------------------------------
+# Flux-major layout and the depth marginal built by the normalization
+
+
+def test_joint_mass_stays_flux_major():
+    grid = np.array([0.0, 0.3, 1.0])
+    post = sg.posterior_init(7, flux_grid=grid)
+    assert post.log_mass.flags.f_contiguous
+    sg.posterior_update(post, 3, 1, 0.1)  # detected
+    assert post.log_mass.flags.f_contiguous
+    sg.posterior_update(post, None, 5, 0.1)  # censored
+    assert post.log_mass.flags.f_contiguous
+    record = make_record(7, [(0, 2), (4, None), (6, 1)])
+    assert sg.posterior_from_record(record, 0.1, flux_grid=grid).log_mass.flags.f_contiguous
+    twin = post.copy()
+    assert twin.log_mass.flags.f_contiguous
+    sg.posterior_update(twin, 0, 6, 0.1)
+    assert twin.log_mass.flags.f_contiguous
+    assert not twin.log_mass.flags.c_contiguous  # (7, 3): the flags tell the layouts apart
+
+
+@st.composite
+def _marginal_cases(draw):
+    b = draw(st.integers(1, 600))
+    bkg = draw(st.floats(1e-6, 3.0))
+    grid = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Prior rows spread over up to 800 nats, so some sit below float range
+    # next to the peak, and a share of rows with no mass at all.
+    prior = np.exp(-rng.uniform(0.0, draw(st.sampled_from([1.0, 700.0, 750.0, 800.0])), b))
+    prior[rng.random(b) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    prior[rng.integers(b)] = 1.0
+    n = draw(st.integers(0, 40))
+    history = make_record(b, [(int(g), None if c else int(t)) for g, t, c in
+                              zip(rng.integers(b, size=n), rng.integers(b, size=n), rng.random(n) < 0.2)])
+    cycles = [(int(g), None if c else int(t)) for g, t, c in
+              zip(rng.integers(b, size=3), rng.integers(b, size=3), rng.random(3) < 0.2)]
+    return b, bkg, grid, prior, history, cycles
+
+
+def _assert_marginal_is_the_row_logsumexp(post):
+    cached = post.depth_log_marginal()
+    exact = sg.logsumexp(post.log_mass, axis=1)  # shifted row by row
+    peak = post.log_mass.max()
+    near = exact > peak - 700.0
+    assert np.allclose(cached[near], exact[near], rtol=0.0, atol=1e-12)
+    assert np.all(cached[exact == -np.inf] == -np.inf)  # zero-prior rows
+    lost = cached == -np.inf
+    assert np.all(post.log_mass[lost] < peak - 740.0)  # -inf only below float64 range
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_marginal_cases())
+def test_cached_depth_marginal_matches_the_row_logsumexp(case):
+    b, bkg, grid, prior, history, cycles = case
+    post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid)
+    _assert_marginal_is_the_row_logsumexp(post)
+    for gate, t in cycles:
+        sg.posterior_update(post, t, gate, bkg)
+        assert post._marginal[0] is post.log_mass  # built by the update, not on demand
+        _assert_marginal_is_the_row_logsumexp(post)
+
+
+# ---------------------------------------------------------------------------
 # Summaries
 
 

@@ -1,5 +1,6 @@
 """Gating policies: termination metrics, calibration, Thompson sampling, reward."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -335,23 +336,87 @@ def test_copy_does_not_serve_a_stale_marginal():
     assert np.array_equal(post.depth_log_marginal(), before)
 
 
-def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
-    axis1_calls = []
-    real = estimators.logsumexp
+class _JointExpCounter:
+    """Stands in for numpy in ``estimators``; counts ``exp`` passes over 2-d arrays."""
 
-    def counting(a, axis=None):
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, a, *args, **kwargs):
+        self.passes += np.ndim(a) == 2
+        return np.exp(a, *args, **kwargs)
+
+
+def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
+    # One pass over the joint per cycle: the normalization's exp gives the
+    # depth marginal that the stop rule and the next Thompson draw read.
+    axis1_calls, normalized = [], []
+    real_logsumexp, real_normalize = estimators.logsumexp, estimators._normalize
+
+    def counting_logsumexp(a, axis=None):
         if axis == 1:
             axis1_calls.append(a.shape)
-        return real(a, axis)
+        return real_logsumexp(a, axis)
 
-    monkeypatch.setattr(estimators, "logsumexp", counting)
+    def counting_normalize(post, updated, cycles):
+        normalized.append(updated.shape)
+        return real_normalize(post, updated, cycles)
+
+    numpy = _JointExpCounter()
+    monkeypatch.setattr(estimators, "logsumexp", counting_logsumexp)
+    monkeypatch.setattr(estimators, "_normalize", counting_normalize)
+    monkeypatch.setattr(estimators, "np", numpy)
     num_bins = 20
     control = sg.ExposureControl(epsilon=1e-9, min_cycles=0)
     pol = sg.AdaptiveGatePolicy(num_bins=num_bins, bkg_flux=0.05, exposure=control)
+    k = pol.posterior.flux_grid.size
     rng = sg.stream_rng(3)
+    assert not pol.should_stop()  # the prior's marginal, built once per posterior
     for cycle in range(6):
         axis1_calls.clear()
-        assert not pol.should_stop()
+        normalized.clear()
+        numpy.passes = 0
         gate = pol.next_gate(rng)
         pol.observe(_outcome(gate, ts=None if cycle == 2 else (gate + cycle) % num_bins))
-        assert len(axis1_calls) == 1
+        assert not pol.should_stop()
+        assert normalized == [(num_bins, k)]
+        assert numpy.passes == 1
+        assert axis1_calls == []
+
+
+def _golden_acquisitions():
+    """Three adaptive acquisitions and their final posteriors."""
+    # B = 500: the paper-point scene, background estimated from calibration.
+    spad = sg.SpadConfig(rep_rate_hz=20e6, num_bins=500, dead_time_ns=81.0)
+    scene = sg.SceneTransient(num_bins=500, ambient_flux=0.02, peaks=((275, 0.04),))
+    pol = sg.AdaptiveGatePolicy(num_bins=500, calibration_cycles=40)
+    yield sg.run_acquisition(scene, spad, pol, budget_bins=500 * 2000, seed=5), pol.posterior
+    # B = 100 with exposure control, known background.
+    spad = sg.SpadConfig(rep_rate_hz=100e6, num_bins=100, dead_time_ns=8.1)
+    scene = sg.SceneTransient(num_bins=100, ambient_flux=0.01, peaks=((60, 0.02),))
+    pol = sg.AdaptiveGatePolicy(num_bins=100, bkg_flux=0.01, exposure=sg.ExposureControl(epsilon=0.25))
+    yield sg.run_acquisition(scene, spad, pol, max_cycles=4000, seed=6), pol.posterior
+    # B = 200 under a flatness prior centred off the true depth.
+    spad = sg.SpadConfig(rep_rate_hz=50e6, num_bins=200, dead_time_ns=81.0)
+    scene = sg.SceneTransient(num_bins=200, ambient_flux=0.02, peaks=((90, 0.06),))
+    pol = sg.AdaptiveGatePolicy(num_bins=200, prior=sg.flatness_prior(200, prev_depth=80.0), calibration_cycles=10)
+    yield sg.run_acquisition(scene, spad, pol, budget_bins=200 * 600, seed=7), pol.posterior
+
+
+def test_adaptive_decisions_are_pinned():
+    # Every gate (so every Thompson draw), every outcome, the stop and the
+    # final MAP of three acquisitions, hashed.  A change to the per-cycle
+    # path that flips one draw or moves one stop fails here, even if the
+    # bits of the posterior are free to move at rounding level.
+    digest = hashlib.sha256()
+    summary = []
+    for record, post in _golden_acquisitions():
+        for column in (record.gates, record.timestamps, record.detected):
+            digest.update(column.tobytes())
+        digest.update(str(sg.map_depth(post)).encode())
+        summary.append((len(record), sg.map_depth(post)))
+    assert summary == [(930, 275), (329, 60), (121, 90)]
+    assert digest.hexdigest() == "05a7aa9310b886a4b18b601192230762826fd98efd4e8771d248b5fd82263f56"

@@ -319,6 +319,7 @@ def test_uniform_blocks_continue_from_the_cycle_index():
     assert list(rec.gates[:6]) == [11, 12, 13, 14, 15, 0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("ambient", [0.0, 1e-310])  # zero rate, and one so small that e / total overflows
 @pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
 def test_open_loop_record_with_every_cycle_censored(kind, ambient):
