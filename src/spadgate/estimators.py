@@ -6,24 +6,32 @@ keeps a discrete posterior over depth bins, jointly with a grid of
 candidate signal-flux values.  Its likelihood is the folded-timestamp law
 of ``core``, which reads a record only through four sufficient statistics
 (per-bin detection and passed-over counts, detected and censored cycle
-counts).  A whole record folds in one step from its statistics.  One
-cycle gives each depth row one of three values (its detection bin, a bin
-of the window it passed over, any other bin; one value for a censored
-cycle), each a vector over the flux grid read off the same law once per
-posterior and background, so an update is three row adds and one
-normalization.  The joint (depth, flux) mass is stored flux-major
-(Fortran order), so reductions over the flux axis run over contiguous
-columns.  The normalization shifts by the global max, takes one exp over
-the joint and sums it over the flux axis: those row sums are the depth
-marginal, and their total is the normalizer, so depth decisions read a
-vector cached by the update itself.  A log-domain parabola fit around
-the chosen bin recovers sub-bin depth (temporal dithering).
+counts).  A whole record folds in one step from its statistics.
+
+The posterior stores probability mass, not log mass: an unnormalized
+(depth, flux) array, flux-major (Fortran order) so that sums over the flux
+axis run over contiguous columns, installed with those sums (the
+unnormalized depth marginal) and their total.  A Bayes update multiplies
+the mass by exp(like - c), c the largest cell of the update's log
+likelihood, so every factor is at most 1 and the total only falls; an
+install rescales the mass by a power of two, which is exact, only when
+its total leaves [2**500, 2**1000].  A cell whose mass falls below the
+smallest float becomes 0 and stays 0, which with the total held that high
+drops only cells about 1000 nats or more below it.  One cycle gives each
+depth row one of three values (its detection bin, a bin of the window it
+passed over, any other bin; one value for a censored cycle), each a
+vector over the flux grid read off the same law once per posterior and
+background, so an update is two slice multiplies and one flux-axis sum,
+with no exp, log or normalizing pass over the joint.  The Thompson draw,
+the stop rule and the readouts read the installed row sums; the log mass
+and the depth log marginal are derived on demand.  A log-domain parabola
+fit around the chosen bin recovers sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,16 +43,6 @@ from .core import timestamps_to_histogram
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """Max-shifted log(sum(exp(a))); tolerates all -inf slices."""
     a = np.asarray(a, dtype=float)
-    # With every max finite nothing can warn or need masking; the
-    # reductions are the same as below, so the result is the same bits.
-    if axis is None:
-        m = a.max()
-        if math.isfinite(m):
-            return float(np.log(np.exp(a - m).sum()) + m)
-    else:
-        m = a.max(axis=axis, keepdims=True)
-        if np.isfinite(m).all():
-            return (np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m).squeeze(axis)
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
@@ -106,64 +104,120 @@ def default_flux_grid(bkg_flux: float, size: int = 16, lo: float = 0.1, hi: floa
     return np.concatenate(([0.0], grid))
 
 
-@dataclass
+# An install keeps the total mass within [2**_LOW, 2**_HIGH]: outside it the
+# mass is multiplied by the power of two (exact) that brings its total just
+# under 2**_HIGH.  Updates only lower the total, so the next rescale comes
+# once it has fallen by 500 binary orders (about 347 nats).
+_LOW, _HIGH = 500, 1000
+_RANGE = (2.0**_LOW, 2.0**_HIGH)
+# The widest log likelihood ratio one multiply applies: exp(-700) is a
+# normal float.
+_STEP = 700.0
+
+
 class DepthPosterior:
     """Discrete posterior over depth bins, optionally joint with signal flux.
 
-    ``log_mass`` is kept normalized (logsumexp 0) with shape (B,) for a
-    known signal flux or (B, K) jointly with ``flux_grid`` of K candidate
-    values; a joint mass is Fortran-ordered (flux-major), and every update
-    installs it so.  ``degraded_cycles`` counts cycles whose outcomes had
-    zero probability under every hypothesis; their update is skipped
-    rather than aborting.  Updates replace ``log_mass`` with a new array
-    and never write into it: the depth marginal is cached against the
-    array object it came from, so code that edits the mass must assign a
-    new array too.
+    ``mass`` is unnormalized probability mass: shape (B,) for a known
+    signal flux, or (B, K) jointly with ``flux_grid`` of K candidate
+    values, Fortran-ordered (flux-major).  ``rows`` is its flux-axis sum,
+    the unnormalized depth marginal (``mass`` itself when depth-only), and
+    ``total`` their sum; both are installed with the mass, so the Thompson
+    draw, the stop rule and the readouts read a B-vector.  Updates multiply
+    ``mass`` in place: code that keeps it across an update must copy it.
+    The constructor copies the mass it is given.
 
-    An update builds the depth marginal in the same pass as the
-    normalizer, shifted by the global max of the joint.  A depth row whose
-    whole mass lies more than about 745 nats below the peak cell therefore
-    reads -inf in the marginal (its exp underflows), where a per-row shift
-    would give a finite value; its probability is 0.0 either way in the
-    Thompson draw, the entropy and the MAP.  Rows of zero prior mass read
-    -inf as well.
+    The total is held within [2**500, 2**1000] by exact power-of-two
+    rescales, whose rule reads only the array.  A cell whose mass falls
+    below the smallest float (about 2**-1074) becomes exactly 0 and stays
+    0, even if later cycles favour it; with the total at 2**500 or more
+    before each update, an update drops only cells more than 1091 nats,
+    less its own likelihood ratio, below that total.  Cells of zero prior
+    mass stay 0 as well.
+
+    ``log_mass`` (normalized, logsumexp 0, -inf at cells of zero mass) and
+    ``depth_log_marginal()`` are read-only views derived from the mass on
+    demand, once per update.  Assigning ``log_mass`` installs
+    exp(log_mass - max) as the mass.  ``degraded_cycles`` counts cycles
+    whose outcomes had zero probability under every cell of positive mass;
+    their update is skipped rather than aborting.
     """
 
-    log_mass: np.ndarray
-    flux_grid: np.ndarray | None = None
-    degraded_cycles: int = 0
-    _marginal: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, mass: np.ndarray, flux_grid: np.ndarray | None = None, degraded_cycles: int = 0):
+        self.flux_grid = flux_grid
+        self.degraded_cycles = degraded_cycles
+        self._factors: tuple | None = None
+        if not _install(self, np.array(mass, dtype=float, order="F"), 0):
+            raise ValueError("mass needs a finite positive cell")
 
     @property
     def num_bins(self) -> int:
-        return int(self.log_mass.shape[0])
+        return int(self.mass.shape[0])
 
     @property
     def joint(self) -> bool:
-        return self.log_mass.ndim == 2
+        return self.mass.ndim == 2
+
+    @property
+    def log_mass(self) -> np.ndarray:
+        if self._log_mass is None:
+            self._log_mass = _read_only_log(self.mass, self.total)
+        return self._log_mass
+
+    @log_mass.setter
+    def log_mass(self, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=float)
+        with np.errstate(invalid="ignore"):  # every cell -inf: no mass to install
+            mass = np.exp(value - value.max())
+        if not _install(self, np.asfortranarray(mass), 0):
+            raise ValueError("log_mass needs a finite cell")
 
     def depth_log_marginal(self) -> np.ndarray:
-        """Flux-marginalized depth log mass (read-only), once per ``log_mass`` array."""
-        if not self.joint:
-            return self.log_mass
-        if self._marginal is None or self._marginal[0] is not self.log_mass:
-            marginal = logsumexp(self.log_mass, axis=1)
-            marginal.flags.writeable = False
-            self._marginal = (self.log_mass, marginal)
-        return self._marginal[1]
+        """Flux-marginalized depth log mass (read-only), derived once per update."""
+        if self._marginal is None:
+            self._marginal = _read_only_log(self.rows, self.total)
+        return self._marginal
 
     def flux_log_marginal(self) -> np.ndarray:
         if not self.joint:
             raise ValueError("posterior has no flux axis")
-        return logsumexp(self.log_mass, axis=0)
+        return _read_only_log(self.mass.sum(axis=0), self.total)
 
     def copy(self) -> "DepthPosterior":
         return DepthPosterior(
-            log_mass=self.log_mass.copy(order="K"),  # keeps the flux-major layout
+            self.mass,
             flux_grid=None if self.flux_grid is None else self.flux_grid.copy(),
             degraded_cycles=self.degraded_cycles,
         )
+
+
+def _read_only_log(mass: np.ndarray, total: float) -> np.ndarray:
+    """log(mass / total), -inf where the mass is 0."""
+    with np.errstate(divide="ignore"):
+        out = np.log(mass) - math.log(total)
+    out.flags.writeable = False
+    return out
+
+
+def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
+    """Install ``mass`` with its rows and total, or count ``cycles`` as degraded if it has no mass.
+
+    ``mass`` is an array the caller gives up (it may be the posterior's own,
+    updated in place); a joint one must be Fortran-ordered.  Rescaled in
+    place when its total leaves [2**_LOW, 2**_HIGH].  Returns whether it
+    was installed.
+    """
+    rows = np.add.reduce(mass, axis=1) if mass.ndim == 2 else mass
+    total = float(rows.sum())
+    if not 0.0 < total < math.inf:  # no positive mass, or a NaN
+        post.degraded_cycles += cycles
+        return False
+    if not _RANGE[0] <= total <= _RANGE[1]:  # rescaled, the total is just under 2**_HIGH
+        np.ldexp(mass, _HIGH - math.frexp(total)[1], out=mass)
+        return _install(post, mass, cycles)
+    post.mass, post.rows, post.total = mass, rows, total
+    post._log_mass = post._marginal = None
+    return True
 
 
 def posterior_init(
@@ -180,23 +234,19 @@ def posterior_init(
     if num_bins < 1:
         raise ValueError("num_bins must be at least 1")
     if prior is None:
-        log_prior = np.full(num_bins, -math.log(num_bins))
+        prior = np.ones(num_bins)
     else:
         prior = np.asarray(prior, dtype=float)
         if prior.shape != (num_bins,):
             raise ValueError("prior must have one entry per depth bin")
         if np.any(prior < 0) or prior.sum() <= 0:
             raise ValueError("prior must be nonnegative with positive mass")
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(prior) - math.log(prior.sum())
     if flux_grid is None:
-        return DepthPosterior(log_mass=log_prior)
+        return DepthPosterior(prior)
     flux_grid = np.asarray(flux_grid, dtype=float)
     if flux_grid.ndim != 1 or flux_grid.size < 1 or np.any(flux_grid < 0):
         raise ValueError("flux_grid must be a 1-d nonnegative array")
-    k = flux_grid.size
-    log_mass = np.add(log_prior[:, None] - math.log(k), np.zeros((1, k)), order="F")
-    return DepthPosterior(log_mass=log_mass, flux_grid=flux_grid)
+    return DepthPosterior(np.repeat(prior[:, None], flux_grid.size, axis=1), flux_grid=flux_grid)
 
 
 def _flux_axis(post: DepthPosterior, bkg_flux: float, signal_flux: float | None) -> np.ndarray:
@@ -216,74 +266,101 @@ def _flux_axis(post: DepthPosterior, bkg_flux: float, signal_flux: float | None)
     return np.array([float(signal_flux)])
 
 
-def _normalize(post: DepthPosterior, updated: np.ndarray, cycles: int) -> DepthPosterior:
-    """Install ``updated`` renormalized, or count ``cycles`` as degraded if it has no mass.
+def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
+    """exp(a) for log likelihood ratios a <= 0, as factors of at most _STEP nats each.
 
-    ``updated`` is a fresh array the caller gives up; it is normalized in
-    place.  One shift by the global max and one exp give the normalizer
-    and, for a joint mass (installed flux-major), the flux-axis row sums:
-    the depth marginal, installed with it.
+    A factor below exp(-708) would be subnormal and keep too few bits for a
+    cell whose prior favours it by as much, so a wider ``a`` is split into
+    steps applied one after another (their product is exp(a)).  One factor,
+    exp(a), unless some finite entry lies more than _STEP nats down.
     """
-    updated = np.asfortranarray(updated)
-    shift = updated.max()
-    if not math.isfinite(shift):  # no mass anywhere (or a NaN)
-        post.degraded_cycles += cycles
-        return post
-    scaled = np.subtract(updated, shift)
-    np.exp(scaled, out=scaled)
-    rows = scaled.sum(axis=1) if post.joint else scaled
-    z = shift + np.log(rows.sum())  # finite: the peak cell adds exp(0) = 1
-    updated -= z
-    post.log_mass = updated
-    if post.joint:
-        if rows.all():
-            log_rows = np.log(rows)
-        else:  # rows of zero prior mass, or mass below float range
-            log_rows = np.log(rows, out=np.full_like(rows, -np.inf), where=rows > 0)
-        marginal = log_rows + (shift - z)
-        marginal.flags.writeable = False
-        post._marginal = (updated, marginal)
-    return post
+    steps = max(1, math.ceil(-a[a > -np.inf].min() / _STEP))
+    if steps == 1:
+        return [np.exp(a)]
+    out = [np.exp(np.clip(a + k * _STEP, -_STEP, 0.0)) for k in range(steps)]
+    out[0][a == -np.inf] = 0.0
+    return out
 
 
 def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_flux: float | None) -> DepthPosterior:
     """Bayes update by cycle outcomes summarized as ``stats``, in place.
 
-    Every (depth, flux) cell updates from its own hypothesis.  If the
-    outcomes have zero probability under every cell, the posterior is left
-    unchanged and all of them count in ``degraded_cycles``.
+    Every (depth, flux) cell is multiplied by exp(like - c), its law
+    likelihood over the largest cell's, in the steps of ``_factor_steps``
+    with an install after each.  If the outcomes have zero probability
+    under every cell of positive mass, the posterior is left unchanged and
+    all of them count in ``degraded_cycles``.
     """
     like = peak_log_likelihood(stats, bkg_flux, _flux_axis(post, bkg_flux, signal_flux))
     if not post.joint:
         like = like[:, 0]
-    return _normalize(post, post.log_mass + like, stats.detected + stats.censored)
+    cycles = stats.detected + stats.censored
+    c = like.max()
+    if not math.isfinite(c):  # no cell can give these outcomes
+        post.degraded_cycles += cycles
+        return post
+    for factor in _factor_steps(like - c):
+        updated = np.multiply(post.mass, factor, out=np.empty_like(post.mass))  # keeps the flux-major layout
+        if not _install(post, updated, cycles):
+            break
+    return post
 
 
-def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None) -> tuple:
-    """One cycle's log likelihood by depth row: (detection bin, window bin, other bin, censored).
+def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None, combo: tuple | None) -> list | None:
+    """One cycle's likelihood factors by depth row, as rolled templates.
 
-    A row's value depends only on its own detection and passed-over counts,
-    the cycle counts, B, the background and the flux grid, so each is read
-    off the law on a template cycle, once per posterior and background.
+    A row's log likelihood takes one of four values (its detection bin, a
+    bin of the window the cycle passed over, any other bin; one value for a
+    censored cycle), each read off the law on a template cycle once per
+    posterior and background.  ``combo`` is (window present, other
+    present) for a detection, None for a censored cycle.  Returns, built
+    once per combination, ``_templates`` of it.
     """
-    key = (post.log_mass.shape, bkg_flux, signal_flux)
-    if post._rows is not None and post._rows[0] == key and post._rows[1] is post.flux_grid:
-        return post._rows[2]
-    flux = _flux_axis(post, bkg_flux, signal_flux)
-    b = post.num_bins
+    key = (post.mass.shape, bkg_flux, signal_flux)
+    cache = post._factors
+    if cache is None or cache[0] != key or cache[1] is not post.flux_grid:
+        flux = _flux_axis(post, bkg_flux, signal_flux)
+        b = post.num_bins
 
-    def law(gate: int, timestamp: int) -> np.ndarray:
-        like = peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, flux)
-        return like if post.joint else like[:, 0]
+        def law(gate: int, timestamp: int) -> np.ndarray:
+            like = peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, flux)
+            return like if post.joint else like[:, 0]
 
-    # Templates: a detection at its own gate, bin 0, so the last bin is
-    # neither hit nor passed over; a detection at bin 0 whose window wrapped
-    # from the last bin; a censored cycle.  With one bin only the detection
-    # row is ever used.
-    at_gate, wrapped = law(0, 0), law(b - 1, 0)
-    rows = (at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0])
-    post._rows = (key, post.flux_grid, rows)
-    return rows
+        # Template cycles: a detection at its own gate, bin 0, so the last
+        # bin is neither hit nor passed over; a detection at bin 0 whose
+        # window wrapped from the last bin; a censored cycle.
+        at_gate, wrapped = law(0, 0), law(b - 1, 0)
+        cache = post._factors = (key, post.flux_grid, (at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0]), {})
+    if combo not in cache[3]:
+        cache[3][combo] = _templates(cache[2], combo, post.num_bins)
+    return cache[3][combo]
+
+
+def _templates(rows: tuple, combo: tuple | None, b: int) -> list | None:
+    """Factor templates of one combination of row types; None if no cell can give it.
+
+    c is the largest log likelihood over the row types present, and the
+    factors are exp(value - c), what ``_fold`` multiplies by for such a
+    cycle, to the bit.  One template per step of ``_factor_steps``, with
+    whether all its factors are positive.  A template has 2B + 1 rows: B
+    window rows, the detection row and B other rows, so a cycle whose
+    window covers d bins from its gate g reads depth row r's factor at row
+    B - d + (r - g) mod B.
+    """
+    hit, window, other, censored = rows
+    if combo is None:
+        kinds = (censored, censored, censored)
+    else:  # an absent row type is never read
+        kinds = (window if combo[0] else hit, hit, other if combo[1] else hit)
+    c = max(row.max() for row in kinds)
+    if not math.isfinite(c):
+        return None
+    templates = []
+    for step in _factor_steps(np.concatenate([np.ravel(row) for row in kinds]) - c):
+        template = np.empty((2 * b + 1,) + np.shape(hit), order="F")
+        template[:b], template[b], template[b + 1:] = (f.reshape(np.shape(hit)) for f in np.split(step, 3))
+        templates.append((template, bool(step.all())))
+    return templates
 
 
 def posterior_update(
@@ -297,24 +374,37 @@ def posterior_update(
 
     ``timestamp`` is the folded detection bin, or None for a censored
     cycle.  The one-cycle case of ``posterior_from_record``, to the bit:
-    every row takes the "other" (or censored) value, then the window bins
-    and the detection bin take theirs, then one normalization.
+    the mass is multiplied by the cycle's rolled factor template in two
+    slices, then one flux-axis sum installs the rows.  The product is
+    written in place unless a factor is 0; it then goes to a new array,
+    so that an outcome impossible under every cell of positive mass leaves
+    the mass as it was.  (With positive factors, all at least exp(-700),
+    and a total of at least 2**500 the peak cell stays positive.)
     """
     b = post.num_bins
     if not 0 <= gate < b:
         raise ValueError(f"gate {gate} outside [0, {b})")
     if timestamp is not None and not 0 <= timestamp < b:
         raise ValueError(f"timestamp {timestamp} outside [0, {b})")
-    hit, window, other, censored = _cycle_rows(post, bkg_flux, signal_flux)
-    mass = post.log_mass
-    if timestamp is None:
-        return _normalize(post, mass + censored, 1)
-    updated = mass + other
-    spans = ((gate, timestamp),) if gate <= timestamp else ((gate, b), (0, timestamp))
-    for lo, hi in spans:
-        updated[lo:hi] = mass[lo:hi] + window
-    updated[timestamp] = mass[timestamp] + hit
-    return _normalize(post, updated, 1)
+    if timestamp is None:  # one factor for every row: no need to roll
+        combo, start, g = None, 0, 0
+    else:
+        d = (timestamp - gate) % b
+        combo, start, g = (d > 0, d < b - 1), b - d, gate
+    steps = _cycle_rows(post, bkg_flux, signal_flux, combo)
+    if steps is None:
+        post.degraded_cycles += 1
+        return post
+    split = start + b - g  # the template row of depth row 0
+    for template, in_place in steps:
+        mass = post.mass
+        out = mass if in_place else np.empty_like(mass)
+        np.multiply(mass[g:], template[start:split], out=out[g:])
+        if g:
+            np.multiply(mass[:g], template[split:start + b], out=out[:g])
+        if not _install(post, out, 1):
+            break
+    return post
 
 
 def posterior_from_record(
@@ -338,15 +428,14 @@ def posterior_from_record(
 
 def map_depth(post: DepthPosterior) -> int:
     """Depth bin maximizing the flux-marginalized posterior; ties to lowest index."""
-    return int(np.argmax(post.depth_log_marginal()))
+    return int(np.argmax(post.rows))
 
 
 def posterior_entropy(post: DepthPosterior) -> float:
     """Shannon entropy (nats) of the flux-marginalized depth posterior."""
-    lm = post.depth_log_marginal()
-    p = np.exp(lm)
-    terms = p * np.where(p > 0, lm, 0.0)  # 0 log 0 = 0, without forming 0 * -inf
-    return max(0.0 - float(terms.sum()), 0.0)  # +0.0, not -0.0, at a point mass
+    p = post.rows / post.total
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)  # 0 log 0 = 0
+    return max(0.0 - float((p * log_p).sum()), 0.0)  # +0.0, not -0.0, at a point mass
 
 
 class BackgroundEstimate(NamedTuple):

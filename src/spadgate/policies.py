@@ -21,7 +21,6 @@ entropy, drops below a threshold after a minimum cycle count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +45,7 @@ def termination_value(post: DepthPosterior, metric: str = "termination") -> floa
     depth-marginal Shannon entropy in nats.
     """
     if metric == "termination":
-        peak = float(post.depth_log_marginal().max())
-        return 0.0 - math.expm1(min(peak, 0.0))  # +0.0, not -0.0, at a point mass
+        return 1.0 - float(post.rows.max()) / post.total
     if metric == "entropy":
         return posterior_entropy(post)
     raise ValueError(f"unknown termination metric {metric!r}")
@@ -201,7 +199,7 @@ class AdaptiveGatePolicy:
 
     def sample_depth(self, rng: np.random.Generator) -> int:
         """One Thompson draw from the depth marginal (one uniform consumed)."""
-        cdf = np.exp(self.posterior.depth_log_marginal()).cumsum()
+        cdf = self.posterior.rows.cumsum()
         idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
         return min(idx, self.num_bins - 1)
 

@@ -52,6 +52,23 @@ def make_record(
     )
 
 
+def assert_marginal_is_the_stored_rows(post) -> None:
+    """The installed rows are the mass's flux-axis sums, the total is in its
+    range, and the depth marginal is exactly log(rows) - log(total) and
+    agrees with the row logsumexp of the normalized log mass."""
+    from spadgate import logsumexp
+
+    assert np.array_equal(post.rows, post.mass.sum(axis=1))
+    assert 2.0**500 <= post.total <= 2.0**1000
+    marginal = post.depth_log_marginal()
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(marginal, np.log(post.rows) - math.log(post.total))
+    exact = logsumexp(post.log_mass, axis=1)  # shifted row by row
+    assert np.array_equal(marginal == -np.inf, exact == -np.inf)  # rows with no mass left
+    near = exact > -np.inf
+    assert np.allclose(marginal[near], exact[near], rtol=0.0, atol=1e-12)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spadgate as sg
-from conftest import brute_detection_likelihood, make_record
+from conftest import assert_marginal_is_the_stored_rows, brute_detection_likelihood, make_record
 from spadgate.core import law_statistics
 from spadgate.estimators import _fold
 
@@ -326,7 +326,8 @@ def test_posterior_update_is_the_one_cycle_fold_to_the_bit(case):
     for gate, t in cycles:  # the second cycle reads the cached rows
         sg.posterior_update(post, t, gate, bkg, signal)
         _fold(ref, law_statistics(b, [gate], [-1 if t is None else t], [t is not None]), bkg, signal)
-        assert np.array_equal(post.log_mass, ref.log_mass)
+        assert np.array_equal(post.mass, ref.mass)
+        assert np.array_equal(post.rows, ref.rows) and post.total == ref.total
         assert post.degraded_cycles == ref.degraded_cycles
 
 
@@ -350,18 +351,20 @@ def test_posterior_update_validation():
 def test_joint_mass_stays_flux_major():
     grid = np.array([0.0, 0.3, 1.0])
     post = sg.posterior_init(7, flux_grid=grid)
-    assert post.log_mass.flags.f_contiguous
+    assert post.mass.flags.f_contiguous
     sg.posterior_update(post, 3, 1, 0.1)  # detected
-    assert post.log_mass.flags.f_contiguous
+    assert post.mass.flags.f_contiguous
     sg.posterior_update(post, None, 5, 0.1)  # censored
-    assert post.log_mass.flags.f_contiguous
+    assert post.mass.flags.f_contiguous
     record = make_record(7, [(0, 2), (4, None), (6, 1)])
-    assert sg.posterior_from_record(record, 0.1, flux_grid=grid).log_mass.flags.f_contiguous
+    assert sg.posterior_from_record(record, 0.1, flux_grid=grid).mass.flags.f_contiguous
     twin = post.copy()
-    assert twin.log_mass.flags.f_contiguous
+    assert twin.mass.flags.f_contiguous
     sg.posterior_update(twin, 0, 6, 0.1)
-    assert twin.log_mass.flags.f_contiguous
-    assert not twin.log_mass.flags.c_contiguous  # (7, 3): the flags tell the layouts apart
+    assert twin.mass.flags.f_contiguous
+    assert not twin.mass.flags.c_contiguous  # (7, 3): the flags tell the layouts apart
+    post.log_mass = np.zeros((7, 3))  # installed from a C-ordered array
+    assert post.mass.flags.f_contiguous
 
 
 @st.composite
@@ -383,27 +386,108 @@ def _marginal_cases(draw):
     return b, bkg, grid, prior, history, cycles
 
 
-def _assert_marginal_is_the_row_logsumexp(post):
-    cached = post.depth_log_marginal()
-    exact = sg.logsumexp(post.log_mass, axis=1)  # shifted row by row
-    peak = post.log_mass.max()
-    near = exact > peak - 700.0
-    assert np.allclose(cached[near], exact[near], rtol=0.0, atol=1e-12)
-    assert np.all(cached[exact == -np.inf] == -np.inf)  # zero-prior rows
-    lost = cached == -np.inf
-    assert np.all(post.log_mass[lost] < peak - 740.0)  # -inf only below float64 range
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_marginal_cases())
 def test_cached_depth_marginal_matches_the_row_logsumexp(case):
     b, bkg, grid, prior, history, cycles = case
     post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid)
-    _assert_marginal_is_the_row_logsumexp(post)
+    assert_marginal_is_the_stored_rows(post)
     for gate, t in cycles:
         sg.posterior_update(post, t, gate, bkg)
-        assert post._marginal[0] is post.log_mass  # built by the update, not on demand
-        _assert_marginal_is_the_row_logsumexp(post)
+        assert_marginal_is_the_stored_rows(post)
+
+
+def _log_domain_marginal(record, bkg, grid, prior):
+    """Independent reference: log prior + ``sequence_log_likelihood`` per cell,
+    reduced to the normalized depth log marginal in the log domain."""
+    b = record.num_bins
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior / prior.sum())
+    cells = np.array([
+        [log_prior[d] + sg.sequence_log_likelihood(
+            sg.SceneTransient(num_bins=b, ambient_flux=bkg, peaks=((d, f),)), record) for f in grid]
+        for d in range(b)
+    ])
+    rows = sg.logsumexp(cells, axis=1)
+    return rows - sg.logsumexp(rows)
+
+
+def _assert_matches_the_log_domain(post, reference):
+    marginal = post.depth_log_marginal()
+    near = reference > reference.max() - 700.0
+    assert np.all(np.abs(marginal[near] - reference[near]) <= 1e-9)
+    # A row reads -inf only once every cell fell below float range under a
+    # total of at least 2**500: about 1090 nats below the total.
+    assert np.all(reference[marginal == -np.inf] < -1000.0)
+
+
+@st.composite
+def _long_record_cases(draw):
+    """Up to 3000 simulated open-loop cycles at saturating or tiny ambient,
+    under a prior spread over hundreds of nats."""
+    b = draw(st.one_of(st.integers(1, 3), st.integers(1, 600)))
+    bkg = draw(st.one_of(st.floats(0.5, 3.0), st.floats(1e-6, 1e-3)))
+    grid = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = np.exp(-rng.uniform(0.0, draw(st.sampled_from([1.0, 300.0, 700.0])), b))
+    prior[rng.integers(b)] = 1.0
+    scene = sg.SceneTransient(num_bins=b, ambient_flux=bkg,
+                              peaks=((int(rng.integers(b)), draw(st.floats(0.0, 3.0))),))
+    spad = sg.SpadConfig(num_bins=b, dead_time_ns=draw(st.sampled_from([0.0, 1.0, 81.0])),
+                         max_active_periods=draw(st.integers(1, 16)))
+    policy = draw(st.sampled_from([sg.FreeRunningPolicy(), sg.UniformGatePolicy(b),
+                                   sg.FixedGatePolicy(int(rng.integers(b)), b)]))
+    record = sg.run_acquisition(scene, spad, policy, max_cycles=draw(st.integers(1, 3000)), seed=rng)
+    return bkg, grid, prior, record
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_long_record_cases())
+def test_long_records_match_the_log_domain_reference(case):
+    bkg, grid, prior, record = case
+    reference = _log_domain_marginal(record, bkg, grid, prior)
+    _assert_matches_the_log_domain(sg.posterior_from_record(record, bkg, prior=prior, flux_grid=grid), reference)
+    post = sg.posterior_init(record.num_bins, prior=prior, flux_grid=grid)
+    for gate, t, detected in zip(record.gates, record.timestamps, record.detected):
+        sg.posterior_update(post, int(t) if detected else None, int(gate), bkg)
+    _assert_matches_the_log_domain(post, reference)
+
+
+def test_fold_keeps_a_prior_the_record_overturns():
+    # The prior favours bin 0 by 650 nats and 73 detections at bin 1 favour
+    # bin 1 by about 1000: bin 0 ends some 350 nats down, though its
+    # likelihood alone is about 1000 nats below the best cell's.
+    b, bkg, grid = 2, 1e-6, np.array([10.0])
+    prior = np.array([1.0, math.exp(-650.0)])
+    record = make_record(b, [(1, 1)] * 73)
+    reference = _log_domain_marginal(record, bkg, grid, prior)
+    assert -400.0 < reference[0] < -300.0
+    _assert_matches_the_log_domain(sg.posterior_from_record(record, bkg, prior=prior, flux_grid=grid), reference)
+
+
+def test_rescales_keep_a_concentrating_posterior_exact():
+    # B = 500 after 3000 cycles, 30% of the detections at one bin: most
+    # cells fall hundreds of nats below the peak, and the total falls far
+    # enough to be rescaled several times on the way.
+    b, bkg = 500, 0.02
+    grid = sg.default_flux_grid(bkg)
+    rng = np.random.default_rng(39)
+    n = 3000
+    stamps = np.where(rng.random(n) < 0.3, 275, rng.integers(b, size=n))
+    censored = rng.random(n) < 0.1
+    record = make_record(b, [(int(g), None if c else int(t))
+                             for g, t, c in zip(rng.integers(b, size=n), stamps, censored)])
+    post = sg.posterior_init(b, flux_grid=grid)
+    totals = []
+    for gate, t, detected in zip(record.gates, record.timestamps, record.detected):
+        sg.posterior_update(post, int(t) if detected else None, int(gate), bkg)
+        totals.append(post.total)
+    totals = np.array(totals)
+    assert np.all((2.0**500 <= totals) & (totals <= 2.0**1000))
+    assert np.count_nonzero(np.diff(totals) > 0) >= 2  # updates alone only lower it
+    reference = _log_domain_marginal(record, bkg, grid, np.ones(b))
+    assert reference.max() - np.sort(reference)[-2] > 100.0  # concentrated
+    _assert_matches_the_log_domain(post, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -664,3 +665,60 @@ def test_cli_oracle(capsys):
     assert main(["oracle"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 3
+
+
+@pytest.mark.parametrize("mode", ["estimated", "known"])
+@pytest.mark.parametrize("spad", [
+    {"num_bins": 1, "dead_time_ns": 20.0},
+    {"num_bins": 40, "dead_time_ns": 0.0},
+    {"num_bins": 40, "dead_time_ns": 20.0, "max_active_periods": 1},
+    {"num_bins": 1, "dead_time_ns": 0.0, "max_active_periods": 1},
+])
+def test_edge_inputs_give_finite_rows(mode, spad):
+    # One bin, no dead time, one active period and saturating ambient, run
+    # to a 3000-cycle cap: adaptive and free-running MAP rows come out
+    # whole, with no numpy warning on the way.
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["experiment"]["seeds"] = 1
+    raw["spad"] = {"bin_resolution_ps": 100.0, "rep_rate_mhz": 20.0, **spad}
+    raw["scene"] = {"depth_bin": 0, "ambient_flux": 0.5, "sbr": 1.0}
+    raw["sweep"] = {"ambient_flux": [0.5, 3.0]}
+    raw["policies"] = [{"name": "adaptive", "kind": "adaptive"},
+                       {"name": "free_map", "kind": "free_running", "estimator": "map"}]
+    raw["budget_us"] = None
+    raw["max_cycles"] = 3000
+    raw["background"] = {"mode": mode}
+    cfg = sg.parse_config(raw)
+    specs = sg.build_sweep_specs(cfg)
+    assert sorted({s.ambient_flux for s in specs}) == [0.5, 3.0] and len(specs) == 4
+    for spec in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            row = run_pixel_experiment(cfg, spec)
+        assert isinstance(row, sg.ResultRow)
+        assert row.cycles == 3000
+        assert math.isfinite(row.termination_value)
+        assert 0.0 <= row.entropy_nats <= math.log(spad["num_bins"])
+
+
+def test_stop_rule_and_readout_read_one_termination_value():
+    # The adaptive-stop operating point (B = 100, SBR 1, 2 and 5, background
+    # estimated): a row stops before its cap exactly when the termination
+    # value it reports is below epsilon.
+    raw = {
+        "experiment": {"id": "stop", "seeds": 20, "global_seed": 11},
+        "spad": {"bin_resolution_ps": 100.0, "rep_rate_mhz": 100.0, "dead_time_ns": 81.0},
+        "scene": {"depth_bin": 60, "ambient_flux": 0.01, "sbr": 2.0},
+        "policies": [{"name": "adaptive", "kind": "adaptive"}],
+        "budget_us": None,
+        "max_cycles": 4000,
+        "exposure": {"enabled": True, "epsilon": 0.25, "metric": "termination"},
+        "background": {"mode": "estimated"},
+        "sweep": {"sbr": [1.0, 2.0, 5.0]},
+    }
+    rows, _, failures = sg.run_sweep(sg.parse_config(raw))
+    assert failures == [] and len(rows) == 60
+    stopped = [r for r in rows if r.cycles < 4000]
+    assert len(stopped) >= 40
+    assert all(r.termination_value < 0.25 for r in stopped)
+    assert all(r.termination_value >= 0.25 for r in rows if r.cycles == 4000)

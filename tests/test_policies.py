@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spadgate as sg
+from conftest import assert_marginal_is_the_stored_rows
 from spadgate import estimators, policies
 from spadgate.core import law_statistics
 from spadgate.estimators import _fold
@@ -307,7 +308,7 @@ def test_thompson_draws_match_the_general_fold(monkeypatch):
     assert 20 < len(fast) < 3000  # Thompson cycles ran, and the stop rule ended the run
     assert np.array_equal(fast.gates, general.gates)
     assert np.array_equal(fast.timestamps, general.timestamps)
-    assert fast_post.log_mass.tobytes() == general_post.log_mass.tobytes()
+    assert fast_post.mass.tobytes() == general_post.mass.tobytes()
 
 
 def test_depth_marginal_follows_log_mass_reassignment():
@@ -316,13 +317,17 @@ def test_depth_marginal_follows_log_mass_reassignment():
     assert post.depth_log_marginal() is first
     with pytest.raises(ValueError):
         first[0] = 0.0  # read-only: the cache cannot be edited through it
+    with pytest.raises(ValueError):
+        post.log_mass[0, 0] = 0.0  # so is the derived log mass
     mass = np.full((5, 2), -np.inf)
     mass[3] = -math.log(2)
     post.log_mass = mass
     assert sg.map_depth(post) == 3
     assert sg.termination_value(post) == 0.0
+    assert post.depth_log_marginal() is not first
+    assert_marginal_is_the_stored_rows(post)
     sg.posterior_update(post, 1, 0, 0.1)
-    assert np.array_equal(post.depth_log_marginal(), sg.logsumexp(post.log_mass, axis=1))
+    assert_marginal_is_the_stored_rows(post)
 
 
 def test_copy_does_not_serve_a_stale_marginal():
@@ -330,61 +335,89 @@ def test_copy_does_not_serve_a_stale_marginal():
     sg.posterior_update(post, 2, 0, 0.1)
     before = post.depth_log_marginal().copy()
     twin = post.copy()
+    assert twin.mass is not post.mass and twin.rows is not post.rows
     sg.posterior_update(twin, 4, 4, 0.1)
-    assert np.array_equal(twin.depth_log_marginal(), sg.logsumexp(twin.log_mass, axis=1))
+    assert_marginal_is_the_stored_rows(twin)
     assert not np.array_equal(twin.depth_log_marginal(), before)
     assert np.array_equal(post.depth_log_marginal(), before)
 
 
-class _JointExpCounter:
-    """Stands in for numpy in ``estimators``; counts ``exp`` passes over 2-d arrays."""
+def _flux_axis_sum(calls, a, axis):
+    if np.ndim(a) == 2 and axis in (1, -1):
+        calls.append("flux-axis sum")
 
-    def __init__(self):
-        self.passes = 0
+
+class _CountingAdd:
+    """``np.add`` whose ``reduce`` records sums over the flux axis."""
+
+    def __init__(self, calls):
+        self.calls = calls
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        return getattr(np.add, name)
 
-    def exp(self, a, *args, **kwargs):
-        self.passes += np.ndim(a) == 2
-        return np.exp(a, *args, **kwargs)
+    def reduce(self, a, axis=0, **kwargs):
+        _flux_axis_sum(self.calls, a, axis)
+        return np.add.reduce(a, axis=axis, **kwargs)
+
+
+class _NumpyCounter:
+    """Stands in for numpy in ``estimators`` and ``policies``; records every
+    exp or log pass over a 2-d array and every sum over its flux axis."""
+
+    def __init__(self):
+        self.calls = []
+        self.add = _CountingAdd(self.calls)
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("exp", "expm1", "log", "log1p", "logaddexp"):
+            return fn
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                self.calls.append(name)
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    def sum(self, a, axis=None, **kwargs):
+        _flux_axis_sum(self.calls, a, axis)
+        return np.sum(a, axis=axis, **kwargs)
 
 
 def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
-    # One pass over the joint per cycle: the normalization's exp gives the
-    # depth marginal that the stop rule and the next Thompson draw read.
-    axis1_calls, normalized = [], []
-    real_logsumexp, real_normalize = estimators.logsumexp, estimators._normalize
+    # A controlled cycle (Thompson draw, update, stop check) touches the
+    # joint mass only to multiply it and to sum it once over the flux axis:
+    # no exp or log over the joint, no logsumexp.  The stop rule and the
+    # next draw read the rows that sum installed.
+    lse_calls = []
+    real_logsumexp = estimators.logsumexp
 
     def counting_logsumexp(a, axis=None):
-        if axis == 1:
-            axis1_calls.append(a.shape)
+        lse_calls.append(np.shape(a))
         return real_logsumexp(a, axis)
 
-    def counting_normalize(post, updated, cycles):
-        normalized.append(updated.shape)
-        return real_normalize(post, updated, cycles)
-
-    numpy = _JointExpCounter()
+    numpy = _NumpyCounter()
     monkeypatch.setattr(estimators, "logsumexp", counting_logsumexp)
-    monkeypatch.setattr(estimators, "_normalize", counting_normalize)
     monkeypatch.setattr(estimators, "np", numpy)
+    monkeypatch.setattr(policies, "np", numpy)
     num_bins = 20
     control = sg.ExposureControl(epsilon=1e-9, min_cycles=0)
     pol = sg.AdaptiveGatePolicy(num_bins=num_bins, bkg_flux=0.05, exposure=control)
-    k = pol.posterior.flux_grid.size
     rng = sg.stream_rng(3)
-    assert not pol.should_stop()  # the prior's marginal, built once per posterior
-    for cycle in range(6):
-        axis1_calls.clear()
-        normalized.clear()
-        numpy.passes = 0
+    assert not pol.should_stop()  # the prior's rows, installed with it
+    # (timestamp - gate) mod B: 0 has no window row, 19 no other row, None is censored
+    for cycle, shift in enumerate([3, 0, None, 19, 7, 1, None, 12]):
+        lse_calls.clear()
+        numpy.calls.clear()
         gate = pol.next_gate(rng)
-        pol.observe(_outcome(gate, ts=None if cycle == 2 else (gate + cycle) % num_bins))
+        mass = pol.posterior.mass
+        pol.observe(_outcome(gate, ts=None if shift is None else (gate + shift) % num_bins))
         assert not pol.should_stop()
-        assert normalized == [(num_bins, k)]
-        assert numpy.passes == 1
-        assert axis1_calls == []
+        assert numpy.calls == ["flux-axis sum"], cycle
+        assert lse_calls == []
+        assert pol.posterior.mass is mass  # multiplied in place
 
 
 def _golden_acquisitions():
