@@ -36,7 +36,6 @@ from .estimators import (
     dither_depth,
     estimate_background,
     log1mexp,
-    logsumexp,
     map_depth,
     posterior_entropy,
     posterior_from_record,

@@ -21,11 +21,14 @@ drops only cells about 1000 nats or more below it.  One cycle gives each
 depth row one of three values (its detection bin, a bin of the window it
 passed over, any other bin; one value for a censored cycle), each a
 vector over the flux grid read off the same law once per posterior and
-background, so an update is two slice multiplies and one flux-axis sum,
-with no exp, log or normalizing pass over the joint.  The Thompson draw,
-the stop rule and the readouts read the installed row sums; the log mass
-and the depth log marginal are derived on demand.  A log-domain parabola
-fit around the chosen bin recovers sub-bin depth (temporal dithering).
+background.  A posterior keeps those factors for every cell in a buffer
+shaped and laid out like its mass; a cycle rewrites only the rows whose
+type changed since the last cycle, so an update is one contiguous
+multiply of the whole joint and one flux-axis sum, with no exp, log or
+normalizing pass over the joint.  The Thompson draw, the stop rule and
+the readouts read the installed row sums; the log mass and the depth log
+marginal are derived on demand.  A log-domain parabola fit around the
+chosen bin recovers sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
@@ -38,18 +41,6 @@ import numpy as np
 
 from .core import AcquisitionRecord, DetectedHistogram, LawStatistics, law_statistics, log1mexp, peak_log_likelihood
 from .core import timestamps_to_histogram
-
-
-def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Max-shifted log(sum(exp(a))); tolerates all -inf slices."""
-    a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return float(out.item())
-    return np.squeeze(out, axis=axis)
 
 
 @dataclass
@@ -137,16 +128,21 @@ class DepthPosterior:
 
     ``log_mass`` (normalized, logsumexp 0, -inf at cells of zero mass) and
     ``depth_log_marginal()`` are read-only views derived from the mass on
-    demand, once per update.  Assigning ``log_mass`` installs
-    exp(log_mass - max) as the mass.  ``degraded_cycles`` counts cycles
-    whose outcomes had zero probability under every cell of positive mass;
-    their update is skipped rather than aborting.
+    demand, once per update.  ``degraded_cycles`` counts cycles whose
+    outcomes had zero probability under every cell of positive mass; their
+    update is skipped rather than aborting.
+
+    Each posterior keeps its own one-cycle factors (``_cycle_rows``) and a
+    factor buffer of the mass's shape (``_factor_buffer``); a copy starts
+    without either.
     """
 
     def __init__(self, mass: np.ndarray, flux_grid: np.ndarray | None = None, degraded_cycles: int = 0):
         self.flux_grid = flux_grid
         self.degraded_cycles = degraded_cycles
         self._factors: tuple | None = None
+        self._buffer: np.ndarray | None = None
+        self._buffer_holds: tuple = (None, 0, 0)  # (step, gate, rows from gate not holding "other")
         if not _install(self, np.array(mass, dtype=float, order="F"), 0):
             raise ValueError("mass needs a finite positive cell")
 
@@ -164,24 +160,11 @@ class DepthPosterior:
             self._log_mass = _read_only_log(self.mass, self.total)
         return self._log_mass
 
-    @log_mass.setter
-    def log_mass(self, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float)
-        with np.errstate(invalid="ignore"):  # every cell -inf: no mass to install
-            mass = np.exp(value - value.max())
-        if not _install(self, np.asfortranarray(mass), 0):
-            raise ValueError("log_mass needs a finite cell")
-
     def depth_log_marginal(self) -> np.ndarray:
         """Flux-marginalized depth log mass (read-only), derived once per update."""
         if self._marginal is None:
             self._marginal = _read_only_log(self.rows, self.total)
         return self._marginal
-
-    def flux_log_marginal(self) -> np.ndarray:
-        if not self.joint:
-            raise ValueError("posterior has no flux axis")
-        return _read_only_log(self.mass.sum(axis=0), self.total)
 
     def copy(self) -> "DepthPosterior":
         return DepthPosterior(
@@ -208,7 +191,7 @@ def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
     was installed.
     """
     rows = np.add.reduce(mass, axis=1) if mass.ndim == 2 else mass
-    total = float(rows.sum())
+    total = float(np.add.reduce(rows))
     if not 0.0 < total < math.inf:  # no positive mass, or a NaN
         post.degraded_cycles += cycles
         return False
@@ -307,18 +290,21 @@ def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_fl
 
 
 def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None, combo: tuple | None) -> list | None:
-    """One cycle's likelihood factors by depth row, as rolled templates.
+    """One cycle's likelihood factors by depth row type.
 
     A row's log likelihood takes one of four values (its detection bin, a
     bin of the window the cycle passed over, any other bin; one value for a
     censored cycle), each read off the law on a template cycle once per
     posterior and background.  ``combo`` is (window present, other
     present) for a detection, None for a censored cycle.  Returns, built
-    once per combination, ``_templates`` of it.
+    once per combination, its steps: one per step of ``_factor_steps``,
+    each the factors (window, hit, other) and whether all are positive.
+    c is the largest log likelihood over the row types present and a
+    factor is exp(value - c), what ``_fold`` multiplies by for such a
+    cycle, to the bit.  None if no cell can give the combination.
     """
-    key = (post.mass.shape, bkg_flux, signal_flux)
-    cache = post._factors
-    if cache is None or cache[0] != key or cache[1] is not post.flux_grid:
+    cache = post._factors  # the mass's shape is fixed, so the background, signal and grid are the key
+    if cache is None or cache[0] != bkg_flux or cache[1] != signal_flux or cache[2] is not post.flux_grid:
         flux = _flux_axis(post, bkg_flux, signal_flux)
         b = post.num_bins
 
@@ -330,37 +316,55 @@ def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None
         # bin is neither hit nor passed over; a detection at bin 0 whose
         # window wrapped from the last bin; a censored cycle.
         at_gate, wrapped = law(0, 0), law(b - 1, 0)
-        cache = post._factors = (key, post.flux_grid, (at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0]), {})
-    if combo not in cache[3]:
-        cache[3][combo] = _templates(cache[2], combo, post.num_bins)
-    return cache[3][combo]
+        rows = (at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0])
+        cache = post._factors = (bkg_flux, signal_flux, post.flux_grid, rows, {})
+    steps = cache[4]
+    if combo not in steps:
+        hit, window, other, censored = cache[3]
+        if combo is None:
+            kinds = (censored, censored, censored)
+        else:  # an absent row type is never read
+            kinds = (window if combo[0] else hit, hit, other if combo[1] else hit)
+        c = max(row.max() for row in kinds)
+        steps[combo] = None if not math.isfinite(c) else [
+            (*(f.reshape(np.shape(hit)) for f in np.split(step, 3)), bool(step.all()))
+            for step in _factor_steps(np.concatenate([np.ravel(row) for row in kinds]) - c)
+        ]
+    return steps[combo]
 
 
-def _templates(rows: tuple, combo: tuple | None, b: int) -> list | None:
-    """Factor templates of one combination of row types; None if no cell can give it.
+def _factor_buffer(post: DepthPosterior, step: tuple, gate: int, window: int) -> np.ndarray:
+    """The factors of one step for every cell, in the posterior's buffer.
 
-    c is the largest log likelihood over the row types present, and the
-    factors are exp(value - c), what ``_fold`` multiplies by for such a
-    cycle, to the bit.  One template per step of ``_factor_steps``, with
-    whether all its factors are positive.  A template has 2B + 1 rows: B
-    window rows, the detection row and B other rows, so a cycle whose
-    window covers d bins from its gate g reads depth row r's factor at row
-    B - d + (r - g) mod B.
+    Depth rows [gate, gate + window) (mod B) read the step's window
+    factors, row gate + window its hit factors and every other row its
+    other factors; a censored cycle (``window`` -1) has one factor vector,
+    its other factors, for every row.  When the buffer holds the same step
+    from the last cycle, only the rows of that cycle's window and hit go
+    back to the other factors before the new ones are written; otherwise
+    the whole buffer is refilled.
     """
-    hit, window, other, censored = rows
-    if combo is None:
-        kinds = (censored, censored, censored)
-    else:  # an absent row type is never read
-        kinds = (window if combo[0] else hit, hit, other if combo[1] else hit)
-    c = max(row.max() for row in kinds)
-    if not math.isfinite(c):
-        return None
-    templates = []
-    for step in _factor_steps(np.concatenate([np.ravel(row) for row in kinds]) - c):
-        template = np.empty((2 * b + 1,) + np.shape(hit), order="F")
-        template[:b], template[b], template[b + 1:] = (f.reshape(np.shape(hit)) for f in np.split(step, 3))
-        templates.append((template, bool(step.all())))
-    return templates
+    buf = post._buffer
+    last_step, last_gate, last_rows = post._buffer_holds
+    if last_step is step:
+        _put_rows(buf, last_gate, last_rows, step[2])
+    else:
+        if buf is None:
+            buf = post._buffer = np.empty_like(post.mass)  # flux-major, like the mass
+        buf[...] = step[2]
+    if window >= 0:
+        _put_rows(buf, gate, window, step[0])
+        buf[(gate + window) % buf.shape[0]] = step[1]
+    post._buffer_holds = (step, gate, window + 1)
+    return buf
+
+
+def _put_rows(buf: np.ndarray, start: int, count: int, value: np.ndarray) -> None:
+    """Write ``value`` to rows [start, start + count) of ``buf``, wrapping past its last row."""
+    end = start + count
+    buf[start:end] = value
+    if end > buf.shape[0]:
+        buf[:end - buf.shape[0]] = value
 
 
 def posterior_update(
@@ -374,8 +378,8 @@ def posterior_update(
 
     ``timestamp`` is the folded detection bin, or None for a censored
     cycle.  The one-cycle case of ``posterior_from_record``, to the bit:
-    the mass is multiplied by the cycle's rolled factor template in two
-    slices, then one flux-axis sum installs the rows.  The product is
+    the mass is multiplied by the factor buffer (``_factor_buffer``) in one
+    multiply, then one flux-axis sum installs the rows.  The product is
     written in place unless a factor is 0; it then goes to a new array,
     so that an outcome impossible under every cell of positive mass leaves
     the mass as it was.  (With positive factors, all at least exp(-700),
@@ -384,24 +388,21 @@ def posterior_update(
     b = post.num_bins
     if not 0 <= gate < b:
         raise ValueError(f"gate {gate} outside [0, {b})")
-    if timestamp is not None and not 0 <= timestamp < b:
-        raise ValueError(f"timestamp {timestamp} outside [0, {b})")
-    if timestamp is None:  # one factor for every row: no need to roll
-        combo, start, g = None, 0, 0
+    if timestamp is None:
+        combo, window = None, -1
+    elif 0 <= timestamp < b:
+        window = (timestamp - gate) % b
+        combo = (window > 0, window < b - 1)
     else:
-        d = (timestamp - gate) % b
-        combo, start, g = (d > 0, d < b - 1), b - d, gate
+        raise ValueError(f"timestamp {timestamp} outside [0, {b})")
     steps = _cycle_rows(post, bkg_flux, signal_flux, combo)
     if steps is None:
         post.degraded_cycles += 1
         return post
-    split = start + b - g  # the template row of depth row 0
-    for template, in_place in steps:
+    for step in steps:
+        factors = _factor_buffer(post, step, gate, window)
         mass = post.mass
-        out = mass if in_place else np.empty_like(mass)
-        np.multiply(mass[g:], template[start:split], out=out[g:])
-        if g:
-            np.multiply(mass[:g], template[split:start + b], out=out[:g])
+        out = np.multiply(mass, factors, out=mass if step[3] else np.empty_like(mass))
         if not _install(post, out, 1):
             break
     return post

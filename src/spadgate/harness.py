@@ -418,9 +418,9 @@ def _take_section(parent: dict, path: str, errors: list[str], kwargs: dict) -> N
     section = parent
     if path:
         section = parent.pop(path.rpartition(".")[2], None)
-        if not section and (section is None or "." not in path):
-            section = {}  # absent or null, or a falsy top-level value
-        if not isinstance(section, dict):
+        if section is None:  # absent or null
+            section = {}
+        elif not isinstance(section, dict):
             errors.append(f"{path}: expected an object")
             section = {}
     where = path or "config"

@@ -35,7 +35,7 @@ from .estimators import (
     posterior_from_record,
     posterior_update,
 )
-from .spadsim import FREE_RUN, CycleOutcome, outcomes_record
+from .spadsim import FREE_RUN, CycleOutcome, cycles_record
 
 
 def termination_value(post: DepthPosterior, metric: str = "termination") -> float:
@@ -210,8 +210,8 @@ class AdaptiveGatePolicy:
             if len(self._buffer) >= self.calibration_cycles:
                 self._finalize()
             return
-        t = outcome.timestamp if outcome.detected else None
-        posterior_update(self.posterior, t, outcome.gate, self.bkg_flux)
+        gate, timestamp = outcome[0], outcome[1]
+        posterior_update(self.posterior, timestamp if timestamp >= 0 else None, gate, self.bkg_flux)
 
     def should_stop(self) -> bool:
         if self.exposure is None or self.posterior is None:
@@ -224,7 +224,7 @@ class AdaptiveGatePolicy:
             self._finalize()
 
     def _finalize(self) -> None:
-        record = outcomes_record(self.num_bins, self._buffer, len(self._buffer))
+        record = cycles_record(self.num_bins, self._buffer, len(self._buffer))
         if self.known_bkg is not None:
             self.bkg_flux = float(self.known_bkg)
         else:

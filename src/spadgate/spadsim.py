@@ -15,8 +15,12 @@ against ``detection_likelihood``.
 
 - Closed loop, per cycle.  A policy without a ``gates`` method (the
   adaptive policy, calibration included) chooses each gate after seeing
-  the previous outcome: ``next_gate``, ``sample_cycle`` and ``observe``
-  run once per cycle, and ``should_stop`` is asked before each.
+  the previous outcome: ``should_stop`` is asked before each cycle, then
+  ``next_gate`` gives its gate and ``observe`` gets its outcome as a
+  plain (gate, timestamp, elapsed periods, duration) tuple.  The loop
+  arms and scans inline (``_scan_exponential``), the same steps as
+  ``sample_cycle`` without its per-call state object, validation and
+  ``CycleOutcome``.
 - Open loop, in blocks of ``BLOCK_CYCLES``.  Fixed, uniform and
   free-running policies draw no randomness and never stop early, so their
   gates are known up front through ``gates(start, count)``.  A block draws
@@ -32,7 +36,9 @@ Draw order: both paths draw exactly one unit exponential per cycle, in
 cycle order, and nothing else, so they give identical records.  A block
 cut short by the budget restores the generator and redraws only the
 cycles it kept, so the caller's generator ends where the per-cycle loop
-would leave it.  ``tests/test_spadsim.py`` checks both to the bit.
+would leave it.  ``tests/test_spadsim.py`` checks both paths to the bit
+against a per-cycle reference loop over ``sample_cycle``
+(``tests/conftest.py``).
 
 Determinism: all randomness flows through one numpy PCG64 generator.
 Identical seeds give bit-identical records; per-pixel streams come from
@@ -45,6 +51,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,15 +86,21 @@ class SimState:
     cycles: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CycleOutcome:
-    """One armed cycle: effective gate, folded timestamp, time spent."""
+class CycleOutcome(NamedTuple):
+    """One armed cycle: effective gate, folded timestamp (-1 if censored), time spent.
+
+    Policies see each outcome through ``observe`` as a tuple of these four
+    fields; the closed loop of ``run_acquisition`` passes plain tuples.
+    """
 
     gate: int
     timestamp: int
-    detected: bool
     elapsed_periods: int
     cycle_duration_bins: int
+
+    @property
+    def detected(self) -> bool:
+        return self.timestamp >= 0
 
 
 def arm_triggered(ready_time: int, gate: int, num_bins: int) -> int:
@@ -184,20 +197,13 @@ def sample_cycle(
     offset = _scan_exponential(scene, arm_phase, float(state.rng.exponential()), cap)
     if offset is None:
         ready = arm + cap * b
-        outcome = CycleOutcome(
-            gate=arm_phase,
-            timestamp=-1,
-            detected=False,
-            elapsed_periods=cap,
-            cycle_duration_bins=ready - start,
-        )
+        outcome = CycleOutcome(gate=arm_phase, timestamp=-1, elapsed_periods=cap, cycle_duration_bins=ready - start)
     else:
         detect = arm + offset
         ready = detect + config.dead_time_bins
         outcome = CycleOutcome(
             gate=arm_phase,
             timestamp=detect % b,
-            detected=True,
             elapsed_periods=offset // b,
             cycle_duration_bins=ready - start,
         )
@@ -228,38 +234,50 @@ def run_acquisition(
     if budget_bins is None and max_cycles is None:
         raise ValueError("need a budget, a cycle cap, or both")
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
-    if hasattr(policy, "gates"):
-        return _run_open_loop(scene, config, policy, budget_bins, max_cycles, rng)
-    state = SimState(rng=rng)
-    min_cycle = 1 + config.dead_time_bins
-    outcomes: list[CycleOutcome] = []
-    while True:
-        if policy.should_stop():
-            break
-        if max_cycles is not None and state.cycles >= max_cycles:
-            break
-        if budget_bins is not None and state.ready_time + min_cycle > budget_bins:
-            break
-        outcome = sample_cycle(scene, config, state, policy.next_gate(rng))
-        outcomes.append(outcome)
-        policy.observe(outcome)
-    return outcomes_record(scene.num_bins, outcomes, int(getattr(policy, "calibration_cycles", 0)))
-
-
-def _run_open_loop(
-    scene: SceneTransient,
-    config: SpadConfig,
-    policy,
-    budget_bins: int | None,
-    max_cycles: int | None,
-    rng: np.random.Generator,
-) -> AcquisitionRecord:
-    """``run_acquisition`` for a policy whose gates are known up front."""
     b = scene.num_bins
     if config.num_bins != b:
         raise ValueError("config and scene have mismatched num_bins")
     cap, dead = config.max_active_periods, config.dead_time_bins
+    # The last ready time at which the minimal cycle (one bin plus dead
+    # time) still fits in the budget.
     last_start = sys.maxsize if budget_bins is None else budget_bins - (1 + dead)
+    if hasattr(policy, "gates"):
+        return _run_open_loop(scene, policy, b, cap, dead, last_start, max_cycles, rng)
+    limit = sys.maxsize if max_cycles is None else max_cycles
+    should_stop, next_gate, observe, exponential = policy.should_stop, policy.next_gate, policy.observe, rng.exponential
+    cycles: list[tuple[int, int, int, int]] = []
+    ready = 0
+    while not should_stop() and len(cycles) < limit and ready <= last_start:
+        gate = next_gate(rng)
+        if gate is FREE_RUN:
+            arm = ready
+        elif 0 <= gate < b:
+            arm = ready + (gate - ready) % b
+        else:
+            raise ValueError(f"gate {gate} outside [0, {b})")
+        phase = arm % b
+        offset = _scan_exponential(scene, phase, exponential(), cap)
+        if offset is None:
+            outcome = (phase, -1, cap, arm + cap * b - ready)
+        else:
+            outcome = (phase, (arm + offset) % b, offset // b, arm + offset + dead - ready)
+        ready += outcome[3]
+        cycles.append(outcome)
+        observe(outcome)
+    return cycles_record(b, cycles, int(getattr(policy, "calibration_cycles", 0)))
+
+
+def _run_open_loop(
+    scene: SceneTransient,
+    policy,
+    b: int,
+    cap: int,
+    dead: int,
+    last_start: int,
+    max_cycles: int | None,
+    rng: np.random.Generator,
+) -> AcquisitionRecord:
+    """``run_acquisition`` for a policy whose gates are known up front."""
     ready, done = 0, 0
     blocks = []
     while ready <= last_start:
@@ -325,18 +343,21 @@ def _free_run_offsets(
     return phases, offsets
 
 
-def outcomes_record(num_bins: int, outcomes: list[CycleOutcome], calibration_cycles: int = 0) -> AcquisitionRecord:
-    """Record of consecutive cycles from the start of a run.
+def cycles_record(num_bins: int, cycles: list, calibration_cycles: int = 0) -> AcquisitionRecord:
+    """Record of consecutive cycle outcomes from the start of a run.
 
-    A run that ends inside calibration marks every cycle it has.
+    Each outcome is a (gate, timestamp, elapsed periods, duration) tuple,
+    such as a ``CycleOutcome``.  A run that ends inside calibration marks
+    every cycle it has.
     """
+    gates, timestamps, periods, durations = np.array(cycles, dtype=np.int64).reshape(len(cycles), 4).T.copy()
     return AcquisitionRecord(
         num_bins=num_bins,
-        gates=np.array([o.gate for o in outcomes], dtype=np.int64),
-        timestamps=np.array([o.timestamp for o in outcomes], dtype=np.int64),
-        detected=np.array([o.detected for o in outcomes], dtype=bool),
-        elapsed_periods=np.array([o.elapsed_periods for o in outcomes], dtype=np.int64),
-        cycle_durations=np.array([o.cycle_duration_bins for o in outcomes], dtype=np.int64),
-        exposure_bins=sum(o.cycle_duration_bins for o in outcomes),
-        calibration_cycles=min(calibration_cycles, len(outcomes)),
+        gates=gates,
+        timestamps=timestamps,
+        detected=timestamps >= 0,
+        elapsed_periods=periods,
+        cycle_durations=durations,
+        exposure_bins=int(durations.sum()),
+        calibration_cycles=min(calibration_cycles, len(cycles)),
     )

@@ -8,6 +8,65 @@ import numpy as np
 import pytest
 
 from spadgate import AcquisitionRecord
+from spadgate.spadsim import CycleOutcome, SimState, sample_cycle, stream_rng
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """Max-shifted log(sum(exp(a))); tolerates all -inf slices."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    if axis is None:
+        return float(out.item())
+    return np.squeeze(out, axis=axis)
+
+
+def flux_log_marginal(post) -> np.ndarray:
+    """Depth-marginalized flux log mass of a joint posterior, normalized."""
+    with np.errstate(divide="ignore"):
+        return np.log(post.mass.sum(axis=0)) - math.log(post.total)
+
+
+def outcomes_record(num_bins: int, outcomes: list[CycleOutcome], calibration_cycles: int = 0) -> AcquisitionRecord:
+    """Record of consecutive cycles from the start of a run.
+
+    A run that ends inside calibration marks every cycle it has.
+    """
+    return AcquisitionRecord(
+        num_bins=num_bins,
+        gates=np.array([o.gate for o in outcomes], dtype=np.int64),
+        timestamps=np.array([o.timestamp for o in outcomes], dtype=np.int64),
+        detected=np.array([o.detected for o in outcomes], dtype=bool),
+        elapsed_periods=np.array([o.elapsed_periods for o in outcomes], dtype=np.int64),
+        cycle_durations=np.array([o.cycle_duration_bins for o in outcomes], dtype=np.int64),
+        exposure_bins=sum(o.cycle_duration_bins for o in outcomes),
+        calibration_cycles=min(calibration_cycles, len(outcomes)),
+    )
+
+
+def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
+    """Reference for ``run_acquisition``: one ``sample_cycle`` per cycle, any policy.
+
+    Asks ``should_stop``, then the cycle cap, then the budget before each
+    cycle; ``next_gate`` draws before the cycle's exponential.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
+    state = SimState(rng=rng)
+    min_cycle = 1 + config.dead_time_bins
+    outcomes: list[CycleOutcome] = []
+    while True:
+        if policy.should_stop():
+            break
+        if max_cycles is not None and state.cycles >= max_cycles:
+            break
+        if budget_bins is not None and state.ready_time + min_cycle > budget_bins:
+            break
+        outcome = sample_cycle(scene, config, state, policy.next_gate(rng))
+        outcomes.append(outcome)
+        policy.observe(outcome)
+    return outcomes_record(scene.num_bins, outcomes, int(getattr(policy, "calibration_cycles", 0)))
 
 
 def brute_detection_likelihood(rates, t: int, gate: int) -> float:
@@ -56,8 +115,6 @@ def assert_marginal_is_the_stored_rows(post) -> None:
     """The installed rows are the mass's flux-axis sums, the total is in its
     range, and the depth marginal is exactly log(rows) - log(total) and
     agrees with the row logsumexp of the normalized log mass."""
-    from spadgate import logsumexp
-
     assert np.array_equal(post.rows, post.mass.sum(axis=1))
     assert 2.0**500 <= post.total <= 2.0**1000
     marginal = post.depth_log_marginal()

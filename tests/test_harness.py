@@ -68,6 +68,13 @@ def test_parse_config_requires_a_depth_and_a_signal():
         sg.parse_config(raw)
 
 
+@pytest.mark.parametrize("value", [False, 0, "", []], ids=["false", "zero", "empty-string", "empty-list"])
+def test_falsy_non_object_section_is_an_error(value):
+    assert not _config(exposure=None).exposure_enabled  # a null section reads as empty
+    with pytest.raises(sg.ConfigError, match="^exposure: expected an object$"):
+        _config(exposure=value)
+
+
 def test_parse_config_type_errors_name_the_path():
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["spad"]["num_bins"] = "many"
@@ -269,7 +276,7 @@ def test_config_error_text_and_order_are_pinned():
         "scene.sbr and scene.signal_flux are mutually exclusive; "
         "scene.mismatch.kind must be two_peak or corner_tail, got 'three_peak'"
     )
-    # Sections of the wrong type; a falsy top-level section reads as empty.
+    # Sections of the wrong type, falsy ones too; only an absent or null section reads as empty.
     sections = {
         "experiment": [],
         "spad": "fast",
@@ -286,8 +293,8 @@ def test_config_error_text_and_order_are_pinned():
     with pytest.raises(sg.ConfigError) as exc:
         sg.parse_config(sections)
     assert str(exc.value) == (
-        "spad: expected an object; scene.ambient_map: expected str, got 3; scene.mismatch: expected an object; "
-        "unknown key scene.unknown; policies: expected a non-empty list; config.max_cycles: expected int, got 'ten'; "
+        "experiment: expected an object; spad: expected an object; scene.ambient_map: expected str, got 3; "
+        "scene.mismatch: expected an object; unknown key scene.unknown; policies: expected a non-empty list; config.max_cycles: expected int, got 'ten'; "
         "exposure.metric: expected str, got 3; estimator.flux_grid_size: expected int, got 2.5; "
         "prior.sigma_bins: expected float, got 'wide'; sweep: expected an object; exposure.epsilon must be positive; "
         "background.fallback_flux must be positive; estimator.flux_grid_hi must be positive; "

@@ -15,13 +15,8 @@ from spadgate.spadsim import CycleOutcome
 
 
 def _outcome(gate, ts=None, periods=0, duration=100):
-    return CycleOutcome(
-        gate=gate,
-        timestamp=-1 if ts is None else ts,
-        detected=ts is not None,
-        elapsed_periods=periods,
-        cycle_duration_bins=duration,
-    )
+    return CycleOutcome(gate=gate, timestamp=-1 if ts is None else ts, elapsed_periods=periods,
+                        cycle_duration_bins=duration)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +166,9 @@ def test_adaptive_ensure_posterior_with_partial_buffer():
 
 
 def _sharpen(pol, depth):
-    mass = np.full(pol.posterior.log_mass.shape, -np.inf)
-    mass[depth] = 0.0
-    if pol.posterior.joint:
-        mass[depth, :] = -math.log(mass.shape[1])
-    pol.posterior.log_mass = mass
+    mass = np.zeros(pol.posterior.mass.shape)
+    mass[depth] = 1.0
+    pol.posterior = sg.DepthPosterior(mass, pol.posterior.flux_grid)
 
 
 def test_thompson_gate_tracks_sampled_depth():
@@ -312,6 +305,8 @@ def test_thompson_draws_match_the_general_fold(monkeypatch):
 
 
 def test_depth_marginal_follows_log_mass_reassignment():
+    # The derived views are read-only caches, rebuilt after an update; a
+    # posterior built from a point mass reads it in every readout.
     post = sg.posterior_init(5, flux_grid=np.array([0.2, 1.0]))
     first = post.depth_log_marginal()
     assert post.depth_log_marginal() is first
@@ -319,12 +314,14 @@ def test_depth_marginal_follows_log_mass_reassignment():
         first[0] = 0.0  # read-only: the cache cannot be edited through it
     with pytest.raises(ValueError):
         post.log_mass[0, 0] = 0.0  # so is the derived log mass
-    mass = np.full((5, 2), -np.inf)
-    mass[3] = -math.log(2)
-    post.log_mass = mass
+    sg.posterior_update(post, 1, 0, 0.1)
+    assert post.depth_log_marginal() is not first
+    assert_marginal_is_the_stored_rows(post)
+    mass = np.zeros((5, 2))
+    mass[3] = 0.5
+    post = sg.DepthPosterior(mass, post.flux_grid)
     assert sg.map_depth(post) == 3
     assert sg.termination_value(post) == 0.0
-    assert post.depth_log_marginal() is not first
     assert_marginal_is_the_stored_rows(post)
     sg.posterior_update(post, 1, 0, 0.1)
     assert_marginal_is_the_stored_rows(post)
@@ -363,7 +360,8 @@ class _CountingAdd:
 
 class _NumpyCounter:
     """Stands in for numpy in ``estimators`` and ``policies``; records every
-    exp or log pass over a 2-d array and every sum over its flux axis."""
+    exp, log or multiply over a 2-d array (a multiply with the array's
+    shape) and every sum over its flux axis."""
 
     def __init__(self):
         self.calls = []
@@ -371,12 +369,12 @@ class _NumpyCounter:
 
     def __getattr__(self, name):
         fn = getattr(np, name)
-        if name not in ("exp", "expm1", "log", "log1p", "logaddexp"):
+        if name not in ("exp", "expm1", "log", "log1p", "logaddexp", "multiply"):
             return fn
 
         def counted(a, *args, **kwargs):
             if np.ndim(a) == 2:
-                self.calls.append(name)
+                self.calls.append(f"multiply {np.shape(a)}" if name == "multiply" else name)
             return fn(a, *args, **kwargs)
 
         return counted
@@ -388,18 +386,10 @@ class _NumpyCounter:
 
 def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
     # A controlled cycle (Thompson draw, update, stop check) touches the
-    # joint mass only to multiply it and to sum it once over the flux axis:
-    # no exp or log over the joint, no logsumexp.  The stop rule and the
+    # joint mass only to multiply it whole, once, and to sum it once over
+    # the flux axis: no exp or log over the joint.  The stop rule and the
     # next draw read the rows that sum installed.
-    lse_calls = []
-    real_logsumexp = estimators.logsumexp
-
-    def counting_logsumexp(a, axis=None):
-        lse_calls.append(np.shape(a))
-        return real_logsumexp(a, axis)
-
     numpy = _NumpyCounter()
-    monkeypatch.setattr(estimators, "logsumexp", counting_logsumexp)
     monkeypatch.setattr(estimators, "np", numpy)
     monkeypatch.setattr(policies, "np", numpy)
     num_bins = 20
@@ -408,15 +398,14 @@ def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
     rng = sg.stream_rng(3)
     assert not pol.should_stop()  # the prior's rows, installed with it
     # (timestamp - gate) mod B: 0 has no window row, 19 no other row, None is censored
+    whole = f"multiply {pol.posterior.mass.shape}"
     for cycle, shift in enumerate([3, 0, None, 19, 7, 1, None, 12]):
-        lse_calls.clear()
         numpy.calls.clear()
         gate = pol.next_gate(rng)
         mass = pol.posterior.mass
         pol.observe(_outcome(gate, ts=None if shift is None else (gate + shift) % num_bins))
         assert not pol.should_stop()
-        assert numpy.calls == ["flux-axis sum"], cycle
-        assert lse_calls == []
+        assert numpy.calls == [whole, "flux-axis sum"], cycle
         assert pol.posterior.mass is mass  # multiplied in place
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import spadgate as sg
 from spadgate import spadsim
+from conftest import per_cycle_acquisition
 from spadgate.spadsim import SimState
 
 
@@ -234,35 +235,19 @@ def test_record_calibration_marker_from_policy():
     assert len(rec3) == 5 and rec3.calibration_cycles == 5
 
 
-class _PerCycle:
-    """An open-loop policy without ``gates``, forcing the per-cycle path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def next_gate(self, rng):
-        return self.inner.next_gate(rng)
-
-    def observe(self, outcome):
-        self.inner.observe(outcome)
-
-    def should_stop(self):
-        return self.inner.should_stop()
-
-
-def _assert_block_path_is_per_cycle_path(scene, spad, make_policy, budget, max_cycles, seed=3):
-    block_policy, cycle_policy = make_policy(), make_policy()
-    block_rng, cycle_rng = sg.stream_rng(seed), sg.stream_rng(seed)
-    block = sg.run_acquisition(scene, spad, block_policy, budget_bins=budget, max_cycles=max_cycles, seed=block_rng)
-    cycle = sg.run_acquisition(scene, spad, _PerCycle(cycle_policy), budget_bins=budget, max_cycles=max_cycles,
-                               seed=cycle_rng)
+def _assert_matches_the_per_cycle_reference(scene, spad, make_policy, budget, max_cycles, seed=3):
+    """``run_acquisition`` and the per-cycle reference loop, each with a fresh policy, agree to the bit."""
+    run_policy, cycle_policy = make_policy(), make_policy()
+    run_rng, cycle_rng = sg.stream_rng(seed), sg.stream_rng(seed)
+    run = sg.run_acquisition(scene, spad, run_policy, budget_bins=budget, max_cycles=max_cycles, seed=run_rng)
+    cycle = per_cycle_acquisition(scene, spad, cycle_policy, budget_bins=budget, max_cycles=max_cycles, seed=cycle_rng)
     for field in ("gates", "timestamps", "detected", "elapsed_periods", "cycle_durations"):
-        assert np.array_equal(getattr(block, field), getattr(cycle, field)), field
-    assert block.exposure_bins == cycle.exposure_bins
-    assert block.calibration_cycles == cycle.calibration_cycles == 0
-    assert block_policy.cycle_index == cycle_policy.cycle_index
-    assert np.array_equal(block_rng.random(4), cycle_rng.random(4))  # the generator ends in the same state
-    return block
+        assert np.array_equal(getattr(run, field), getattr(cycle, field)), field
+    assert run.exposure_bins == cycle.exposure_bins
+    assert run.calibration_cycles == cycle.calibration_cycles == min(run_policy.calibration_cycles, len(run))
+    assert run_policy.cycle_index == cycle_policy.cycle_index
+    assert np.array_equal(run_rng.random(4), cycle_rng.random(4))  # the generator ends in the same state
+    return run
 
 
 _OPEN_LOOP = {
@@ -292,16 +277,16 @@ def test_open_loop_blocks_match_the_per_cycle_loop(b, ambient, peak, dead_bins, 
     spad = sg.SpadConfig(num_bins=b, bin_resolution_ps=100.0, dead_time_ns=dead_bins / 10, max_active_periods=cap)
     assert spad.dead_time_bins == dead_bins
     for make in _OPEN_LOOP.values():
-        _assert_block_path_is_per_cycle_path(scene, spad, lambda: make(b, gate), budget, max_cycles, seed)
+        _assert_matches_the_per_cycle_reference(scene, spad, lambda: make(b, gate), budget, max_cycles, seed)
 
 
 @pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
 def test_open_loop_runs_longer_than_one_block(kind):
     scene = sg.SceneTransient(num_bins=50, ambient_flux=0.02, peaks=((27, 0.3),))
     spad = sg.SpadConfig(num_bins=50, dead_time_ns=8.1, max_active_periods=4)
-    rec = _assert_block_path_is_per_cycle_path(scene, spad, lambda: _OPEN_LOOP[kind](50, 22), 1_500_000, None)
+    rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](50, 22), 1_500_000, None)
     assert len(rec) > 2 * spadsim.BLOCK_CYCLES
-    capped = _assert_block_path_is_per_cycle_path(
+    capped = _assert_matches_the_per_cycle_reference(
         scene, spad, lambda: _OPEN_LOOP[kind](50, 22), None, 2 * spadsim.BLOCK_CYCLES + 5)
     assert len(capped) == 2 * spadsim.BLOCK_CYCLES + 5
 
@@ -315,7 +300,7 @@ def test_uniform_blocks_continue_from_the_cycle_index():
         policy.cycle_index = 11
         return policy
 
-    rec = _assert_block_path_is_per_cycle_path(scene, spad, started, 5_000, None)
+    rec = _assert_matches_the_per_cycle_reference(scene, spad, started, 5_000, None)
     assert list(rec.gates[:6]) == [11, 12, 13, 14, 15, 0]
 
 
@@ -325,6 +310,48 @@ def test_uniform_blocks_continue_from_the_cycle_index():
 def test_open_loop_record_with_every_cycle_censored(kind, ambient):
     scene = sg.SceneTransient(num_bins=12, ambient_flux=ambient)
     spad = sg.SpadConfig(num_bins=12, dead_time_ns=2.0, max_active_periods=2)
-    rec = _assert_block_path_is_per_cycle_path(scene, spad, lambda: _OPEN_LOOP[kind](12, 5), 10_000, None)
+    rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](12, 5), 10_000, None)
     assert len(rec) > 0 and not rec.detected.any()
     assert np.all(rec.timestamps == -1) and np.all(rec.elapsed_periods == 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 60),
+    ambient=st.one_of(st.just(0.0), st.just(1e-310), st.floats(0.5, 3.0), st.floats(0.0, 0.2)),
+    peak=st.one_of(st.none(), st.tuples(st.integers(0, 59), st.floats(0.0, 5.0))),
+    dead_bins=st.one_of(st.just(0), st.integers(0, 120)),
+    cap=st.one_of(st.just(1), st.integers(1, 16)),
+    budget=st.one_of(st.none(), st.integers(0, 8000)),
+    max_cycles=st.one_of(st.none(), st.integers(0, 400)),
+    calibration=st.one_of(st.none(), st.integers(1, 40)),
+    exposure=st.one_of(st.none(), st.tuples(st.floats(0.05, 0.9), st.sampled_from(["termination", "entropy"]),
+                                            st.one_of(st.none(), st.integers(0, 60)))),
+    gate_offset=st.integers(0, 59),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_loop_matches_the_per_cycle_reference(
+        b, ambient, peak, dead_bins, cap, budget, max_cycles, calibration, exposure, gate_offset, seed):
+    # Adaptive acquisitions, background known (no calibration) or estimated
+    # from calibration cycles, with and without exposure control.
+    if budget is None and max_cycles is None:
+        max_cycles = 300
+    peaks = () if peak is None else ((peak[0] % b, peak[1]),)
+    scene = sg.SceneTransient(num_bins=b, ambient_flux=ambient, peaks=peaks)
+    spad = sg.SpadConfig(num_bins=b, bin_resolution_ps=100.0, dead_time_ns=dead_bins / 10, max_active_periods=cap)
+    control = None if exposure is None else sg.ExposureControl(*exposure)
+
+    policies = []
+
+    def policy():
+        known = None if calibration is not None else (ambient if ambient > 0 else 0.01)
+        policies.append(sg.AdaptiveGatePolicy(num_bins=b, bkg_flux=known, calibration_cycles=calibration or 0,
+                                              gate_offset=gate_offset, exposure=control))
+        return policies[-1]
+
+    _assert_matches_the_per_cycle_reference(scene, spad, policy, budget, max_cycles, seed)
+    for pol in policies:
+        pol.ensure_posterior()  # a run that ended inside calibration folds what it has
+    run_post, cycle_post = (pol.posterior for pol in policies)
+    assert run_post.mass.tobytes() == cycle_post.mass.tobytes()
+    assert run_post.degraded_cycles == cycle_post.degraded_cycles
