@@ -85,13 +85,18 @@ def default_flux_grid(bkg_flux: float, size: int = 16, lo: float = 0.1, hi: floa
     """Candidate signal-flux grid: 0 plus log-spaced values around the background.
 
     Spans [lo * bkg_flux, hi * bkg_flux]; the explicit 0 keeps a
-    signal-free hypothesis in play.
+    signal-free hypothesis in play.  Both ends must be positive floats.
     """
     if bkg_flux <= 0:
         raise ValueError("bkg_flux must be positive to scale the grid")
     if size < 1:
         raise ValueError("grid size must be at least 1")
-    grid = np.geomspace(lo * bkg_flux, hi * bkg_flux, size)
+    low, high = lo * bkg_flux, hi * bkg_flux
+    if low == 0.0:
+        raise ValueError(f"bkg_flux {bkg_flux!r} is too small to scale the grid: {lo!r} * bkg_flux underflows to 0")
+    if not math.isfinite(high):
+        raise ValueError(f"bkg_flux {bkg_flux!r} is too large to scale the grid: {hi!r} * bkg_flux overflows")
+    grid = np.geomspace(low, high, size)
     return np.concatenate(([0.0], grid))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
@@ -365,6 +364,20 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         errors.append("estimator.dither_window must be an odd count >= 3")
     if kwargs["background_mode"] not in ("estimated", "known"):
         errors.append(f"background.mode must be estimated or known, got {kwargs['background_mode']!r}")
+    lo, hi = kwargs["flux_grid_lo"], kwargs["flux_grid_hi"]
+    if kwargs["background_mode"] == "known" and lo > 0 and hi > 0:
+        # A known background scales default_flux_grid, whose ends must stay positive floats.
+        for path in ("scene.ambient_flux", "sweep.ambient_flux"):
+            value = kwargs[_FIELD_AT[path]]
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is None or v <= 0:  # unset, or a dark background that rows report
+                    continue
+                if lo * v == 0.0:
+                    errors.append(f"{path} {v!r} is too small for the known-background flux grid "
+                                  f"(estimator.flux_grid_lo * {path} underflows to 0)")
+                elif not math.isfinite(hi * v):
+                    errors.append(f"{path} {v!r} is too large for the known-background flux grid "
+                                  f"(estimator.flux_grid_hi * {path} overflows)")
     if kwargs["prior_kind"] not in ("uniform", "flatness", "external"):
         errors.append(f"prior.kind must be uniform, flatness or external, got {kwargs['prior_kind']!r}")
     if kwargs["prior_kind"] == "external" and not kwargs["prior_path"]:
@@ -813,6 +826,8 @@ def _map_rows(config: ExperimentConfig, specs: list[RowSpec], threads: int) -> l
     args = [(config, s) for s in specs]
     if threads <= 1 or len(specs) <= 1:
         return [_run_row_safe(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs never pay for its import
+
     chunk = max(1, len(args) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_run_row_safe, args, chunksize=chunk))

@@ -28,9 +28,10 @@ against ``detection_likelihood``.
   detection with one ``divmod`` and one ``searchsorted`` over the block,
   and the ready times are a cumulative sum, because the phase a triggered
   cycle leaves the pixel in depends only on its own gate and draw.  Free
-  running re-arms at that phase, so it walks the phase recurrence one
-  cycle at a time through ``_scan_exponential``, the scalar scan
-  ``sample_cycle`` also uses.
+  running re-arms at that phase, so ``_free_run_offsets`` walks the phase
+  recurrence one cycle at a time, in one loop with the scalar scan
+  inlined, and keeps only the offsets; the arm phases are then one
+  cumulative sum of the cycles' active times.
 
 Draw order: both paths draw exactly one unit exponential per cycle, in
 cycle order, and nothing else, so they give identical records.  A block
@@ -126,7 +127,8 @@ def _scan_exponential(
 
     The offset is the largest n with cumsum(rates scanned) <= e; bins with
     zero rate are skipped for free.  Exactly matches a per-bin Bernoulli
-    walk in distribution.  ``_locate_block`` is the same scan over arrays.
+    walk in distribution.  ``_locate_block`` is the same scan over arrays,
+    and ``_free_run_offsets`` has an inlined copy: a change here goes there.
     """
     b = scene.num_bins
     total = scene.total_rate
@@ -287,15 +289,17 @@ def _run_open_loop(
         gates = policy.gates(policy.cycle_index, n)
         saved = rng.bit_generator.state
         e = rng.exponential(size=n)
-        if gates is FREE_RUN:
-            gates, offsets = _free_run_offsets(scene, e.tolist(), ready, dead, cap, last_start)
-            gates, offsets = np.array(gates, dtype=np.int64), np.array(offsets, dtype=np.int64)
+        free = gates is FREE_RUN
+        if free:
+            offsets = np.array(_free_run_offsets(scene, e.tolist(), ready, dead, cap, last_start), dtype=np.int64)
             censored = offsets < 0
         else:
             offsets, censored = _locate_block(scene, gates, e, cap)
         # Bins from arming to ready; a censored cycle leaves the pixel at its
         # arm phase, a detected one dead time past the detection.
         active = np.where(censored, cap * b, offsets + dead)
+        if free:  # each cycle arms where the last one left the pixel
+            gates = (ready + np.cumsum(active) - active) % b
         left_at = np.concatenate(([ready % b], (gates[:-1] + active[:-1]) % b))
         durations = (gates - left_at) % b + active
         ends = ready + np.cumsum(durations)
@@ -319,28 +323,43 @@ def _run_open_loop(
 
 def _free_run_offsets(
     scene: SceneTransient, e: list[float], ready: int, dead: int, cap: int, last_start: int
-) -> tuple[list[int], list[int]]:
-    """Arm phases and scan offsets (-1 if censored) of free-running cycles.
+) -> list[int]:
+    """Scan offsets (-1 if censored) of consecutive free-running cycles.
 
     Free running arms where the last cycle left the pixel, so only this
-    phase recurrence is sequential.  Stops early at the first cycle that
-    would start after ``last_start``.
+    phase recurrence is sequential; the caller rebuilds the arm phases
+    from the offsets.  The loop is ``_scan_exponential`` inlined, with the
+    scene constants hoisted: the same float operations in the same order.
+    Stops early at the first cycle that would start after ``last_start``.
     """
     b = scene.num_bins
-    phases, offsets = [], []
-    for x in e:
+    span = cap * b
+    total = scene.total_rate
+    if total <= 0.0:  # every cycle censored; the phase never moves
+        return [-1] * min(len(e), (last_start - ready) // span + 1)
+    prefix = scene.scan_prefix_list
+    offsets = []
+    append = offsets.append
+    for draw in e:
         if ready > last_start:
             break
         phase = ready % b
-        offset = _scan_exponential(scene, phase, x, cap)
-        phases.append(phase)
-        if offset is None:
-            offsets.append(-1)
-            ready += cap * b
+        k, x = divmod(prefix[phase] + draw, total)
+        if x >= total:  # float remainder can round up to the divisor
+            k += 1.0
+            x = 0.0
+        if k > cap:  # censored whatever the bin; a tiny total makes k inf
+            append(-1)
+            ready += span
+            continue
+        offset = int(k) * b + bisect_right(prefix, x) - 1 - phase
+        if offset >= span:
+            append(-1)
+            ready += span
         else:
-            offsets.append(offset)
+            append(offset)
             ready += offset + dead
-    return phases, offsets
+    return offsets
 
 
 def cycles_record(num_bins: int, cycles: list, calibration_cycles: int = 0) -> AcquisitionRecord:

@@ -98,6 +98,16 @@ def test_default_flux_grid_shape():
         sg.default_flux_grid(0.0)
 
 
+def test_default_flux_grid_names_an_out_of_range_background():
+    with pytest.raises(ValueError, match="^bkg_flux must be positive to scale the grid$"):
+        sg.default_flux_grid(-1.0)
+    with pytest.raises(ValueError, match="0.1 \\* bkg_flux underflows to 0"):
+        sg.default_flux_grid(5e-324)
+    with pytest.raises(ValueError, match="100.0 \\* bkg_flux overflows"):
+        sg.default_flux_grid(1e307)
+    assert sg.default_flux_grid(1e-322)[1] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # Posterior updates
 

@@ -708,6 +708,25 @@ def test_edge_inputs_give_finite_rows(mode, spad):
         assert 0.0 <= row.entropy_nats <= math.log(spad["num_bins"])
 
 
+
+def test_known_background_out_of_the_flux_grid_range_is_a_config_error():
+    # 0.1 * 5e-324 underflows to 0 and 100 * 1e307 overflows, so
+    # default_flux_grid has no geometric range to span.
+    with pytest.raises(sg.ConfigError, match=r"^scene\.ambient_flux 5e-324 is too small .*flux_grid_lo"):
+        _config(scene={"depth_bin": 11, "ambient_flux": 5e-324, "sbr": 5.0})
+    with pytest.raises(sg.ConfigError, match=r"sweep\.ambient_flux 1e\+307 is too large .*flux_grid_hi"):
+        _config(sweep={"ambient_flux": [0.02, 1e307]})
+    # estimated background never scales the grid by the ambient
+    assert _config(scene={"depth_bin": 11, "ambient_flux": 5e-324, "sbr": 5.0},
+                   background={"mode": "estimated"}).ambient_flux == 5e-324
+
+
+def test_subnormal_known_background_still_gives_rows():
+    cfg = _config(experiment={"id": "unit", "seeds": 1, "global_seed": 7},
+                  scene={"depth_bin": 11, "ambient_flux": 1e-322, "sbr": 5.0})
+    rows, _, failures = sg.run_sweep(cfg)
+    assert failures == [] and len(rows) == 2
+
 def test_stop_rule_and_readout_read_one_termination_value():
     # The adaptive-stop operating point (B = 100, SBR 1, 2 and 5, background
     # estimated): a row stops before its cap exactly when the termination

@@ -315,6 +315,36 @@ def test_open_loop_record_with_every_cycle_censored(kind, ambient):
     assert np.all(rec.timestamps == -1) and np.all(rec.elapsed_periods == 2)
 
 
+# The gated-sweep operating point (500 bins, 81 ns dead time), run for 2000 us.
+_SWEEP_SPAD = sg.SpadConfig(num_bins=500, bin_resolution_ps=100.0, dead_time_ns=81.0, max_active_periods=16)
+_SWEEP_SCENES = {
+    **{f"ambient {a}": sg.SceneTransient(num_bins=500, ambient_flux=a, peaks=((275, 2.0 * a),))
+       for a in (0.00025, 0.02, 0.5)},
+    # bins 0-299 have zero rate, so every scan skips them for free before the first rate
+    "leading zero bins": sg.SceneTransient(num_bins=500, ambient_flux=0.0, peaks=((300, 0.05), (420, 0.3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_SCENES))
+def test_free_running_matches_the_per_cycle_loop_at_sweep_scale(name):
+    assert _SWEEP_SPAD.dead_time_bins == 810
+    rec = _assert_matches_the_per_cycle_reference(
+        _SWEEP_SCENES[name], _SWEEP_SPAD, sg.FreeRunningPolicy, 20_000_000, None, seed=41)
+    assert len(rec) > spadsim.BLOCK_CYCLES and len(rec) % spadsim.BLOCK_CYCLES  # ends inside a later block
+    assert rec.detected.any()
+
+
+def test_free_running_does_not_call_the_scalar_scan(monkeypatch):
+    calls = []
+    scan = spadsim._scan_exponential
+    monkeypatch.setattr(spadsim, "_scan_exponential", lambda *args: calls.append(args) or scan(*args))
+    scene = _SWEEP_SCENES["ambient 0.02"]
+    rec = sg.run_acquisition(scene, _SWEEP_SPAD, sg.FreeRunningPolicy(), budget_bins=200_000, seed=5)
+    assert len(rec) > 100 and calls == []
+    sg.run_acquisition(scene, _SWEEP_SPAD, sg.AdaptiveGatePolicy(500, bkg_flux=0.02), max_cycles=3, seed=5)
+    assert len(calls) == 3  # the counter sees the closed loop's scans
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     b=st.integers(1, 60),
