@@ -34,6 +34,16 @@ from .harness import (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spadgate", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -43,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override experiment.global_seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes (default 1)")
         p.add_argument("--out", default=None, help="override experiment.out_dir")
 
     p = sub.add_parser("pixel", help="run one scene point")

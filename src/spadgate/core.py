@@ -92,9 +92,14 @@ class SpadConfig:
 
     @property
     def dead_time_bins(self) -> int:
-        """Dead time quantized up to whole bins (ceil, fuzz-tolerant)."""
+        """Dead time quantized up to whole bins (ceil, fuzz-tolerant), at least one.
+
+        The pixel re-arms this many bins after its detection bin.  The
+        detection bin itself is spent even at zero dead time, so a detected
+        cycle lasts at least one bin and a budget bounds the cycle count.
+        """
         raw = self.dead_time_ns * 1000.0 / self.bin_resolution_ps
-        return int(math.ceil(raw - 1e-9))
+        return max(1, int(math.ceil(raw - 1e-9)))
 
     @property
     def bin_size_m(self) -> float:
@@ -452,15 +457,19 @@ def sequence_log_likelihood(scene: SceneTransient, record: AcquisitionRecord) ->
     return float(_law(stats, detect_term, float(stats.passed @ rates), total, log1mexp(total)))
 
 
-def peak_log_likelihood(stats: LawStatistics, bkg_flux: float, flux: np.ndarray) -> np.ndarray:
+def peak_log_likelihood(
+    stats: LawStatistics, bkg_flux: float, flux: np.ndarray, num_bins: int | None = None
+) -> np.ndarray:
     """Law log likelihood of each scene r = bkg + f e_d: peak bin d by row, flux f by column.
 
     Rank-one form: c.log1mexp(r) = (N_det - c_d) log1mexp(bkg) + c_d
     log1mexp(bkg + f), P.r = bkg sum(P) + P_d f (bkg sum(P) is dropped, as
-    it is the same in every cell) and sum r = B bkg + f.
+    it is the same in every cell) and sum r = B bkg + f.  Each row reads
+    only its own c_d and P_d, so ``stats`` may carry a few representative
+    rows of a period of ``num_bins`` bins (default: one row per bin).
     """
     k = flux.size
-    total = stats.counts.size * bkg_flux + flux
+    total = (stats.counts.size if num_bins is None else num_bins) * bkg_flux + flux
     logs = log1mexp(np.concatenate((bkg_flux + flux, total, [bkg_flux])))
     # Float columns: int-by-float products over (B, K) are several times slower.
     counts = stats.counts[:, None].astype(float)

@@ -138,8 +138,8 @@ class DepthPosterior:
     update is skipped rather than aborting.
 
     Each posterior keeps its own one-cycle factors (``_cycle_rows``) and a
-    factor buffer of the mass's shape (``_factor_buffer``); a copy starts
-    without either.
+    factor buffer of the mass's shape (written by ``posterior_update``); a
+    copy starts without either.
     """
 
     def __init__(self, mass: np.ndarray, flux_grid: np.ndarray | None = None, degraded_cycles: int = 0):
@@ -195,7 +195,7 @@ def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
     place when its total leaves [2**_LOW, 2**_HIGH].  Returns whether it
     was installed.
     """
-    rows = np.add.reduce(mass, axis=1) if mass.ndim == 2 else mass
+    rows = np.add.reduce(mass, 1) if mass.ndim == 2 else mass
     total = float(np.add.reduce(rows))
     if not 0.0 < total < math.inf:  # no positive mass, or a NaN
         post.degraded_cycles += cycles
@@ -299,30 +299,27 @@ def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None
 
     A row's log likelihood takes one of four values (its detection bin, a
     bin of the window the cycle passed over, any other bin; one value for a
-    censored cycle), each read off the law on a template cycle once per
-    posterior and background.  ``combo`` is (window present, other
-    present) for a detection, None for a censored cycle.  Returns, built
-    once per combination, its steps: one per step of ``_factor_steps``,
-    each the factors (window, hit, other) and whether all are positive.
+    censored cycle), each read off the law on one representative row once
+    per posterior and background: O(K) work, whatever B.  ``combo`` is
+    (window present, other present) for a detection, None for a censored
+    cycle.  Returns, built once per combination, its steps: one per step
+    of ``_factor_steps``, each the factors (window, hit, other) and
+    whether all are positive.
     c is the largest log likelihood over the row types present and a
     factor is exp(value - c), what ``_fold`` multiplies by for such a
     cycle, to the bit.  None if no cell can give the combination.
     """
     cache = post._factors  # the mass's shape is fixed, so the background, signal and grid are the key
     if cache is None or cache[0] != bkg_flux or cache[1] != signal_flux or cache[2] is not post.flux_grid:
-        flux = _flux_axis(post, bkg_flux, signal_flux)
-        b = post.num_bins
-
-        def law(gate: int, timestamp: int) -> np.ndarray:
-            like = peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, flux)
-            return like if post.joint else like[:, 0]
-
-        # Template cycles: a detection at its own gate, bin 0, so the last
-        # bin is neither hit nor passed over; a detection at bin 0 whose
-        # window wrapped from the last bin; a censored cycle.
-        at_gate, wrapped = law(0, 0), law(b - 1, 0)
-        rows = (at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0])
-        cache = post._factors = (bkg_flux, signal_flux, post.flux_grid, rows, {})
+        flux, b = _flux_axis(post, bkg_flux, signal_flux), post.num_bins
+        # One row of each type: a detected cycle's statistics at its hit, at
+        # a bin of its window and at any other bin, then a censored cycle's.
+        # The period's total rate still counts all B bins.
+        detected = peak_log_likelihood(LawStatistics(np.array([1, 0, 0]), np.array([0, 1, 0]), 1, 0), bkg_flux, flux, b)
+        censored = peak_log_likelihood(LawStatistics(np.zeros(1, np.int64), np.zeros(1, np.int64), 0, 1), bkg_flux, flux, b)
+        if not post.joint:
+            detected, censored = detected[:, 0], censored[:, 0]
+        cache = post._factors = (bkg_flux, signal_flux, post.flux_grid, (*detected, censored[0]), {})
     steps = cache[4]
     if combo not in steps:
         hit, window, other, censored = cache[3]
@@ -338,40 +335,6 @@ def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None
     return steps[combo]
 
 
-def _factor_buffer(post: DepthPosterior, step: tuple, gate: int, window: int) -> np.ndarray:
-    """The factors of one step for every cell, in the posterior's buffer.
-
-    Depth rows [gate, gate + window) (mod B) read the step's window
-    factors, row gate + window its hit factors and every other row its
-    other factors; a censored cycle (``window`` -1) has one factor vector,
-    its other factors, for every row.  When the buffer holds the same step
-    from the last cycle, only the rows of that cycle's window and hit go
-    back to the other factors before the new ones are written; otherwise
-    the whole buffer is refilled.
-    """
-    buf = post._buffer
-    last_step, last_gate, last_rows = post._buffer_holds
-    if last_step is step:
-        _put_rows(buf, last_gate, last_rows, step[2])
-    else:
-        if buf is None:
-            buf = post._buffer = np.empty_like(post.mass)  # flux-major, like the mass
-        buf[...] = step[2]
-    if window >= 0:
-        _put_rows(buf, gate, window, step[0])
-        buf[(gate + window) % buf.shape[0]] = step[1]
-    post._buffer_holds = (step, gate, window + 1)
-    return buf
-
-
-def _put_rows(buf: np.ndarray, start: int, count: int, value: np.ndarray) -> None:
-    """Write ``value`` to rows [start, start + count) of ``buf``, wrapping past its last row."""
-    end = start + count
-    buf[start:end] = value
-    if end > buf.shape[0]:
-        buf[:end - buf.shape[0]] = value
-
-
 def posterior_update(
     post: DepthPosterior,
     timestamp: int | None,
@@ -383,14 +346,20 @@ def posterior_update(
 
     ``timestamp`` is the folded detection bin, or None for a censored
     cycle.  The one-cycle case of ``posterior_from_record``, to the bit:
-    the mass is multiplied by the factor buffer (``_factor_buffer``) in one
-    multiply, then one flux-axis sum installs the rows.  The product is
-    written in place unless a factor is 0; it then goes to a new array,
-    so that an outcome impossible under every cell of positive mass leaves
-    the mass as it was.  (With positive factors, all at least exp(-700),
-    and a total of at least 2**500 the peak cell stays positive.)
+    the mass is multiplied by the factor buffer in one multiply, then one
+    flux-axis sum installs the rows.  The buffer holds a step's factors for
+    every cell: depth rows [gate, gate + window) (mod B) its window
+    factors, row gate + window its hit factors, every other row its other
+    factors (every row, for a censored cycle).  When it holds the same step
+    from the last cycle, only that cycle's window and hit rows go back to
+    the other factors before the new ones are written; otherwise it is
+    refilled.  The product is written in place unless a factor is 0; it
+    then goes to a new array, so that an outcome impossible under every
+    cell of positive mass leaves the mass as it was.  (With positive
+    factors, all at least exp(-700), and a total of at least 2**500 the
+    peak cell stays positive.)
     """
-    b = post.num_bins
+    b = post.mass.shape[0]
     if not 0 <= gate < b:
         raise ValueError(f"gate {gate} outside [0, {b})")
     if timestamp is None:
@@ -405,10 +374,26 @@ def posterior_update(
         post.degraded_cycles += 1
         return post
     for step in steps:
-        factors = _factor_buffer(post, step, gate, window)
+        buf = post._buffer
+        last_step, start, count = post._buffer_holds
+        if last_step is step:  # the last cycle's rows [start, start + count), mod B, go back to "other"
+            end = start + count
+            buf[start:end] = step[2]
+            if end > b:
+                buf[:end - b] = step[2]
+        else:
+            if buf is None:
+                buf = post._buffer = np.empty_like(post.mass)  # flux-major, like the mass
+            buf[...] = step[2]
+        if window >= 0:
+            end = gate + window
+            buf[gate:end] = step[0]
+            if end > b:
+                buf[:end - b] = step[0]
+            buf[end % b] = step[1]
+        post._buffer_holds = (step, gate, window + 1)
         mass = post.mass
-        out = np.multiply(mass, factors, out=mass if step[3] else np.empty_like(mass))
-        if not _install(post, out, 1):
+        if not _install(post, np.multiply(mass, buf, mass if step[3] else np.empty_like(mass)), 1):
             break
     return post
 

@@ -828,8 +828,9 @@ def _map_rows(config: ExperimentConfig, specs: list[RowSpec], threads: int) -> l
         return [_run_row_safe(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor  # serial runs never pay for its import
 
-    chunk = max(1, len(args) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(args))  # a forked pool starts every worker at its first submit
+    chunk = max(1, len(args) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_row_safe, args, chunksize=chunk))
 
 

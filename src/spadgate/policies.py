@@ -70,13 +70,6 @@ class ExposureControl:
             raise ValueError(f"unknown termination metric {self.metric!r}")
 
 
-def should_stop(control: ExposureControl, post: DepthPosterior, cycle_index: int, min_cycles: int) -> bool:
-    """True once past the minimum cycles and below the confidence threshold."""
-    if cycle_index < min_cycles:
-        return False
-    return termination_value(post, control.metric) < control.epsilon
-
-
 class FixedGatePolicy:
     """Gate every cycle at one constant bin."""
 
@@ -174,6 +167,10 @@ class AdaptiveGatePolicy:
         self.calibration_cycles = int(calibration_cycles)
         self.gate_offset = int(gate_offset) % int(num_bins)
         self.exposure = exposure
+        if exposure is not None and exposure.min_cycles is not None:
+            self.min_cycles = exposure.min_cycles
+        else:
+            self.min_cycles = self.calibration_cycles + 10
         self.background_fallback = float(background_fallback)
         self.cycle_index = 0
         self.posterior: DepthPosterior | None = None
@@ -184,12 +181,6 @@ class AdaptiveGatePolicy:
         if self.calibration_cycles == 0:
             self._finalize()
 
-    @property
-    def min_cycles(self) -> int:
-        if self.exposure is not None and self.exposure.min_cycles is not None:
-            return self.exposure.min_cycles
-        return self.calibration_cycles + 10
-
     def next_gate(self, rng: np.random.Generator):
         if self.posterior is None:
             # Calibration: spread gates evenly across the period.
@@ -199,9 +190,9 @@ class AdaptiveGatePolicy:
 
     def sample_depth(self, rng: np.random.Generator) -> int:
         """One Thompson draw from the depth marginal (one uniform consumed)."""
-        cdf = self.posterior.rows.cumsum()
-        idx = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
-        return min(idx, self.num_bins - 1)
+        cdf = np.add.accumulate(self.posterior.rows)
+        idx = int(cdf.searchsorted(rng.random() * cdf[-1], "right"))
+        return idx if idx < self.num_bins else self.num_bins - 1
 
     def observe(self, outcome: CycleOutcome) -> None:
         self.cycle_index += 1
@@ -214,9 +205,14 @@ class AdaptiveGatePolicy:
         posterior_update(self.posterior, timestamp if timestamp >= 0 else None, gate, self.bkg_flux)
 
     def should_stop(self) -> bool:
-        if self.exposure is None or self.posterior is None:
+        """True once past ``min_cycles`` with the exposure metric below epsilon."""
+        control = self.exposure
+        if control is None or self.posterior is None or self.cycle_index < self.min_cycles:
             return False
-        return should_stop(self.exposure, self.posterior, self.cycle_index, self.min_cycles)
+        post = self.posterior
+        if control.metric == "termination":  # termination_value's rule, read every cycle
+            return 1.0 - float(np.maximum.reduce(post.rows)) / post.total < control.epsilon
+        return termination_value(post, control.metric) < control.epsilon
 
     def ensure_posterior(self) -> None:
         """Finalize early if the run ended while still buffering calibration."""

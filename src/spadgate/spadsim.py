@@ -3,7 +3,8 @@
 One cycle: the pixel arms (at a requested gate bin in triggered mode, or
 immediately when free running), scans bins in time order drawing Bernoulli
 photon detections with per-bin probability 1 - exp(-r[i]), and on its
-first detection goes dead for the configured dead time.  A cycle with no
+first detection goes dead for the configured dead time, at least the
+detection bin itself (``SpadConfig.dead_time_bins``).  A cycle with no
 detection within ``max_active_periods`` pulse periods is censored.
 
 The per-bin Bernoulli walk is exactly a discretized exponential clock, so
@@ -21,14 +22,17 @@ against ``detection_likelihood``.
   arms and scans inline (``_scan_exponential``), the same steps as
   ``sample_cycle`` without its per-call state object, validation and
   ``CycleOutcome``.
-- Open loop, in blocks of ``BLOCK_CYCLES``.  Fixed, uniform and
-  free-running policies draw no randomness and never stop early, so their
-  gates are known up front through ``gates(start, count)``.  A block draws
-  its unit exponentials in one call.  Triggered gates then locate every
-  detection with one ``divmod`` and one ``searchsorted`` over the block,
-  and the ready times are a cumulative sum, because the phase a triggered
-  cycle leaves the pixel in depends only on its own gate and draw.  Free
-  running re-arms at that phase, so ``_free_run_offsets`` walks the phase
+- Open loop, in blocks.  Fixed, uniform and free-running policies draw
+  no randomness and never stop early, so their gates are known up front
+  through ``gates(start, count)``.  A block draws its unit exponentials in
+  one call: at most ``BLOCK_CYCLES``, and at most as many cycles as could
+  still start if each took the shortest possible time (the dead time
+  after a detection in its arm bin, or a censored scan, whichever is
+  shorter).  Triggered gates then locate every detection with one
+  ``divmod`` and one ``searchsorted`` over the block, and the ready times
+  are a cumulative sum, because the phase a triggered cycle leaves the
+  pixel in depends only on its own gate and draw.  Free running re-arms
+  at that phase, so ``_free_run_offsets`` walks the phase
   recurrence one cycle at a time, in one loop with the scalar scan
   inlined, and keeps only the offsets; the arm phases are then one
   cumulative sum of the cycles' active times.
@@ -68,8 +72,9 @@ class _FreeRunDirective:
 
 FREE_RUN = _FreeRunDirective()
 
-# Cycles an open-loop block draws at once.  Fixed, not scaled to the
-# budget: at zero dead time a budget allows as many cycles as it has bins.
+# The most cycles an open-loop block draws at once.  A block also draws no
+# more cycles than the rest of the budget can start at the shortest cycle
+# possible, so a short acquisition draws only what it can use.
 BLOCK_CYCLES = 4096
 
 
@@ -282,8 +287,11 @@ def _run_open_loop(
     """``run_acquisition`` for a policy whose gates are known up front."""
     ready, done = 0, 0
     blocks = []
+    shortest = min(dead, cap * b)  # at least one bin: dead_time_bins >= 1
     while ready <= last_start:
-        n = BLOCK_CYCLES if max_cycles is None else min(BLOCK_CYCLES, max_cycles - done)
+        n = min(BLOCK_CYCLES, (last_start - ready) // shortest + 1)
+        if max_cycles is not None:
+            n = min(n, max_cycles - done)
         if n <= 0:
             break
         gates = policy.gates(policy.cycle_index, n)

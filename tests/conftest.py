@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spadgate import AcquisitionRecord
+from spadgate.core import law_statistics, peak_log_likelihood
 from spadgate.spadsim import CycleOutcome, SimState, sample_cycle, stream_rng
 
 
@@ -67,6 +68,26 @@ def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
         outcomes.append(outcome)
         policy.observe(outcome)
     return outcomes_record(scene.num_bins, outcomes, int(getattr(policy, "calibration_cycles", 0)))
+
+
+def full_period_cycle_rows(post, bkg_flux: float, signal_flux: float | None = None) -> tuple:
+    """Reference for the row templates of ``estimators._cycle_rows``: (hit, window, other, censored).
+
+    Reads each row type off the law evaluated over all B depth rows, on
+    template cycles: a detection at its own gate, bin 0 (so the last bin
+    is neither hit nor passed over); a detection at bin 0 whose window
+    wrapped from the last bin; a censored cycle.  At B = 1 the window and
+    other entries are the hit row.
+    """
+    b = post.num_bins
+    flux = post.flux_grid if post.joint else np.array([float(signal_flux)])
+
+    def law(gate: int, timestamp: int) -> np.ndarray:
+        like = peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, flux)
+        return like if post.joint else like[:, 0]
+
+    at_gate, wrapped = law(0, 0), law(b - 1, 0)
+    return at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0]
 
 
 def brute_detection_likelihood(rates, t: int, gate: int) -> float:

@@ -40,7 +40,7 @@ def test_spad_config_dead_time_bins():
     assert cfg.num_bins == 500
     assert cfg.dead_time_bins == 810  # 81 ns / 100 ps exactly
     assert sg.SpadConfig(dead_time_ns=81.05).dead_time_bins == 811  # partial bin blocks the whole bin
-    assert sg.SpadConfig(dead_time_ns=0.0).dead_time_bins == 0
+    assert sg.SpadConfig(dead_time_ns=0.0).dead_time_bins == 1  # the detection bin is spent at any dead time
     assert cfg.bin_size_m == pytest.approx(0.0149896229, rel=1e-12)
 
 

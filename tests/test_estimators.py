@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spadgate as sg
-from conftest import assert_marginal_is_the_stored_rows, brute_detection_likelihood, flux_log_marginal, logsumexp, make_record
+from conftest import (assert_marginal_is_the_stored_rows, brute_detection_likelihood, flux_log_marginal,
+                      full_period_cycle_rows, logsumexp, make_record)
 from spadgate.core import law_statistics
-from spadgate.estimators import _fold
+from spadgate.estimators import _cycle_rows, _fold
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +340,41 @@ def _one_cycle_cases(draw):
         twin = cycle() if draw(st.integers(0, 3)) == 0 else None
         cycles.append((*cycle(), cycle_bkg, twin))
     return b, bkg, grid, signal, prior, history, cycles
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_log_uniform_background = st.floats(-300.0, math.log10(3.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    b=st.one_of(st.integers(1, 3), st.integers(1, 600)),
+    backgrounds=st.lists(_log_uniform_background, min_size=1, max_size=3),
+    grid=st.lists(st.floats(0.0, 100.0), min_size=0, max_size=19),
+    signal=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 100.0)),
+    cycles=st.lists(st.tuples(st.integers(0, 599), st.one_of(st.none(), st.integers(0, 599))), max_size=3),
+)
+def test_cycle_rows_match_the_full_period_templates(b, backgrounds, grid, signal, cycles):
+    # Joint with the zero column (grids of 1 to 20 values), or depth-only
+    # with an explicit signal flux; each later background rebuilds the
+    # cache mid-life, after a few updates.
+    if signal is None:
+        post = sg.posterior_init(b, flux_grid=np.array([0.0, *grid]))
+    else:
+        post = sg.posterior_init(b)
+    for bkg in backgrounds:
+        for gate, t in cycles:
+            sg.posterior_update(post, None if t is None else t % b, gate % b, bkg, signal)
+        _cycle_rows(post, bkg, signal, None)
+        assert post._factors[0] == bkg
+        rows, reference = post._factors[3], full_period_cycle_rows(post, bkg, signal)
+        read = (0, 3) if b == 1 else (0, 1, 2, 3)  # at one bin only the hit and censored rows are read
+        for i in read:
+            assert _same_bits(rows[i], reference[i]), i
 
 
 def _update_both(post, ref, gate, t, bkg, signal):

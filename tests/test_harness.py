@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +407,33 @@ def test_run_sweep_rows_sorted_and_aggregated():
         assert agg.rmse_m >= 0.0
 
 
+def test_pool_starts_no_more_workers_than_rows(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:  # records its worker count and runs the rows here
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = _config(experiment={"id": "unit", "seeds": 3, "global_seed": 7},
+                  policies=[{"name": "fixed0", "kind": "fixed", "gate": 0}])
+    rows, _aggs, failures = sg.run_sweep(cfg, threads=64)
+    assert len(rows) == 3 and failures == []
+    sg.run_sweep(cfg, threads=2)
+    assert started == [3, 2]
+
+
 def test_sweep_thread_invariance(tmp_path):
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["sweep"] = {"sbr": [2.0, 5.0]}
@@ -668,6 +698,16 @@ def test_cli_missing_config(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_thread(tmp_path, capsys, threads):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(BASE_CONFIG))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(p), "--threads", threads])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be a whole number of at least 1, got '{threads}'" in capsys.readouterr().err
+
+
 def test_cli_oracle(capsys):
     assert main(["oracle"]) == 0
     out = capsys.readouterr().out
@@ -748,3 +788,44 @@ def test_stop_rule_and_readout_read_one_termination_value():
     assert len(stopped) >= 40
     assert all(r.termination_value < 0.25 for r in stopped)
     assert all(r.termination_value >= 0.25 for r in rows if r.cycles == 4000)
+
+
+# The traced benchmark run (bench/tracing.py) times the package by replacing
+# attributes it looks up at call time; a refactor that binds them earlier
+# silently zeroes a layer's spans.
+_TRACED_SWEEP = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import spadgate as sg
+from tracing import Tracer
+tracer = Tracer()
+tracer.install(sg)
+rows, _, failures = sg.run_sweep(sg.parse_config(json.loads(sys.argv[3])))
+spans = {}
+for i in tracer.name_id:
+    spans[tracer.names[i]] = spans.get(tracer.names[i], 0) + 1
+print(json.dumps({"spans": spans, "cycles": [r.cycles for r in rows], "failures": len(failures)}))
+"""
+
+
+def test_traced_run_hooks_see_every_adaptive_cycle():
+    raw = {
+        "experiment": {"id": "traced", "seeds": 2, "global_seed": 5},
+        "spad": {"bin_resolution_ps": 100.0, "rep_rate_mhz": 100.0, "dead_time_ns": 81.0},
+        "scene": {"depth_bin": 60, "ambient_flux": 0.01, "sbr": 2.0},
+        "policies": [{"name": "adaptive", "kind": "adaptive"}],
+        "budget_us": None,
+        "max_cycles": 500,  # 10 calibration cycles per row
+        "exposure": {"enabled": True, "epsilon": 0.25, "metric": "termination"},
+        "background": {"mode": "estimated"},
+    }
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _TRACED_SWEEP, str(root / "src"), str(root / "bench"), json.dumps(raw)],
+                          capture_output=True, text=True, timeout=300, check=True)
+    out = json.loads(done.stdout.splitlines()[-1])
+    spans, cycles = out["spans"], out["cycles"]
+    assert out["failures"] == 0 and len(cycles) == 2 and 20 <= min(cycles) < 500  # one stopped by the rule
+    assert spans["estimators.posterior_update"] == sum(n - 10 for n in cycles)
+    assert spans["policies.thompson_draw"] == sum(n - 10 for n in cycles)
+    assert spans["policies.should_stop"] == sum(n + 1 for n in cycles)  # once more at the stop
+    assert spans["harness.row"] == spans["spadsim.acquisition"] == 2

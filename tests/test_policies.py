@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,14 +47,18 @@ def test_exposure_control_validation():
 
 
 def test_should_stop_respects_min_cycles():
-    from spadgate.policies import should_stop
+    def should_stop(control, post, cycle_index, min_cycles):
+        pol = sg.AdaptiveGatePolicy(num_bins=4, bkg_flux=0.1, exposure=replace(control, min_cycles=min_cycles))
+        pol.posterior, pol.cycle_index = post, cycle_index
+        return pol.should_stop()
 
-    control = sg.ExposureControl(epsilon=0.25)
-    sharp = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]))
-    assert not should_stop(control, sharp, cycle_index=9, min_cycles=10)
-    assert should_stop(control, sharp, cycle_index=10, min_cycles=10)
-    flat = sg.posterior_init(4)
-    assert not should_stop(control, flat, cycle_index=50, min_cycles=10)
+    for metric in ("termination", "entropy"):
+        control = sg.ExposureControl(epsilon=0.25, metric=metric)
+        sharp = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]))
+        assert not should_stop(control, sharp, cycle_index=9, min_cycles=10)
+        assert should_stop(control, sharp, cycle_index=10, min_cycles=10)
+        flat = sg.posterior_init(4)
+        assert not should_stop(control, flat, cycle_index=50, min_cycles=10)
 
 
 # ---------------------------------------------------------------------------

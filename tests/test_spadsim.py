@@ -275,7 +275,7 @@ def test_open_loop_blocks_match_the_per_cycle_loop(b, ambient, peak, dead_bins, 
     peaks = () if peak is None else ((peak[0] % b, peak[1]),)
     scene = sg.SceneTransient(num_bins=b, ambient_flux=ambient, peaks=peaks)
     spad = sg.SpadConfig(num_bins=b, bin_resolution_ps=100.0, dead_time_ns=dead_bins / 10, max_active_periods=cap)
-    assert spad.dead_time_bins == dead_bins
+    assert spad.dead_time_bins == max(dead_bins, 1)  # the detection bin is spent at zero dead time
     for make in _OPEN_LOOP.values():
         _assert_matches_the_per_cycle_reference(scene, spad, lambda: make(b, gate), budget, max_cycles, seed)
 
@@ -313,6 +313,88 @@ def test_open_loop_record_with_every_cycle_censored(kind, ambient):
     rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](12, 5), 10_000, None)
     assert len(rec) > 0 and not rec.detected.any()
     assert np.all(rec.timestamps == -1) and np.all(rec.elapsed_periods == 2)
+
+
+def _count_block_draws(monkeypatch) -> list[int]:
+    """Record the number of draws each open-loop block hands to its scan."""
+    handed = []
+    locate, free_run = spadsim._locate_block, spadsim._free_run_offsets
+
+    def counted_locate(scene, gates, e, cap):
+        handed.append(len(e))
+        return locate(scene, gates, e, cap)
+
+    def counted_free_run(scene, e, *args):
+        handed.append(len(e))
+        return free_run(scene, e, *args)
+
+    monkeypatch.setattr(spadsim, "_locate_block", counted_locate)
+    monkeypatch.setattr(spadsim, "_free_run_offsets", counted_free_run)
+    return handed
+
+
+_PEAKED_50 = sg.SceneTransient(num_bins=50, ambient_flux=0.02, peaks=((27, 0.3),))
+_DEAD_81 = sg.SpadConfig(num_bins=50, dead_time_ns=8.1, max_active_periods=4)
+# (scene, spad, budget, max_cycles): each run takes exactly one block.
+_SIZED_BLOCK_CASES = {
+    "budget ends inside the block": (_PEAKED_50, _DEAD_81, 30_000, None),
+    "cycle cap below the bound": (_PEAKED_50, _DEAD_81, 30_000, 100),
+    # Every cycle detects in its arm bin and lasts the 20-bin dead time (two
+    # periods), so fixed gate 0 and free running start as many cycles as the
+    # bound allows.
+    "budget ends at the bound": (sg.SceneTransient(num_bins=10, ambient_flux=50.0),
+                                 sg.SpadConfig(num_bins=10, dead_time_ns=2.0, max_active_periods=3), 1000, None),
+    # Every cycle is censored after cap * b = 20 bins, less than the 50-bin
+    # dead time, and fills the block the same way.
+    "censored scans shorter than the dead time": (sg.SceneTransient(num_bins=10, ambient_flux=0.0),
+                                                  sg.SpadConfig(num_bins=10, dead_time_ns=5.0, max_active_periods=2),
+                                                  1000, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZED_BLOCK_CASES))
+@pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
+def test_blocks_sized_to_the_budget_match_the_per_cycle_loop(monkeypatch, kind, case):
+    scene, spad, budget, max_cycles = _SIZED_BLOCK_CASES[case]
+    handed = _count_block_draws(monkeypatch)
+    rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](scene.num_bins, 0),
+                                                  budget, max_cycles)
+    shortest = min(spad.dead_time_bins, spad.max_active_periods * scene.num_bins)
+    bound = (budget - 1 - spad.dead_time_bins) // shortest + 1  # cycles that could start
+    assert handed == [bound if max_cycles is None else min(bound, max_cycles)]
+    if case in ("budget ends at the bound", "censored scans shorter than the dead time") and kind != "uniform":
+        assert len(rec) == bound
+
+
+@pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
+def test_a_short_acquisition_draws_only_the_cycles_it_can_start(monkeypatch, kind):
+    # The dark-scan operating point: 200 bins (100 ps at 50 MHz), 81 ns dead
+    # time (810 bins) and a 30 us budget (300,000 bins), in which at most
+    # (300_000 - 811) // 810 + 1 = 370 cycles can start.
+    spad = sg.SpadConfig(num_bins=200, rep_rate_hz=50e6, dead_time_ns=81.0)
+    scene = sg.SceneTransient(num_bins=200, ambient_flux=0.02, peaks=((120, 0.06),))
+    handed = _count_block_draws(monkeypatch)
+    rec = sg.run_acquisition(scene, spad, _OPEN_LOOP[kind](200, 115), budget_bins=300_000, seed=9)
+    assert 250 < len(rec) <= sum(handed) <= 370
+
+
+@pytest.mark.parametrize("kind", [*sorted(_OPEN_LOOP), "adaptive"])
+def test_zero_dead_time_cycles_are_bounded_by_the_budget(kind):
+    # At saturating ambient 95% of cycles detect in the bin they armed in.
+    # That bin is spent even at zero dead time, so a budget of N bins holds
+    # at most N cycles.
+    b, budget = 50, 2000
+    scene = sg.SceneTransient(num_bins=b, ambient_flux=3.0)
+    spad = sg.SpadConfig(num_bins=b, dead_time_ns=0.0)
+    if kind == "adaptive":
+        def make():
+            return sg.AdaptiveGatePolicy(b, bkg_flux=3.0)
+    else:
+        def make():
+            return _OPEN_LOOP[kind](b, 7)
+    rec = _assert_matches_the_per_cycle_reference(scene, spad, make, budget, None)
+    assert rec.detected.any() and rec.cycle_durations.min() >= 1
+    assert len(rec) <= budget
 
 
 # The gated-sweep operating point (500 bins, 81 ns dead time), run for 2000 us.
