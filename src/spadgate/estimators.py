@@ -335,6 +335,14 @@ def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None
     return steps[combo]
 
 
+def _put_rows(buf: np.ndarray, start: int, count: int, value: np.ndarray) -> None:
+    """Write ``value`` to rows [start, start + count) of ``buf``, wrapping past its last row."""
+    end = start + count
+    buf[start:end] = value
+    if end > buf.shape[0]:
+        buf[:end - buf.shape[0]] = value
+
+
 def posterior_update(
     post: DepthPosterior,
     timestamp: int | None,
@@ -376,21 +384,15 @@ def posterior_update(
     for step in steps:
         buf = post._buffer
         last_step, start, count = post._buffer_holds
-        if last_step is step:  # the last cycle's rows [start, start + count), mod B, go back to "other"
-            end = start + count
-            buf[start:end] = step[2]
-            if end > b:
-                buf[:end - b] = step[2]
+        if last_step is step:  # the last cycle's window and hit rows go back to "other"
+            _put_rows(buf, start, count, step[2])
         else:
             if buf is None:
                 buf = post._buffer = np.empty_like(post.mass)  # flux-major, like the mass
             buf[...] = step[2]
         if window >= 0:
-            end = gate + window
-            buf[gate:end] = step[0]
-            if end > b:
-                buf[:end - b] = step[0]
-            buf[end % b] = step[1]
+            _put_rows(buf, gate, window, step[0])
+            buf[(gate + window) % b] = step[1]
         post._buffer_holds = (step, gate, window + 1)
         mass = post.mass
         if not _install(post, np.multiply(mass, buf, mass if step[3] else np.empty_like(mass)), 1):

@@ -209,10 +209,7 @@ class AdaptiveGatePolicy:
         control = self.exposure
         if control is None or self.posterior is None or self.cycle_index < self.min_cycles:
             return False
-        post = self.posterior
-        if control.metric == "termination":  # termination_value's rule, read every cycle
-            return 1.0 - float(np.maximum.reduce(post.rows)) / post.total < control.epsilon
-        return termination_value(post, control.metric) < control.epsilon
+        return termination_value(self.posterior, control.metric) < control.epsilon
 
     def ensure_posterior(self) -> None:
         """Finalize early if the run ended while still buffering calibration."""
