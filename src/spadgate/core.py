@@ -204,8 +204,8 @@ class AcquisitionRecord:
     kept for histogram building and diagnostics, estimators never condition
     on it.  ``cycle_durations`` count absolute bins consumed per cycle
     including re-arm wait and dead time, so they sum to ``exposure_bins``.
-    The first ``calibration_cycles`` entries used uniformly spread gates
-    reserved for background estimation.
+    A record holds outcomes only: which of its cycles a policy spent on
+    calibration is the policy's to say (``calibration_cycles``).
     """
 
     num_bins: int
@@ -215,7 +215,6 @@ class AcquisitionRecord:
     elapsed_periods: np.ndarray
     cycle_durations: np.ndarray
     exposure_bins: int
-    calibration_cycles: int = 0
 
     def __post_init__(self) -> None:
         self.gates = np.asarray(self.gates, dtype=np.int64)
@@ -235,43 +234,9 @@ class AcquisitionRecord:
                 raise ValueError("timestamp outside [0, num_bins)")
             if np.any(ts[~self.detected] != -1):
                 raise ValueError("censored cycles must store timestamp -1")
-        if not 0 <= self.calibration_cycles <= n:
-            raise ValueError("calibration_cycles outside record")
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def head(self, n: int) -> "AcquisitionRecord":
-        """Record restricted to the first ``n`` cycles."""
-        n = min(n, len(self))
-        return AcquisitionRecord(
-            num_bins=self.num_bins,
-            gates=self.gates[:n].copy(),
-            timestamps=self.timestamps[:n].copy(),
-            detected=self.detected[:n].copy(),
-            elapsed_periods=self.elapsed_periods[:n].copy(),
-            cycle_durations=self.cycle_durations[:n].copy(),
-            exposure_bins=int(self.cycle_durations[:n].sum()),
-            calibration_cycles=min(self.calibration_cycles, n),
-        )
-
-    @staticmethod
-    def concatenate(records: "list[AcquisitionRecord]") -> "AcquisitionRecord":
-        if not records:
-            raise ValueError("nothing to concatenate")
-        b = records[0].num_bins
-        if any(r.num_bins != b for r in records):
-            raise ValueError("records have mismatched num_bins")
-        return AcquisitionRecord(
-            num_bins=b,
-            gates=np.concatenate([r.gates for r in records]),
-            timestamps=np.concatenate([r.timestamps for r in records]),
-            detected=np.concatenate([r.detected for r in records]),
-            elapsed_periods=np.concatenate([r.elapsed_periods for r in records]),
-            cycle_durations=np.concatenate([r.cycle_durations for r in records]),
-            exposure_bins=int(sum(r.exposure_bins for r in records)),
-            calibration_cycles=records[0].calibration_cycles,
-        )
 
 
 @dataclass

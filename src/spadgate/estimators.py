@@ -2,11 +2,12 @@
 
 Two estimation routes are provided.  The histogram route inverts pile-up
 with Coates' correction and takes the argmax bin.  The Bayesian route
-keeps a discrete posterior over depth bins, jointly with a grid of
-candidate signal-flux values.  Its likelihood is the folded-timestamp law
-of ``core``, which reads a record only through four sufficient statistics
-(per-bin detection and passed-over counts, detected and censored cycle
-counts).  A whole record folds in one step from its statistics.
+keeps a discrete posterior over (depth bin, signal flux) pairs, the flux
+on a grid of candidate values (a known signal flux is a one-value grid).
+Its likelihood is the folded-timestamp law of ``core``, which reads a
+record only through four sufficient statistics (per-bin detection and
+passed-over counts, detected and censored cycle counts).  A whole record
+folds in one step from its statistics.
 
 The posterior stores probability mass, not log mass: an unnormalized
 (depth, flux) array, flux-major (Fortran order) so that sums over the flux
@@ -112,16 +113,16 @@ _STEP = 700.0
 
 
 class DepthPosterior:
-    """Discrete posterior over depth bins, optionally joint with signal flux.
+    """Discrete posterior over depth bins jointly with signal flux.
 
-    ``mass`` is unnormalized probability mass: shape (B,) for a known
-    signal flux, or (B, K) jointly with ``flux_grid`` of K candidate
-    values, Fortran-ordered (flux-major).  ``rows`` is its flux-axis sum,
-    the unnormalized depth marginal (``mass`` itself when depth-only), and
-    ``total`` their sum; both are installed with the mass, so the Thompson
-    draw, the stop rule and the readouts read a B-vector.  Updates multiply
-    ``mass`` in place: code that keeps it across an update must copy it.
-    The constructor copies the mass it is given.
+    ``mass`` is unnormalized probability mass of shape (B, K): B depth bins
+    by the K candidate values of ``flux_grid``, Fortran-ordered
+    (flux-major); a known signal flux is a one-value grid.  ``rows`` is its
+    flux-axis sum, the unnormalized depth marginal, and ``total`` their
+    sum; both are installed with the mass, so the Thompson draw, the stop
+    rule and the readouts read a B-vector.  Updates multiply ``mass`` in
+    place: code that keeps it across an update must copy it.  The
+    constructor copies the mass it is given, which must be (B, K).
 
     The total is held within [2**500, 2**1000] by exact power-of-two
     rescales, whose rule reads only the array.  A cell whose mass falls
@@ -142,22 +143,21 @@ class DepthPosterior:
     copy starts without either.
     """
 
-    def __init__(self, mass: np.ndarray, flux_grid: np.ndarray | None = None, degraded_cycles: int = 0):
+    def __init__(self, mass: np.ndarray, flux_grid: np.ndarray, degraded_cycles: int = 0):
         self.flux_grid = flux_grid
         self.degraded_cycles = degraded_cycles
         self._factors: tuple | None = None
         self._buffer: np.ndarray | None = None
         self._buffer_holds: tuple = (None, 0, 0)  # (step, gate, rows from gate not holding "other")
-        if not _install(self, np.array(mass, dtype=float, order="F"), 0):
+        mass = np.array(mass, dtype=float, order="F")
+        if mass.ndim != 2 or mass.shape[1] != len(flux_grid):
+            raise ValueError(f"mass of shape {mass.shape} is not (depth bins, {len(flux_grid)} flux values)")
+        if not _install(self, mass, 0):
             raise ValueError("mass needs a finite positive cell")
 
     @property
     def num_bins(self) -> int:
         return int(self.mass.shape[0])
-
-    @property
-    def joint(self) -> bool:
-        return self.mass.ndim == 2
 
     @property
     def log_mass(self) -> np.ndarray:
@@ -172,11 +172,7 @@ class DepthPosterior:
         return self._marginal
 
     def copy(self) -> "DepthPosterior":
-        return DepthPosterior(
-            self.mass,
-            flux_grid=None if self.flux_grid is None else self.flux_grid.copy(),
-            degraded_cycles=self.degraded_cycles,
-        )
+        return DepthPosterior(self.mass, self.flux_grid.copy(), self.degraded_cycles)
 
 
 def _read_only_log(mass: np.ndarray, total: float) -> np.ndarray:
@@ -190,12 +186,11 @@ def _read_only_log(mass: np.ndarray, total: float) -> np.ndarray:
 def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
     """Install ``mass`` with its rows and total, or count ``cycles`` as degraded if it has no mass.
 
-    ``mass`` is an array the caller gives up (it may be the posterior's own,
-    updated in place); a joint one must be Fortran-ordered.  Rescaled in
-    place when its total leaves [2**_LOW, 2**_HIGH].  Returns whether it
-    was installed.
+    ``mass`` is a Fortran-ordered array the caller gives up (it may be the
+    posterior's own, updated in place).  Rescaled in place when its total
+    leaves [2**_LOW, 2**_HIGH].  Returns whether it was installed.
     """
-    rows = np.add.reduce(mass, 1) if mass.ndim == 2 else mass
+    rows = np.add.reduce(mass, 1)
     total = float(np.add.reduce(rows))
     if not 0.0 < total < math.inf:  # no positive mass, or a NaN
         post.degraded_cycles += cycles
@@ -208,16 +203,11 @@ def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
     return True
 
 
-def posterior_init(
-    num_bins: int,
-    prior: np.ndarray | None = None,
-    flux_grid: np.ndarray | None = None,
-) -> DepthPosterior:
+def posterior_init(num_bins: int, flux_grid: np.ndarray, prior: np.ndarray | None = None) -> DepthPosterior:
     """Posterior from a depth prior (uniform when None), flux axis uniform.
 
-    With a ``flux_grid`` the joint over (depth, flux) starts as
-    prior(depth) / K and updates marginalize nothing away; without one the
-    posterior is depth-only and updates need an explicit signal flux.
+    The joint over (depth, flux) starts as prior(depth) / K for the K
+    values of ``flux_grid``, and updates marginalize nothing away.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be at least 1")
@@ -229,29 +219,15 @@ def posterior_init(
             raise ValueError("prior must have one entry per depth bin")
         if np.any(prior < 0) or prior.sum() <= 0:
             raise ValueError("prior must be nonnegative with positive mass")
-    if flux_grid is None:
-        return DepthPosterior(prior)
     flux_grid = np.asarray(flux_grid, dtype=float)
     if flux_grid.ndim != 1 or flux_grid.size < 1 or np.any(flux_grid < 0):
         raise ValueError("flux_grid must be a 1-d nonnegative array")
-    return DepthPosterior(np.repeat(prior[:, None], flux_grid.size, axis=1), flux_grid=flux_grid)
+    return DepthPosterior(np.repeat(prior[:, None], flux_grid.size, axis=1), flux_grid)
 
 
-def _flux_axis(post: DepthPosterior, bkg_flux: float, signal_flux: float | None) -> np.ndarray:
-    """The flux values of the posterior's columns, after checking the arguments.
-
-    Joint posteriors carry their own grid; depth-only posteriors require
-    ``signal_flux``.
-    """
+def _check_background(bkg_flux: float) -> None:
     if bkg_flux < 0:
         raise ValueError("bkg_flux cannot be negative")
-    if post.joint:
-        if signal_flux is not None:
-            raise ValueError("joint posterior already carries a flux grid")
-        return post.flux_grid
-    if signal_flux is None or signal_flux < 0:
-        raise ValueError("depth-only posterior needs a nonnegative signal_flux")
-    return np.array([float(signal_flux)])
 
 
 def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
@@ -270,7 +246,7 @@ def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_flux: float | None) -> DepthPosterior:
+def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float) -> DepthPosterior:
     """Bayes update by cycle outcomes summarized as ``stats``, in place.
 
     Every (depth, flux) cell is multiplied by exp(like - c), its law
@@ -279,9 +255,8 @@ def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_fl
     under every cell of positive mass, the posterior is left unchanged and
     all of them count in ``degraded_cycles``.
     """
-    like = peak_log_likelihood(stats, bkg_flux, _flux_axis(post, bkg_flux, signal_flux))
-    if not post.joint:
-        like = like[:, 0]
+    _check_background(bkg_flux)
+    like = peak_log_likelihood(stats, bkg_flux, post.flux_grid)
     cycles = stats.detected + stats.censored
     c = like.max()
     if not math.isfinite(c):  # no cell can give these outcomes
@@ -294,7 +269,7 @@ def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float, signal_fl
     return post
 
 
-def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None, combo: tuple | None) -> list | None:
+def _cycle_rows(post: DepthPosterior, bkg_flux: float, combo: tuple | None) -> list | None:
     """One cycle's likelihood factors by depth row type.
 
     A row's log likelihood takes one of four values (its detection bin, a
@@ -309,28 +284,26 @@ def _cycle_rows(post: DepthPosterior, bkg_flux: float, signal_flux: float | None
     factor is exp(value - c), what ``_fold`` multiplies by for such a
     cycle, to the bit.  None if no cell can give the combination.
     """
-    cache = post._factors  # the mass's shape is fixed, so the background, signal and grid are the key
-    if cache is None or cache[0] != bkg_flux or cache[1] != signal_flux or cache[2] is not post.flux_grid:
-        flux, b = _flux_axis(post, bkg_flux, signal_flux), post.num_bins
+    cache = post._factors  # the mass's shape is fixed, so the background and grid are the key
+    if cache is None or cache[0] != bkg_flux or cache[1] is not post.flux_grid:
+        _check_background(bkg_flux)
+        flux, b = post.flux_grid, post.num_bins
         # One row of each type: a detected cycle's statistics at its hit, at
         # a bin of its window and at any other bin, then a censored cycle's.
         # The period's total rate still counts all B bins.
         detected = peak_log_likelihood(LawStatistics(np.array([1, 0, 0]), np.array([0, 1, 0]), 1, 0), bkg_flux, flux, b)
         censored = peak_log_likelihood(LawStatistics(np.zeros(1, np.int64), np.zeros(1, np.int64), 0, 1), bkg_flux, flux, b)
-        if not post.joint:
-            detected, censored = detected[:, 0], censored[:, 0]
-        cache = post._factors = (bkg_flux, signal_flux, post.flux_grid, (*detected, censored[0]), {})
-    steps = cache[4]
+        cache = post._factors = (bkg_flux, flux, (*detected, censored[0]), {})
+    steps = cache[3]
     if combo not in steps:
-        hit, window, other, censored = cache[3]
+        hit, window, other, censored = cache[2]
         if combo is None:
             kinds = (censored, censored, censored)
         else:  # an absent row type is never read
             kinds = (window if combo[0] else hit, hit, other if combo[1] else hit)
         c = max(row.max() for row in kinds)
         steps[combo] = None if not math.isfinite(c) else [
-            (*(f.reshape(np.shape(hit)) for f in np.split(step, 3)), bool(step.all()))
-            for step in _factor_steps(np.concatenate([np.ravel(row) for row in kinds]) - c)
+            (*np.split(step, 3), bool(step.all())) for step in _factor_steps(np.concatenate(kinds) - c)
         ]
     return steps[combo]
 
@@ -343,13 +316,7 @@ def _put_rows(buf: np.ndarray, start: int, count: int, value: np.ndarray) -> Non
         buf[:end - buf.shape[0]] = value
 
 
-def posterior_update(
-    post: DepthPosterior,
-    timestamp: int | None,
-    gate: int,
-    bkg_flux: float,
-    signal_flux: float | None = None,
-) -> DepthPosterior:
+def posterior_update(post: DepthPosterior, timestamp: int | None, gate: int, bkg_flux: float) -> DepthPosterior:
     """Bayes update for one cycle outcome, in place; returns ``post``.
 
     ``timestamp`` is the folded detection bin, or None for a censored
@@ -377,7 +344,7 @@ def posterior_update(
         combo = (window > 0, window < b - 1)
     else:
         raise ValueError(f"timestamp {timestamp} outside [0, {b})")
-    steps = _cycle_rows(post, bkg_flux, signal_flux, combo)
+    steps = _cycle_rows(post, bkg_flux, combo)
     if steps is None:
         post.degraded_cycles += 1
         return post
@@ -403,20 +370,19 @@ def posterior_update(
 def posterior_from_record(
     record: AcquisitionRecord,
     bkg_flux: float,
+    flux_grid: np.ndarray,
     prior: np.ndarray | None = None,
-    flux_grid: np.ndarray | None = None,
-    signal_flux: float | None = None,
 ) -> DepthPosterior:
     """Posterior over a whole record, folded in one step from its statistics.
 
     Cycle order does not matter.  A record impossible under every cell
     leaves the prior and counts all its cycles as degraded.
     """
-    post = posterior_init(record.num_bins, prior=prior, flux_grid=flux_grid)
+    post = posterior_init(record.num_bins, flux_grid, prior)
     if len(record) == 0:  # renormalizing the bare prior would move its last bits
         return post
     stats = law_statistics(record.num_bins, record.gates, record.timestamps, record.detected)
-    return _fold(post, stats, bkg_flux, signal_flux)
+    return _fold(post, stats, bkg_flux)
 
 
 def map_depth(post: DepthPosterior) -> int:
@@ -443,21 +409,19 @@ def estimate_background(
     trim_fraction: float = 0.05,
     min_detections: int = 10,
 ) -> BackgroundEstimate:
-    """Ambient flux from a record's calibration cycles.
+    """Ambient flux from a record.
 
-    Coates-estimates the transient over the first ``calibration_cycles``
-    cycles (the whole record when none are marked), drops the top
+    Coates-estimates the transient over the whole record, drops the top
     ``trim_fraction`` of armed bins to exclude signal peaks, and averages
     the rest.  Records with fewer than ``min_detections`` detections fall
     back to ``fallback_flux`` with the low-confidence flag set; sparse
     calibration (armed passes per bin in the low single digits) biases the
     trimmed mean low because the trim removes most detection-bearing bins.
     """
-    cal = record.head(record.calibration_cycles) if record.calibration_cycles > 0 else record
-    detections = int(np.count_nonzero(cal.detected))
+    detections = int(np.count_nonzero(record.detected))
     if detections < min_detections:
         return BackgroundEstimate(fallback_flux, True, detections)
-    hist = timestamps_to_histogram(cal)
+    hist = timestamps_to_histogram(record)
     est = coates_transient(hist)
     observed = est.rates[hist.denominators > 0]
     if observed.size == 0:

@@ -260,6 +260,7 @@ _RULES = {
     "must be positive": lambda v: v > 0,
     "must be at least 1": lambda v: v >= 1,
     "cannot be negative": lambda v: v >= 0,
+    "must lie in [0, 1]": lambda v: 0 <= v <= 1,
 }
 
 
@@ -286,8 +287,12 @@ def _take(section: dict, errors: list[str], path: str, key: str, kind, default=N
                 raise ValueError
             return int(val)
         if kind is float:
-            return float(val)
-    except (TypeError, ValueError):
+            number = float(val)
+            if not math.isfinite(number):
+                errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
+                return default
+            return number
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         errors.append(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
         return default
     raise AssertionError(f"unhandled kind {kind}")
@@ -299,11 +304,14 @@ def _float_list(section: dict, errors: list[str], path: str, key: str) -> tuple[
         return None
     try:
         out = tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
         errors.append(f"{path}.{key}: expected a list of numbers")
         return None
     if not out:
         errors.append(f"{path}.{key}: empty sweep axis")
+        return None
+    if not all(map(math.isfinite, out)):
+        errors.append(f"{path}.{key}: expected finite numbers, got {raw!r}")
         return None
     return out
 
@@ -355,7 +363,8 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         ("scene.sbr", "cannot be negative"), ("scene.signal_flux", "cannot be negative"),
         ("budget_us", "must be positive"), ("sweep.ambient_flux", "cannot be negative"),
         ("sweep.sbr", "cannot be negative"), ("sweep.dead_time_ns", "cannot be negative"),
-        ("sweep.budget_us", "must be positive"),
+        ("sweep.budget_us", "must be positive"), ("prior.sigma_bins", "must be positive"),
+        ("prior.floor_weight", "must lie in [0, 1]"),
     ):
         value = kwargs[_FIELD_AT[path]]
         if value is not None and not all(map(_RULES[rule], value if isinstance(value, tuple) else (value,))):
@@ -592,11 +601,22 @@ class AggregateRow:
 _AGG_FIELDS = [f.name for f in fields(AggregateRow)]
 
 
+def _group_key(row: ResultRow) -> tuple:
+    """The row's group as a sortable key that also holds for NaN.
+
+    A cycle-capped row's ``budget_us`` and a dark pixel's ``sbr`` are NaN,
+    which equals nothing, itself included: each field becomes (is NaN,
+    value), with every NaN the same (True, 0.0), sorted after the numbers.
+    """
+    values = (getattr(row, f) for f in _GROUP_FIELDS)
+    return tuple((True, 0.0) if v != v else (False, v) for v in values)
+
+
 def aggregate_rows(rows: list[ResultRow]) -> list[AggregateRow]:
     """Group means/medians in sorted group-key order (thread invariant)."""
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
-        groups.setdefault(tuple(getattr(row, f) for f in _GROUP_FIELDS), []).append(row)
+        groups.setdefault(_group_key(row), []).append(row)
     out = []
     for key in sorted(groups):
         grp = groups[key]
@@ -604,7 +624,7 @@ def aggregate_rows(rows: list[ResultRow]) -> list[AggregateRow]:
         ent = [r.entropy_nats for r in grp if not math.isnan(r.entropy_nats)]
         out.append(AggregateRow(
             experiment_id=grp[0].experiment_id,
-            **dict(zip(_GROUP_FIELDS, key)),
+            **{f: getattr(grp[0], f) for f in _GROUP_FIELDS},
             **compute_metrics(grp),
             mean_termination_value=float(np.mean(term)) if term else float("nan"),
             mean_entropy_nats=float(np.mean(ent)) if ent else float("nan"),
@@ -715,7 +735,7 @@ def run_pixel_experiment(config: ExperimentConfig, spec: RowSpec) -> ResultRow:
         else:
             bkg = estimate_background(record, fallback_flux=config.background_fallback).value
         grid = default_flux_grid(bkg, config.flux_grid_size, config.flux_grid_lo, config.flux_grid_hi)
-        post = posterior_from_record(record, bkg, prior=prior, flux_grid=grid)
+        post = posterior_from_record(record, bkg, grid, prior)
 
     if spec.policy.estimator == "map" and post is not None:
         est_bin = map_depth(post)

@@ -8,11 +8,13 @@ the gate position only attenuates the sampled bin through the rates
 scanned before it; an exhaustive check over all gates backs the closed
 form in the tests.
 
-Fixed, uniform and free running are open loop: besides the per-cycle
-``next_gate`` they give the gates of cycles ``start .. start+count-1`` at
-once through ``gates(start, count)`` (an int64 array, or FREE_RUN), which
-``run_acquisition`` uses to simulate them in blocks.  The adaptive policy
-has no ``gates``: it chooses each gate after seeing the last outcome.
+Fixed, uniform and free running are open loop, gate schedules and
+nothing else: ``gates(start, count)`` gives the gates of cycles
+``start .. start+count-1`` (an int64 array, or FREE_RUN), which
+``run_acquisition`` simulates in blocks.  They see no outcome and never
+stop early.  The adaptive policy has no ``gates``: it chooses each gate
+through ``next_gate`` after ``observe`` has seen the last outcome, and
+``should_stop`` ends its run.
 
 Adaptive exposure stops an acquisition once the posterior is confident:
 when 1 - (posterior mass at the MAP bin), or optionally the posterior
@@ -78,20 +80,9 @@ class FixedGatePolicy:
             raise ValueError(f"gate {gate} outside [0, {num_bins})")
         self.gate = int(gate)
         self.num_bins = int(num_bins)
-        self.cycle_index = 0
-        self.calibration_cycles = 0
-
-    def next_gate(self, rng: np.random.Generator):
-        return self.gate
 
     def gates(self, start: int, count: int) -> np.ndarray:
         return np.full(count, self.gate, dtype=np.int64)
-
-    def observe(self, outcome: CycleOutcome) -> None:
-        self.cycle_index += 1
-
-    def should_stop(self) -> bool:
-        return False
 
 
 class UniformGatePolicy:
@@ -99,40 +90,16 @@ class UniformGatePolicy:
 
     def __init__(self, num_bins: int):
         self.num_bins = int(num_bins)
-        self.cycle_index = 0
-        self.calibration_cycles = 0
-
-    def next_gate(self, rng: np.random.Generator):
-        return self.cycle_index % self.num_bins
 
     def gates(self, start: int, count: int) -> np.ndarray:
         return np.arange(start, start + count, dtype=np.int64) % self.num_bins
-
-    def observe(self, outcome: CycleOutcome) -> None:
-        self.cycle_index += 1
-
-    def should_stop(self) -> bool:
-        return False
 
 
 class FreeRunningPolicy:
     """No gating: re-arm the instant the dead time ends."""
 
-    def __init__(self):
-        self.cycle_index = 0
-        self.calibration_cycles = 0
-
-    def next_gate(self, rng: np.random.Generator):
-        return FREE_RUN
-
     def gates(self, start: int, count: int):
         return FREE_RUN
-
-    def observe(self, outcome: CycleOutcome) -> None:
-        self.cycle_index += 1
-
-    def should_stop(self) -> bool:
-        return False
 
 
 class AdaptiveGatePolicy:
@@ -144,7 +111,8 @@ class AdaptiveGatePolicy:
     The posterior's flux grid is ``default_flux_grid(background,
     *flux_grid_spec)``, spec (size, lo, hi).
     Every later cycle samples a depth from the posterior marginal and
-    gates at (depth - gate_offset) mod B.
+    gates at (depth - gate_offset) mod B.  ``calibration_cycles`` is the
+    policy's own count: the record of its run does not mark them.
     """
 
     def __init__(
@@ -217,7 +185,7 @@ class AdaptiveGatePolicy:
             self._finalize()
 
     def _finalize(self) -> None:
-        record = cycles_record(self.num_bins, self._buffer, len(self._buffer))
+        record = cycles_record(self.num_bins, self._buffer)
         if self.known_bkg is not None:
             self.bkg_flux = float(self.known_bkg)
         else:
@@ -225,7 +193,7 @@ class AdaptiveGatePolicy:
             self.background_estimate = est
             self.bkg_flux = est.value
         grid = default_flux_grid(self.bkg_flux, *self.flux_grid_spec)
-        self.posterior = posterior_from_record(record, self.bkg_flux, prior=self.prior, flux_grid=grid)
+        self.posterior = posterior_from_record(record, self.bkg_flux, grid, self.prior)
         self._buffer = []
 
 

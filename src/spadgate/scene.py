@@ -171,7 +171,8 @@ def _parse_grid_file(path: str | Path, values_per_pixel: int) -> np.ndarray:
     """Shared "width height" header + grid body parser.
 
     Returns an array of shape (height, width * values_per_pixel); raises
-    ValueError naming the file and 1-based line of any malformed content.
+    ValueError naming the file and 1-based line of any malformed content,
+    a non-finite value (nan, inf) included.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -201,6 +202,8 @@ def _parse_grid_file(path: str | Path, values_per_pixel: int) -> np.ndarray:
             out[r] = [float(f) for f in fields]
         except ValueError:
             raise ValueError(f"{path}:{line_no}: non-numeric value") from None
+        if not np.isfinite(out[r]).all():
+            raise ValueError(f"{path}:{line_no}: non-finite value")
     return out
 
 

@@ -22,20 +22,21 @@ against ``detection_likelihood``.
   arms and scans inline (``_scan_exponential``), the same steps as
   ``sample_cycle`` without its per-call state object, validation and
   ``CycleOutcome``.
-- Open loop, in blocks.  Fixed, uniform and free-running policies draw
-  no randomness and never stop early, so their gates are known up front
-  through ``gates(start, count)``.  A block draws its unit exponentials in
-  one call: at most ``BLOCK_CYCLES``, and at most as many cycles as could
-  still start if each took the shortest possible time (the dead time
-  after a detection in its arm bin, or a censored scan, whichever is
-  shorter).  Triggered gates then locate every detection with one
-  ``divmod`` and one ``searchsorted`` over the block, and the ready times
-  are a cumulative sum, because the phase a triggered cycle leaves the
-  pixel in depends only on its own gate and draw.  Free running re-arms
-  at that phase, so ``_free_run_offsets`` walks the phase
-  recurrence one cycle at a time, in one loop with the scalar scan
-  inlined, and keeps only the offsets; the arm phases are then one
-  cumulative sum of the cycles' active times.
+- Open loop, in blocks.  Fixed, uniform and free-running policies are
+  gate schedules: they draw no randomness, see no outcome and never stop
+  early, so all such a policy gives is ``gates(start, count)``, the gates
+  of cycles start .. start+count-1 (or FREE_RUN, to arm immediately).  A
+  block draws its unit exponentials in one call: at most
+  ``BLOCK_CYCLES``, and at most as many cycles as could still start if
+  each took the shortest possible time (the dead time after a detection
+  in its arm bin, or a censored scan, whichever is shorter).  Triggered
+  gates then locate every detection with one ``divmod`` and one
+  ``searchsorted`` over the block, and the ready times are a cumulative
+  sum, because the phase a triggered cycle leaves the pixel in depends
+  only on its own gate and draw.  Free running re-arms at that phase, so
+  ``_free_run_offsets`` walks the phase recurrence one cycle at a time,
+  in one loop with the scalar scan inlined, and keeps only the offsets;
+  the arm phases are then one cumulative sum of the cycles' active times.
 
 Draw order: both paths draw exactly one unit exponential per cycle, in
 cycle order, and nothing else, so they give identical records.  A block
@@ -43,7 +44,8 @@ cut short by the budget restores the generator and redraws only the
 cycles it kept, so the caller's generator ends where the per-cycle loop
 would leave it.  ``tests/test_spadsim.py`` checks both paths to the bit
 against a per-cycle reference loop over ``sample_cycle``
-(``tests/conftest.py``).
+(``tests/conftest.py``), which takes an open-loop cycle's gate from
+``gates(i, 1)``.
 
 Determinism: all randomness flows through one numpy PCG64 generator.
 Identical seeds give bit-identical records; per-pixel streams come from
@@ -236,7 +238,7 @@ def run_acquisition(
     one cycle's duration.  A policy with a ``gates`` method is open loop
     and runs in blocks (see the module docstring); any other policy sees
     every outcome through ``observe`` and may consume randomness in
-    ``next_gate``.
+    ``next_gate``, which returns a gate bin.
     """
     if budget_bins is None and max_cycles is None:
         raise ValueError("need a budget, a cycle cap, or both")
@@ -256,12 +258,9 @@ def run_acquisition(
     ready = 0
     while not should_stop() and len(cycles) < limit and ready <= last_start:
         gate = next_gate(rng)
-        if gate is FREE_RUN:
-            arm = ready
-        elif 0 <= gate < b:
-            arm = ready + (gate - ready) % b
-        else:
+        if not 0 <= gate < b:
             raise ValueError(f"gate {gate} outside [0, {b})")
+        arm = ready + (gate - ready) % b
         phase = arm % b
         offset = _scan_exponential(scene, phase, exponential(), cap)
         if offset is None:
@@ -271,7 +270,7 @@ def run_acquisition(
         ready += outcome[3]
         cycles.append(outcome)
         observe(outcome)
-    return cycles_record(b, cycles, int(getattr(policy, "calibration_cycles", 0)))
+    return cycles_record(b, cycles)
 
 
 def _run_open_loop(
@@ -294,7 +293,7 @@ def _run_open_loop(
             n = min(n, max_cycles - done)
         if n <= 0:
             break
-        gates = policy.gates(policy.cycle_index, n)
+        gates = policy.gates(done, n)
         saved = rng.bit_generator.state
         e = rng.exponential(size=n)
         free = gates is FREE_RUN
@@ -322,7 +321,6 @@ def _run_open_loop(
             np.where(censored, cap, offsets // b)[:m],
             durations[:m],
         ))
-        policy.cycle_index += m
         done += m
         ready = int(ends[m - 1])
     columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 5
@@ -370,12 +368,11 @@ def _free_run_offsets(
     return offsets
 
 
-def cycles_record(num_bins: int, cycles: list, calibration_cycles: int = 0) -> AcquisitionRecord:
+def cycles_record(num_bins: int, cycles: list) -> AcquisitionRecord:
     """Record of consecutive cycle outcomes from the start of a run.
 
     Each outcome is a (gate, timestamp, elapsed periods, duration) tuple,
-    such as a ``CycleOutcome``.  A run that ends inside calibration marks
-    every cycle it has.
+    such as a ``CycleOutcome``.
     """
     gates, timestamps, periods, durations = np.array(cycles, dtype=np.int64).reshape(len(cycles), 4).T.copy()
     return AcquisitionRecord(
@@ -386,5 +383,4 @@ def cycles_record(num_bins: int, cycles: list, calibration_cycles: int = 0) -> A
         elapsed_periods=periods,
         cycle_durations=durations,
         exposure_bins=int(durations.sum()),
-        calibration_cycles=min(calibration_cycles, len(cycles)),
     )

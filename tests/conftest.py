@@ -9,7 +9,7 @@ import pytest
 
 from spadgate import AcquisitionRecord
 from spadgate.core import law_statistics, peak_log_likelihood
-from spadgate.spadsim import CycleOutcome, SimState, sample_cycle, stream_rng
+from spadgate.spadsim import FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -30,11 +30,8 @@ def flux_log_marginal(post) -> np.ndarray:
         return np.log(post.mass.sum(axis=0)) - math.log(post.total)
 
 
-def outcomes_record(num_bins: int, outcomes: list[CycleOutcome], calibration_cycles: int = 0) -> AcquisitionRecord:
-    """Record of consecutive cycles from the start of a run.
-
-    A run that ends inside calibration marks every cycle it has.
-    """
+def outcomes_record(num_bins: int, outcomes: list[CycleOutcome]) -> AcquisitionRecord:
+    """Record of consecutive cycles from the start of a run."""
     return AcquisitionRecord(
         num_bins=num_bins,
         gates=np.array([o.gate for o in outcomes], dtype=np.int64),
@@ -43,34 +40,42 @@ def outcomes_record(num_bins: int, outcomes: list[CycleOutcome], calibration_cyc
         elapsed_periods=np.array([o.elapsed_periods for o in outcomes], dtype=np.int64),
         cycle_durations=np.array([o.cycle_duration_bins for o in outcomes], dtype=np.int64),
         exposure_bins=sum(o.cycle_duration_bins for o in outcomes),
-        calibration_cycles=min(calibration_cycles, len(outcomes)),
     )
 
 
 def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
     """Reference for ``run_acquisition``: one ``sample_cycle`` per cycle, any policy.
 
-    Asks ``should_stop``, then the cycle cap, then the budget before each
-    cycle; ``next_gate`` draws before the cycle's exponential.
+    An open-loop policy (one with ``gates``) gives cycle i's gate as
+    ``gates(i, 1)``.  A closed-loop one is asked ``should_stop``, then the
+    cycle cap, then the budget before each cycle; ``next_gate`` draws
+    before the cycle's exponential and ``observe`` sees its outcome.
     """
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
     state = SimState(rng=rng)
     min_cycle = 1 + config.dead_time_bins
+    open_loop = hasattr(policy, "gates")
     outcomes: list[CycleOutcome] = []
     while True:
-        if policy.should_stop():
+        if not open_loop and policy.should_stop():
             break
         if max_cycles is not None and state.cycles >= max_cycles:
             break
         if budget_bins is not None and state.ready_time + min_cycle > budget_bins:
             break
-        outcome = sample_cycle(scene, config, state, policy.next_gate(rng))
+        if open_loop:
+            gates = policy.gates(state.cycles, 1)
+            gate = FREE_RUN if gates is FREE_RUN else int(gates[0])
+        else:
+            gate = policy.next_gate(rng)
+        outcome = sample_cycle(scene, config, state, gate)
         outcomes.append(outcome)
-        policy.observe(outcome)
-    return outcomes_record(scene.num_bins, outcomes, int(getattr(policy, "calibration_cycles", 0)))
+        if not open_loop:
+            policy.observe(outcome)
+    return outcomes_record(scene.num_bins, outcomes)
 
 
-def full_period_cycle_rows(post, bkg_flux: float, signal_flux: float | None = None) -> tuple:
+def full_period_cycle_rows(post, bkg_flux: float) -> tuple:
     """Reference for the row templates of ``estimators._cycle_rows``: (hit, window, other, censored).
 
     Reads each row type off the law evaluated over all B depth rows, on
@@ -80,11 +85,9 @@ def full_period_cycle_rows(post, bkg_flux: float, signal_flux: float | None = No
     other entries are the hit row.
     """
     b = post.num_bins
-    flux = post.flux_grid if post.joint else np.array([float(signal_flux)])
 
     def law(gate: int, timestamp: int) -> np.ndarray:
-        like = peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, flux)
-        return like if post.joint else like[:, 0]
+        return peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, post.flux_grid)
 
     at_gate, wrapped = law(0, 0), law(b - 1, 0)
     return at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0]
@@ -107,7 +110,6 @@ def brute_detection_likelihood(rates, t: int, gate: int) -> float:
 def make_record(
     num_bins: int,
     cycles,
-    calibration_cycles: int = 0,
     duration: int = 1000,
 ) -> AcquisitionRecord:
     """Record from (gate, folded_timestamp_or_None, elapsed_periods) triples."""
@@ -128,7 +130,6 @@ def make_record(
         elapsed_periods=np.array(periods, dtype=np.int64),
         cycle_durations=np.full(n, duration, dtype=np.int64),
         exposure_bins=duration * n,
-        calibration_cycles=calibration_cycles,
     )
 
 

@@ -274,7 +274,7 @@ def test_sequence_log_likelihood_is_additive():
     scene = sg.SceneTransient(num_bins=8, ambient_flux=0.1, peaks=((4, 1.0),))
     r1 = make_record(8, [(0, 4), (2, None)])
     r2 = make_record(8, [(5, 1)])
-    both = sg.AcquisitionRecord.concatenate([r1, r2])
+    both = make_record(8, [(0, 4), (2, None), (5, 1)])
     assert sg.sequence_log_likelihood(scene, both) == pytest.approx(
         sg.sequence_log_likelihood(scene, r1) + sg.sequence_log_likelihood(scene, r2), rel=1e-12
     )
@@ -371,16 +371,3 @@ def test_record_validation():
             cycle_durations=np.array([10]),
             exposure_bins=10,
         )
-    with pytest.raises(ValueError):
-        make_record(4, [(0, 1)], calibration_cycles=2)
-
-
-def test_record_head_and_concatenate():
-    record = make_record(6, [(0, 3), (1, None), (2, 5)], calibration_cycles=2)
-    head = record.head(2)
-    assert len(head) == 2
-    assert head.calibration_cycles == 2
-    assert head.exposure_bins == int(head.cycle_durations.sum())
-    back = sg.AcquisitionRecord.concatenate([head, record.head(3)])
-    assert len(back) == 5
-    assert back.exposure_bins == head.exposure_bins + record.head(3).exposure_bins

@@ -114,23 +114,27 @@ def test_default_flux_grid_names_an_out_of_range_background():
 
 
 def test_posterior_init_uniform_and_prior():
-    post = sg.posterior_init(5)
-    assert not post.joint
+    known = np.array([0.6])  # a known signal flux is a one-value grid
+    post = sg.posterior_init(5, known)
+    assert post.log_mass.shape == (5, 1)
     assert np.allclose(np.exp(post.log_mass), 0.2, rtol=1e-14)
     prior = np.array([0.5, 0.5, 0.0, 0.0])
-    post2 = sg.posterior_init(4, prior=prior)
-    mass = np.exp(post2.log_mass)
+    post2 = sg.posterior_init(4, known, prior=prior)
+    mass = np.exp(post2.log_mass[:, 0])
     assert mass[0] == pytest.approx(0.5, rel=1e-14)
     assert mass[2] == 0.0
     with pytest.raises(ValueError):
-        sg.posterior_init(4, prior=np.zeros(4))
+        sg.posterior_init(4, known, prior=np.zeros(4))
     with pytest.raises(ValueError):
-        sg.posterior_init(4, prior=np.ones(3))
+        sg.posterior_init(4, known, prior=np.ones(3))
+    with pytest.raises(ValueError, match="not \\(depth bins, 2 flux values\\)"):
+        sg.DepthPosterior(np.ones(4), np.array([0.0, 0.6]))
+    with pytest.raises(ValueError, match="not \\(depth bins, 2 flux values\\)"):
+        sg.DepthPosterior(np.ones((4, 3)), np.array([0.0, 0.6]))
 
 
 def test_posterior_init_joint_shape():
     post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.5, 1.0]))
-    assert post.joint
     assert post.log_mass.shape == (6, 3)
     assert logsumexp(post.log_mass) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.exp(post.depth_log_marginal()), 1 / 6, rtol=1e-12)
@@ -140,9 +144,9 @@ def test_posterior_init_joint_shape():
 def test_posterior_update_frozen_ratio():
     # One detection at the armed bin, two depth hypotheses: the armed-bin
     # hypothesis has trigger rate bkg+signal, the other just bkg.
-    post = sg.posterior_init(2)
-    sg.posterior_update(post, 0, 0, 0.1, signal_flux=1.0)
-    mass = np.exp(post.log_mass)
+    post = sg.posterior_init(2, np.array([1.0]))
+    sg.posterior_update(post, 0, 0, 0.1)
+    mass = np.exp(post.log_mass[:, 0])
     assert mass[0] / mass[1] == pytest.approx(7.010412102458628, rel=1e-12)
 
 
@@ -189,17 +193,6 @@ def test_posterior_update_with_informative_prior():
     assert np.allclose(np.exp(post.log_mass), expected, atol=1e-12)
 
 
-def test_depth_only_posterior_equals_single_flux_joint():
-    num_bins, bkg, phi = 7, 0.1, 0.6
-    outcomes = [(0, 4), (3, None), (5, 2)]
-    depth_only = sg.posterior_init(num_bins)
-    joint = sg.posterior_init(num_bins, flux_grid=np.array([phi]))
-    for gate, ts in outcomes:
-        sg.posterior_update(depth_only, ts, gate, bkg, signal_flux=phi)
-        sg.posterior_update(joint, ts, gate, bkg)
-    assert np.allclose(depth_only.log_mass, joint.log_mass[:, 0], atol=1e-12)
-
-
 def test_censored_update_preserves_depth_marginal_from_uniform():
     # From a factorized state the censored likelihood is depth-independent,
     # so only the flux marginal moves.
@@ -225,9 +218,9 @@ def test_zero_flux_slice_stays_flat():
 
 
 def test_impossible_observation_degrades_not_crashes():
-    post = sg.posterior_init(4)
+    post = sg.posterior_init(4, np.array([0.0]))
     before = post.log_mass.copy()
-    sg.posterior_update(post, 2, 0, 0.0, signal_flux=0.0)  # zero rate everywhere: p=0
+    sg.posterior_update(post, 2, 0, 0.0)  # zero rate everywhere: p=0
     assert post.degraded_cycles == 1
     assert np.array_equal(post.log_mass, before)
 
@@ -289,9 +282,9 @@ def test_impossible_record_keeps_prior_and_counts_every_cycle():
     # With no background only the peak bin can fire, so detections on two
     # different bins rule out every depth: the record is skipped as a whole.
     record = make_record(4, [(0, 1), (0, 2), (3, None)])
-    post = sg.posterior_from_record(record, 0.0, signal_flux=0.5)
+    post = sg.posterior_from_record(record, 0.0, np.array([0.5]))
     assert post.degraded_cycles == 3
-    assert np.array_equal(post.log_mass, sg.posterior_init(4).log_mass)
+    assert np.array_equal(post.log_mass, sg.posterior_init(4, np.array([0.5])).log_mass)
 
 
 @st.composite
@@ -307,11 +300,10 @@ def _one_cycle_cases(draw):
     b = draw(st.one_of(st.integers(1, 3), st.integers(1, 600)))
     bkg = draw(st.floats(1e-6, 2.0))
     flux = st.one_of(st.floats(0.0, 50.0), st.floats(700.0, 3000.0))
-    grid = signal = None
     if draw(st.booleans()):
         grid = np.array(draw(st.lists(flux, min_size=1, max_size=20)))
-    else:
-        signal = draw(flux)
+    else:  # a known signal flux
+        grid = np.array([draw(flux)])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prior = rng.random(b) + 0.01
     if draw(st.booleans()):
@@ -339,7 +331,7 @@ def _one_cycle_cases(draw):
             cycle_bkg = draw(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
         twin = cycle() if draw(st.integers(0, 3)) == 0 else None
         cycles.append((*cycle(), cycle_bkg, twin))
-    return b, bkg, grid, signal, prior, history, cycles
+    return b, bkg, grid, prior, history, cycles
 
 
 def _same_bits(a, b) -> bool:
@@ -359,28 +351,26 @@ _log_uniform_background = st.floats(-300.0, math.log10(3.0)).map(lambda e: 10.0*
     cycles=st.lists(st.tuples(st.integers(0, 599), st.one_of(st.none(), st.integers(0, 599))), max_size=3),
 )
 def test_cycle_rows_match_the_full_period_templates(b, backgrounds, grid, signal, cycles):
-    # Joint with the zero column (grids of 1 to 20 values), or depth-only
-    # with an explicit signal flux; each later background rebuilds the
-    # cache mid-life, after a few updates.
-    if signal is None:
-        post = sg.posterior_init(b, flux_grid=np.array([0.0, *grid]))
-    else:
-        post = sg.posterior_init(b)
+    # A grid with the zero column (1 to 20 values), or a known signal flux
+    # (a one-value grid); each later background rebuilds the cache
+    # mid-life, after a few updates.
+    grid = np.array([0.0, *grid]) if signal is None else np.array([signal])
+    post = sg.posterior_init(b, grid)
     for bkg in backgrounds:
         for gate, t in cycles:
-            sg.posterior_update(post, None if t is None else t % b, gate % b, bkg, signal)
-        _cycle_rows(post, bkg, signal, None)
+            sg.posterior_update(post, None if t is None else t % b, gate % b, bkg)
+        _cycle_rows(post, bkg, None)
         assert post._factors[0] == bkg
-        rows, reference = post._factors[3], full_period_cycle_rows(post, bkg, signal)
+        rows, reference = post._factors[2], full_period_cycle_rows(post, bkg)
         read = (0, 3) if b == 1 else (0, 1, 2, 3)  # at one bin only the hit and censored rows are read
         for i in read:
             assert _same_bits(rows[i], reference[i]), i
 
 
-def _update_both(post, ref, gate, t, bkg, signal):
+def _update_both(post, ref, gate, t, bkg):
     """``posterior_update`` on ``post`` and the one-cycle fold on ``ref``; they must agree to the bit."""
-    sg.posterior_update(post, t, gate, bkg, signal)
-    _fold(ref, law_statistics(post.num_bins, [gate], [-1 if t is None else t], [t is not None]), bkg, signal)
+    sg.posterior_update(post, t, gate, bkg)
+    _fold(ref, law_statistics(post.num_bins, [gate], [-1 if t is None else t], [t is not None]), bkg)
     assert np.array_equal(post.mass, ref.mass)
     assert np.array_equal(post.rows, ref.rows) and post.total == ref.total
     assert post.degraded_cycles == ref.degraded_cycles
@@ -389,26 +379,23 @@ def _update_both(post, ref, gate, t, bkg, signal):
 @settings(max_examples=300, deadline=None)
 @given(_one_cycle_cases())
 def test_posterior_update_is_the_one_cycle_fold_to_the_bit(case):
-    b, bkg, grid, signal, prior, history, cycles = case
-    post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid, signal_flux=signal)
+    b, bkg, grid, prior, history, cycles = case
+    post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid)
     ref = post.copy()
     for gate, t, cycle_bkg, twin in cycles:  # later cycles read the cached rows and patch the buffer
         if twin is not None:  # the copy keeps a buffer of its own
-            _update_both(post.copy(), ref.copy(), *twin, cycle_bkg, signal)
-        _update_both(post, ref, gate, t, cycle_bkg, signal)
+            _update_both(post.copy(), ref.copy(), *twin, cycle_bkg)
+        _update_both(post, ref, gate, t, cycle_bkg)
 
 
 def test_posterior_update_validation():
-    post = sg.posterior_init(4)
+    post = sg.posterior_init(4, np.array([0.5]))
     with pytest.raises(ValueError):
-        sg.posterior_update(post, 4, 0, 0.1, signal_flux=0.5)
+        sg.posterior_update(post, 4, 0, 0.1)
     with pytest.raises(ValueError):
-        sg.posterior_update(post, 1, 4, 0.1, signal_flux=0.5)
-    with pytest.raises(ValueError):
-        sg.posterior_update(post, 1, 0, 0.1)  # depth-only needs signal_flux
-    joint = sg.posterior_init(4, flux_grid=np.array([0.5]))
-    with pytest.raises(ValueError):
-        sg.posterior_update(joint, 1, 0, 0.1, signal_flux=0.5)
+        sg.posterior_update(post, 1, 4, 0.1)
+    with pytest.raises(ValueError, match="bkg_flux cannot be negative"):
+        sg.posterior_update(post, 1, 0, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +548,10 @@ def test_rescales_keep_a_concentrating_posterior_exact():
 
 
 def test_map_depth_and_entropy():
-    post = sg.posterior_init(500)
+    post = sg.posterior_init(500, np.array([0.5]))
     assert sg.posterior_entropy(post) == pytest.approx(6.214608098422191, rel=1e-12)
     assert sg.map_depth(post) == 0  # uniform ties break low
-    sharp = sg.posterior_init(4, prior=np.array([0.0, 0.0, 1.0, 0.0]))
+    sharp = sg.posterior_init(4, np.array([0.5]), prior=np.array([0.0, 0.0, 1.0, 0.0]))
     assert sg.map_depth(sharp) == 2
     assert sg.posterior_entropy(sharp) == pytest.approx(0.0, abs=1e-12)
 
@@ -586,35 +573,6 @@ def test_estimate_background_flat_scene():
     est = sg.estimate_background(record)
     assert not est.low_confidence
     assert est.value == pytest.approx(bkg, rel=0.15)
-
-
-def test_estimate_background_uses_calibration_head():
-    bkg = 0.05
-    flat = sg.SceneTransient(num_bins=50, ambient_flux=bkg)
-    spad = sg.SpadConfig(num_bins=50, dead_time_ns=5.0)
-    cal = sg.run_acquisition(flat, spad, sg.UniformGatePolicy(50), max_cycles=1500, seed=3)
-    # append a long censored tail: pure denominator mass that would drag a
-    # whole-record estimate toward zero
-    tail = make_record(50, [(0, None, 16)] * 3000)
-
-    def with_marker(marker):
-        merged = sg.AcquisitionRecord.concatenate([cal, tail])
-        return sg.AcquisitionRecord(
-            num_bins=50,
-            gates=merged.gates,
-            timestamps=merged.timestamps,
-            detected=merged.detected,
-            elapsed_periods=merged.elapsed_periods,
-            cycle_durations=merged.cycle_durations,
-            exposure_bins=merged.exposure_bins,
-            calibration_cycles=marker,
-        )
-
-    est_head = sg.estimate_background(with_marker(len(cal)))
-    assert est_head.value == pytest.approx(bkg, rel=0.2)
-    assert est_head.detections >= 10
-    est_whole = sg.estimate_background(with_marker(0))
-    assert est_whole.value < 0.5 * bkg  # marker ignored: censored tail dilutes the rates
 
 
 def test_estimate_background_fallback():

@@ -182,6 +182,54 @@ def test_budget_null_means_cycle_capped():
         sg.parse_config(raw3)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", [
+    ("scene", "ambient_flux"), ("scene", "sbr"), ("scene", "signal_flux"), ("", "budget_us"),
+    ("spad", "dead_time_ns"),
+])
+def test_non_finite_numbers_are_named_config_errors(section, key, value):
+    # JSON text may spell Infinity, -Infinity and NaN; no row could use them.
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    if key == "signal_flux":
+        del raw["scene"]["sbr"]
+    (raw[section] if section else raw)[key] = value
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(json.dumps(raw))
+    assert f"{section or 'config'}.{key}: expected a finite number, got {value!r}" in str(exc.value)
+
+
+def test_non_finite_sweep_values_and_integers_are_config_errors():
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["sweep"] = {"ambient_flux": [0.01, math.inf], "sbr": [10**400], "budget_us": [math.nan]}
+    raw["experiment"]["seeds"] = math.inf
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(json.dumps(raw))
+    assert str(exc.value) == (
+        "experiment.seeds: expected int, got inf; sweep.ambient_flux: expected finite numbers, got [0.01, inf]; "
+        "sweep.sbr: expected a list of numbers; sweep.budget_us: expected finite numbers, got [nan]")
+
+
+@pytest.mark.parametrize("prior, message", [
+    ({"sigma_bins": 0.0}, "prior.sigma_bins must be positive"),
+    ({"sigma_bins": -2.0}, "prior.sigma_bins must be positive"),
+    ({"floor_weight": -0.1}, "prior.floor_weight must lie in [0, 1]"),
+    ({"floor_weight": 1.5}, "prior.floor_weight must lie in [0, 1]"),
+])
+def test_flatness_prior_parameters_are_range_checked(prior, message):
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["prior"] = {"kind": "flatness", **prior}
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(raw)
+    assert str(exc.value) == message
+
+
+def test_flatness_prior_accepts_the_floor_weight_ends():
+    for weight in (0.0, 1.0):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["prior"] = {"kind": "flatness", "sigma_bins": 0.5, "floor_weight": weight}
+        assert sg.parse_config(raw).prior_floor_weight == weight
+
+
 def test_serialize_parse_round_trip():
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["scene"]["mismatch"] = {"kind": "two_peak", "second_depth": 30, "second_flux": 0.05}
@@ -405,6 +453,34 @@ def test_run_sweep_rows_sorted_and_aggregated():
     for agg in aggs:
         assert agg.n_rows == 2
         assert agg.rmse_m >= 0.0
+
+
+def test_cycle_capped_sweep_aggregates_one_group_per_policy():
+    # Every cycle-capped row reports budget_us NaN, each its own float object.
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw.update(budget_us=None, max_cycles=300, policies=[{"name": "fixed0", "kind": "fixed", "gate": 0}])
+    raw["experiment"]["seeds"] = 4
+    rows, aggs, failures = sg.run_sweep(sg.parse_config(raw))
+    assert failures == [] and len(rows) == 4
+    assert all(math.isnan(r.budget_us) for r in rows)
+    assert [(a.policy, a.n_rows) for a in aggs] == [("fixed0", 4)]
+    assert math.isnan(aggs[0].budget_us)
+
+
+def test_dark_pixels_aggregate_in_one_group():
+    # A dark pixel (no ambient light) has SBR NaN; two of them are one group,
+    # sorted after the lit pixels of the same policy and ambient level.
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["scene"] = {"depth_bin": 11, "ambient_flux": 0.0, "signal_flux": 0.1}
+    raw["policies"] = [{"name": "fixed0", "kind": "fixed", "gate": 0}]
+    rows, aggs, failures = sg.run_sweep(sg.parse_config(raw))
+    assert failures == [] and len(rows) == 2
+    assert all(math.isnan(r.sbr) for r in rows) and rows[0].sbr is not rows[1].sbr
+    assert [(a.policy, a.n_rows) for a in aggs] == [("fixed0", 2)]
+    lit = [dataclasses.replace(r, sbr=5.0) for r in rows]
+    mixed = sg.aggregate_rows([rows[0], lit[0], rows[1], lit[1]])
+    assert [(a.sbr, a.n_rows) for a in mixed][0] == (5.0, 2)
+    assert math.isnan(mixed[1].sbr) and mixed[1].n_rows == 2
 
 
 def test_pool_starts_no_more_workers_than_rows(monkeypatch):

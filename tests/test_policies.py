@@ -25,11 +25,11 @@ def _outcome(gate, ts=None, periods=0, duration=100):
 
 
 def test_termination_value_uniform_and_sharp():
-    post = sg.posterior_init(4)
+    post = sg.posterior_init(4, np.array([0.5]))
     assert sg.termination_value(post) == pytest.approx(0.75, rel=1e-12)
     assert sg.termination_value(post, "entropy") == pytest.approx(math.log(4), rel=1e-12)
-    sharp = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]))
-    sharp_joint = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]), flux_grid=np.array([0.5]))
+    sharp = sg.posterior_init(4, np.array([0.5]), prior=np.array([0.0, 1.0, 0.0, 0.0]))
+    sharp_joint = sg.posterior_init(4, np.array([0.0, 0.5]), prior=np.array([0.0, 1.0, 0.0, 0.0]))
     for point in (sharp, sharp_joint):
         for metric in ("termination", "entropy"):
             # +0.0 exactly: a -0.0 would print as "-0" in results.csv
@@ -54,10 +54,10 @@ def test_should_stop_respects_min_cycles():
 
     for metric in ("termination", "entropy"):
         control = sg.ExposureControl(epsilon=0.25, metric=metric)
-        sharp = sg.posterior_init(4, prior=np.array([0.0, 1.0, 0.0, 0.0]))
+        sharp = sg.posterior_init(4, np.array([0.5]), prior=np.array([0.0, 1.0, 0.0, 0.0]))
         assert not should_stop(control, sharp, cycle_index=9, min_cycles=10)
         assert should_stop(control, sharp, cycle_index=10, min_cycles=10)
-        flat = sg.posterior_init(4)
+        flat = sg.posterior_init(4, np.array([0.5]))
         assert not should_stop(control, flat, cycle_index=50, min_cycles=10)
 
 
@@ -67,27 +67,29 @@ def test_should_stop_respects_min_cycles():
 
 def test_fixed_gate_policy():
     pol = sg.FixedGatePolicy(gate=7, num_bins=10)
-    rng = sg.stream_rng(0)
-    assert [pol.next_gate(rng) for _ in range(3)] == [7, 7, 7]
-    assert not pol.should_stop()
+    gates = pol.gates(0, 3)
+    assert gates.dtype == np.int64 and gates.tolist() == [7, 7, 7]
+    assert pol.gates(5, 0).size == 0
     with pytest.raises(ValueError):
         sg.FixedGatePolicy(gate=10, num_bins=10)
 
 
 def test_uniform_gate_policy_cycles_every_bin():
     pol = sg.UniformGatePolicy(num_bins=4)
-    rng = sg.stream_rng(0)
-    seen = []
-    for _ in range(6):
-        g = pol.next_gate(rng)
-        seen.append(g)
-        pol.observe(_outcome(g, ts=g))
-    assert seen == [0, 1, 2, 3, 0, 1]
+    gates = pol.gates(0, 6)
+    assert gates.dtype == np.int64 and gates.tolist() == [0, 1, 2, 3, 0, 1]
+
+
+def test_uniform_gates_start_at_any_cycle():
+    # A block from cycle 11 on continues the schedule, whatever came before.
+    pol = sg.UniformGatePolicy(num_bins=16)
+    assert pol.gates(11, 7).tolist() == [11, 12, 13, 14, 15, 0, 1]
+    assert np.array_equal(pol.gates(11, 7), pol.gates(0, 18)[11:])
 
 
 def test_free_running_policy_returns_sentinel():
     pol = sg.FreeRunningPolicy()
-    assert pol.next_gate(sg.stream_rng(0)) is sg.FREE_RUN
+    assert pol.gates(0, 3) is sg.FREE_RUN
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +285,11 @@ def test_reward_validation():
 # The per-cycle fast path: one-cycle rows and the cached depth marginal
 
 
-def _general_update(post, timestamp, gate, bkg_flux, signal_flux=None):
+def _general_update(post, timestamp, gate, bkg_flux):
     """posterior_update written as the general fold of one-cycle statistics."""
     detected = timestamp is not None
     stats = law_statistics(post.num_bins, [gate], [timestamp if detected else -1], [detected])
-    return _fold(post, stats, bkg_flux, signal_flux)
+    return _fold(post, stats, bkg_flux)
 
 
 def test_thompson_draws_match_the_general_fold(monkeypatch):

@@ -219,6 +219,17 @@ def test_scene_file_errors_name_file_and_line(tmp_path):
         sg.load_depth_map(p)
 
 
+@pytest.mark.parametrize("loader, text", [
+    (sg.load_depth_map, "2 1\n0.1 nan\n"),
+    (sg.load_flux_map, "2 1\ninf 0.2\n"),
+    (sg.load_external_prior, "1 1\n0.5 -inf\n"),
+], ids=["depth", "flux", "prior"])
+def test_non_finite_map_values_name_file_and_line(tmp_path, loader, text):
+    p = _write(tmp_path, "map.txt", "# comment\n" + text)
+    with pytest.raises(ValueError, match="map.txt:3: non-finite value"):
+        loader(p)
+
+
 def test_negative_depth_rejected(tmp_path):
     p = _write(tmp_path, "neg.txt", "1 1\n-0.5\n")
     with pytest.raises(ValueError, match="nonnegative"):
