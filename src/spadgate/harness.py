@@ -198,6 +198,10 @@ class ExperimentConfig:
 # allocation is the (B, K) float64 depth posterior: at the default K = 17
 # flux columns, 2**20 bins make it 136 MiB, and an update holds a few.
 MAX_NUM_BINS = 1 << 20
+# Most cycles one row may run.  A row keeps its whole record, five columns
+# (33 bytes) per cycle, so 10**7 cycles hold about 330 MB.
+MAX_ROW_CYCLES = 10**7
+_INT64_MAX = 2**63 - 1
 
 # The config schema, written once: (section, JSON key, ExperimentConfig field,
 # kind), in the order parse_config reads and reports them.  Section "" is the
@@ -430,9 +434,52 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         source = (f"spad.num_bins {num_bins} is" if config.num_bins is not None else
                   f"spad.rep_rate_mhz and spad.bin_resolution_ps give {num_bins} bins per period,")
         errors.append(f"{source} above the spad.num_bins limit of {MAX_NUM_BINS}")
+    errors.extend(_row_work_errors(config, num_bins))
     if errors:
         raise ConfigError("; ".join(errors))
     return config
+
+
+def _row_work_errors(config: ExperimentConfig, num_bins: int) -> list[str]:
+    """Dead times with no int64 bin count, and rows that could run more than MAX_ROW_CYCLES cycles.
+
+    A row's largest cycle count is ``max_cycles`` or the cycles its budget
+    can start at the shortest cycle, as ``spadsim`` sizes its blocks:
+    the dead time after a detection in the arm bin, or a censored scan.
+    """
+    errors = []
+    dead_bins = {}
+    for path, values in (("spad.dead_time_ns", (config.dead_time_ns,)),
+                         ("sweep.dead_time_ns", config.sweep_dead_time_ns or ())):
+        for value in values:
+            try:
+                bins = SpadConfig(bin_resolution_ps=config.bin_resolution_ps, dead_time_ns=value).dead_time_bins
+            except OverflowError:  # infinitely many bins
+                bins = math.inf
+            if bins > _INT64_MAX:
+                errors.append(f"{path} {value!r} gives a dead time of {float(bins):.3g} bins, more than an int64 holds")
+            else:
+                dead_bins[value] = bins
+    budget_path = "sweep.budget_us" if config.sweep_budget_us else "budget_us"
+    for dead_ns in config.sweep_dead_time_ns or (config.dead_time_ns,):
+        if dead_ns not in dead_bins:
+            continue
+        dead = dead_bins[dead_ns]
+        shortest = min(dead, config.max_active_periods * num_bins)
+        for budget_us in config.sweep_budget_us or (config.budget_us,):
+            path, value, count = "max_cycles", config.max_cycles, config.max_cycles
+            if budget_us is not None:
+                bins = budget_us * 1e6 / config.bin_resolution_ps
+                startable = (round(bins) - 1 - dead) // shortest + 1 if math.isfinite(bins) else math.inf
+                if count is None or startable < count:
+                    path, value, count = budget_path, budget_us, startable
+            if count > MAX_ROW_CYCLES:
+                shown = count if count < 10**15 else f"{float(count):.3g}"
+                message = (f"{path} {value!r} lets a row run up to {shown} cycles (dead time {dead} bins), "
+                           f"above the limit of {MAX_ROW_CYCLES} cycles per row")
+                if message not in errors:
+                    errors.append(message)
+    return errors
 
 
 def _take_section(parent: dict, path: str, errors: list[str], kwargs: dict) -> None:

@@ -1,20 +1,25 @@
 """Gating policies: fixed, uniform cycling, free running, and adaptive.
 
-The adaptive policy is Thompson sampling on the depth posterior: each
-cycle it draws a depth from the current flux-marginalized posterior and
-gates there (minus an optional offset).  Gating at the sampled depth
-maximizes the expected reward -E[0-1 loss] for that hypothesis, because
-the gate position only attenuates the sampled bin through the rates
-scanned before it; an exhaustive check over all gates backs the closed
-form in the tests.
+The adaptive policy is Thompson sampling on the depth posterior: it gates
+at depths drawn from the flux-marginalized posterior (minus an optional
+offset).  Gating at the sampled depth maximizes the expected reward
+-E[0-1 loss] for that hypothesis, because the gate position only
+attenuates the sampled bin through the rates scanned before it; an
+exhaustive check over all gates backs the closed form in the tests.
 
-Fixed, uniform and free running are open loop, gate schedules and
-nothing else: ``gates(start, count)`` gives the gates of cycles
-``start .. start+count-1`` (an int64 array, or FREE_RUN), which
-``run_acquisition`` simulates in blocks.  They see no outcome and never
-stop early.  The adaptive policy has no ``gates``: it chooses each gate
-through ``next_gate`` after ``observe`` has seen the last outcome, and
-``should_stop`` ends its run.
+Every policy gives ``gates(start, count, rng)``, the gates of the next
+block of cycles, which ``run_acquisition`` simulates in one pass (see
+``spadsim``).  Fixed, uniform and free running are gate schedules and
+nothing else: all ``count`` gates of cycles ``start .. start+count-1``
+(an int64 array, or FREE_RUN); they draw nothing, see no outcome and
+never stop early.  The adaptive policy updates its gate periodically:
+without a stop rule, a block is its calibration, or Thompson draws from
+one posterior read, and ``observe_block`` folds the block's outcomes in
+one step before the next block is drawn.  The blocks grow with the
+cycles run (``spadsim.FEEDBACK_DIVISOR``).  With a stop rule it runs per
+cycle instead (``per_cycle``), since the rule reads the posterior after
+every cycle: ``next_gate`` draws one gate, ``observe`` folds one outcome
+and ``should_stop`` ends the run.
 
 Adaptive exposure stops an acquisition once the posterior is confident:
 when 1 - (posterior mass at the MAP bin), or optionally the posterior
@@ -27,17 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SceneTransient, detection_distribution, detection_likelihood, no_detection_probability
+from .core import SceneTransient, detection_distribution, detection_likelihood, law_statistics, no_detection_probability
 from .estimators import (
     BackgroundEstimate,
     DepthPosterior,
+    _fold,
     default_flux_grid,
     estimate_background,
     posterior_entropy,
     posterior_from_record,
     posterior_update,
 )
-from .spadsim import FREE_RUN, CycleOutcome, cycles_record
+from .spadsim import FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, cycles_record
 
 
 def termination_value(post: DepthPosterior, metric: str = "termination") -> float:
@@ -81,7 +87,7 @@ class FixedGatePolicy:
         self.gate = int(gate)
         self.num_bins = int(num_bins)
 
-    def gates(self, start: int, count: int) -> np.ndarray:
+    def gates(self, start: int, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.full(count, self.gate, dtype=np.int64)
 
 
@@ -91,14 +97,14 @@ class UniformGatePolicy:
     def __init__(self, num_bins: int):
         self.num_bins = int(num_bins)
 
-    def gates(self, start: int, count: int) -> np.ndarray:
+    def gates(self, start: int, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.arange(start, start + count, dtype=np.int64) % self.num_bins
 
 
 class FreeRunningPolicy:
     """No gating: re-arm the instant the dead time ends."""
 
-    def gates(self, start: int, count: int):
+    def gates(self, start: int, count: int, rng: np.random.Generator | None = None):
         return FREE_RUN
 
 
@@ -113,6 +119,12 @@ class AdaptiveGatePolicy:
     Every later cycle samples a depth from the posterior marginal and
     gates at (depth - gate_offset) mod B.  ``calibration_cycles`` is the
     policy's own count: the record of its run does not mark them.
+
+    Without a stop rule the policy runs in blocks (``gates`` and
+    ``observe_block``): the calibration is one block, and each later
+    block is up to max(1, cycles run // FEEDBACK_DIVISOR) draws from one
+    posterior read, folded in one step once simulated.  With a stop rule
+    it runs per cycle (``next_gate``, ``observe`` and ``should_stop``).
     """
 
     def __init__(
@@ -149,6 +161,38 @@ class AdaptiveGatePolicy:
         if self.calibration_cycles == 0:
             self._finalize()
 
+    @property
+    def per_cycle(self) -> bool:
+        """True with a stop rule, which reads the posterior after every cycle."""
+        return self.exposure is not None
+
+    def gates(self, start: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Gates of the next block of at most ``count`` cycles from cycle ``start``.
+
+        The rest of the calibration (evenly spread gates, no draws), or
+        max(1, start // FEEDBACK_DIVISOR) Thompson draws, capped at
+        ``count``, from the current posterior (one uniform each).
+        """
+        b = self.num_bins
+        if self.posterior is None:
+            n = min(count, self.calibration_cycles - start)
+            return np.arange(start, start + n, dtype=np.int64) * b // self.calibration_cycles % b
+        n = min(count, max(1, start // FEEDBACK_DIVISOR))
+        return (self.sample_depth(rng, n) - self.gate_offset) % b
+
+    def observe_block(self, gates, timestamps, detected, periods, durations) -> None:
+        """Take in a block's outcomes: buffer calibration, else fold them in one step."""
+        self.cycle_index += len(gates)
+        if self.posterior is None:
+            self._buffer.extend(zip(gates.tolist(), timestamps.tolist(), periods.tolist(), durations.tolist()))
+            if len(self._buffer) >= self.calibration_cycles:
+                self._finalize()
+        elif len(gates) == 1:  # the one-cycle update gives the fold's bits, faster
+            timestamp = int(timestamps[0])
+            posterior_update(self.posterior, timestamp if timestamp >= 0 else None, int(gates[0]), self.bkg_flux)
+        else:
+            _fold(self.posterior, law_statistics(self.num_bins, gates, timestamps, detected), self.bkg_flux)
+
     def next_gate(self, rng: np.random.Generator):
         if self.posterior is None:
             # Calibration: spread gates evenly across the period.
@@ -156,11 +200,14 @@ class AdaptiveGatePolicy:
         self.last_sampled_depth = self.sample_depth(rng)
         return (self.last_sampled_depth - self.gate_offset) % self.num_bins
 
-    def sample_depth(self, rng: np.random.Generator) -> int:
-        """One Thompson draw from the depth marginal (one uniform consumed)."""
+    def sample_depth(self, rng: np.random.Generator, count: int | None = None):
+        """Thompson draws from the depth marginal, one uniform each: one
+        depth (an int), or an int64 array of ``count`` from one read."""
         cdf = np.add.accumulate(self.posterior.rows)
-        idx = int(cdf.searchsorted(rng.random() * cdf[-1], "right"))
-        return idx if idx < self.num_bins else self.num_bins - 1
+        if count is None:
+            idx = int(cdf.searchsorted(rng.random() * cdf[-1], "right"))
+            return idx if idx < self.num_bins else self.num_bins - 1
+        return np.minimum(cdf.searchsorted(rng.random(count) * cdf[-1], "right"), self.num_bins - 1)
 
     def observe(self, outcome: CycleOutcome) -> None:
         self.cycle_index += 1

@@ -14,23 +14,29 @@ against ``detection_likelihood``.
 
 ``run_acquisition`` takes one of two paths:
 
-- Closed loop, per cycle.  A policy without a ``gates`` method (the
-  adaptive policy, calibration included) chooses each gate after seeing
-  the previous outcome: ``should_stop`` is asked before each cycle, then
-  ``next_gate`` gives its gate and ``observe`` gets its outcome as a
-  plain (gate, timestamp, elapsed periods, duration) tuple.  The loop
-  arms and scans inline (``_scan_exponential``), the same steps as
-  ``sample_cycle`` without its per-call state object, validation and
-  ``CycleOutcome``.
-- Open loop, in blocks.  Fixed, uniform and free-running policies are
-  gate schedules: they draw no randomness, see no outcome and never stop
-  early, so all such a policy gives is ``gates(start, count)``, the gates
-  of cycles start .. start+count-1 (or FREE_RUN, to arm immediately).  A
-  block draws its unit exponentials in one call: at most
-  ``BLOCK_CYCLES``, and at most as many cycles as could still start if
+- Closed loop, per cycle.  A policy whose ``per_cycle`` is true (the
+  adaptive policy with a stop rule, which reads the posterior after every
+  cycle) chooses each gate after seeing the previous outcome:
+  ``should_stop`` is asked before each cycle, then ``next_gate`` gives its
+  gate and ``observe`` gets its outcome as a plain (gate, timestamp,
+  elapsed periods, duration) tuple.  The loop arms and scans inline
+  (``_scan_exponential``), the same steps as ``sample_cycle`` without its
+  per-call state object, validation and ``CycleOutcome``.
+- Blocks.  Every other policy gives the gates of a block of cycles,
+  ``gates(start, count, rng)``: cycles start .. start+n-1 for some
+  n <= count (or FREE_RUN, to arm immediately, for all count cycles).
+  Fixed, uniform and free running are gate schedules: they draw no
+  randomness, see no outcome and give all count gates.  The adaptive
+  policy without a stop rule gives its calibration as one block, then
+  blocks of Thompson draws from one posterior read, each at most
+  ``1 / FEEDBACK_DIVISOR`` of the cycles run before it (at least one);
+  ``observe_block`` folds each block's kept cycles before the next block
+  is drawn.  ``count`` is at most ``BLOCK_CYCLES``, at most the cycle
+  cap's remainder, and at most as many cycles as could still start if
   each took the shortest possible time (the dead time after a detection
-  in its arm bin, or a censored scan, whichever is shorter).  Triggered
-  gates then locate every detection with one ``divmod`` and one
+  in its arm bin, or a censored scan, whichever is shorter).  A block
+  draws its unit exponentials in one call, after whatever ``gates`` drew.
+  Triggered gates then locate every detection with one ``divmod`` and one
   ``searchsorted`` over the block, and the ready times are a cumulative
   sum, because the phase a triggered cycle leaves the pixel in depends
   only on its own gate and draw.  Free running re-arms at that phase, so
@@ -38,14 +44,16 @@ against ``detection_likelihood``.
   in one loop with the scalar scan inlined, and keeps only the offsets;
   the arm phases are then one cumulative sum of the cycles' active times.
 
-Draw order: both paths draw exactly one unit exponential per cycle, in
-cycle order, and nothing else, so they give identical records.  A block
-cut short by the budget restores the generator and redraws only the
-cycles it kept, so the caller's generator ends where the per-cycle loop
-would leave it.  ``tests/test_spadsim.py`` checks both paths to the bit
-against a per-cycle reference loop over ``sample_cycle``
-(``tests/conftest.py``), which takes an open-loop cycle's gate from
-``gates(i, 1)``.
+Draw order: the closed loop draws, per cycle, what ``next_gate`` draws and
+then one unit exponential.  A block draws what ``gates`` draws (n
+uniforms for a block of Thompson draws, nothing for a schedule) and then
+n unit exponentials.  A block cut short by the budget restores the
+generator to just before its exponentials and redraws only the cycles it
+kept, so a schedule leaves the caller's generator where a per-cycle loop
+would, and a block of Thompson draws leaves it after its n uniforms and
+its kept exponentials.  ``tests/test_spadsim.py`` checks every path to
+the bit against reference loops over ``sample_cycle``
+(``tests/conftest.py``).
 
 Determinism: all randomness flows through one numpy PCG64 generator.
 Identical seeds give bit-identical records; per-pixel streams come from
@@ -74,10 +82,14 @@ class _FreeRunDirective:
 
 FREE_RUN = _FreeRunDirective()
 
-# The most cycles an open-loop block draws at once.  A block also draws no
-# more cycles than the rest of the budget can start at the shortest cycle
+# The most cycles a block draws at once.  A block also draws no more
+# cycles than the rest of the budget can start at the shortest cycle
 # possible, so a short acquisition draws only what it can use.
 BLOCK_CYCLES = 4096
+# A block of a policy that learns from its outcomes holds at most
+# 1 / FEEDBACK_DIVISOR of the cycles run before it (at least one), so a
+# run of T cycles reads its posterior O(log T) times.
+FEEDBACK_DIVISOR = 4
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -235,10 +247,10 @@ def run_acquisition(
     the minimal possible next cycle (one bin plus dead time) no longer
     fits in ``budget_bins``; so a budget smaller than one cycle yields an
     empty record, and exposure never overshoots the budget by more than
-    one cycle's duration.  A policy with a ``gates`` method is open loop
-    and runs in blocks (see the module docstring); any other policy sees
-    every outcome through ``observe`` and may consume randomness in
-    ``next_gate``, which returns a gate bin.
+    one cycle's duration.  A policy whose ``per_cycle`` is true sees every
+    outcome through ``observe`` and may consume randomness in
+    ``next_gate``, which returns a gate bin; any other runs in blocks of
+    ``gates`` (see the module docstring).
     """
     if budget_bins is None and max_cycles is None:
         raise ValueError("need a budget, a cycle cap, or both")
@@ -250,8 +262,8 @@ def run_acquisition(
     # The last ready time at which the minimal cycle (one bin plus dead
     # time) still fits in the budget.
     last_start = sys.maxsize if budget_bins is None else budget_bins - (1 + dead)
-    if hasattr(policy, "gates"):
-        return _run_open_loop(scene, policy, b, cap, dead, last_start, max_cycles, rng)
+    if not getattr(policy, "per_cycle", False):
+        return _run_blocks(scene, policy, b, cap, dead, last_start, max_cycles, rng)
     limit = sys.maxsize if max_cycles is None else max_cycles
     should_stop, next_gate, observe, exponential = policy.should_stop, policy.next_gate, policy.observe, rng.exponential
     cycles: list[tuple[int, int, int, int]] = []
@@ -273,7 +285,7 @@ def run_acquisition(
     return cycles_record(b, cycles)
 
 
-def _run_open_loop(
+def _run_blocks(
     scene: SceneTransient,
     policy,
     b: int,
@@ -283,7 +295,15 @@ def _run_open_loop(
     max_cycles: int | None,
     rng: np.random.Generator,
 ) -> AcquisitionRecord:
-    """``run_acquisition`` for a policy whose gates are known up front."""
+    """``run_acquisition`` for a policy that gives its gates a block at a time.
+
+    The policy's ``observe_block``, if it has one, gets the record columns
+    (gates, timestamps, detected, elapsed periods, durations) of each
+    block's kept cycles before the next block's gates are asked for.
+    Every block is kept until the run ends; ``harness.parse_config``
+    bounds a configured row to ``harness.MAX_ROW_CYCLES`` cycles.
+    """
+    observe = getattr(policy, "observe_block", None)
     ready, done = 0, 0
     blocks = []
     shortest = min(dead, cap * b)  # at least one bin: dead_time_bins >= 1
@@ -293,10 +313,12 @@ def _run_open_loop(
             n = min(n, max_cycles - done)
         if n <= 0:
             break
-        gates = policy.gates(done, n)
+        gates = policy.gates(done, n, rng)
+        free = gates is FREE_RUN
+        if not free:
+            n = len(gates)
         saved = rng.bit_generator.state
         e = rng.exponential(size=n)
-        free = gates is FREE_RUN
         if free:
             offsets = np.array(_free_run_offsets(scene, e.tolist(), ready, dead, cap, last_start), dtype=np.int64)
             censored = offsets < 0
@@ -314,13 +336,16 @@ def _run_open_loop(
         if m < n:  # the budget ends the run inside this block
             rng.bit_generator.state = saved
             rng.exponential(size=m)
-        blocks.append((
+        kept = (
             gates[:m],
             np.where(censored, -1, (gates + offsets) % b)[:m],
             ~censored[:m],
             np.where(censored, cap, offsets // b)[:m],
             durations[:m],
-        ))
+        )
+        blocks.append(kept)
+        if observe is not None:
+            observe(*kept)
         done += m
         ready = int(ends[m - 1])
     columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 5

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from spadgate import AcquisitionRecord
 from spadgate.core import law_statistics, peak_log_likelihood
-from spadgate.spadsim import FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
+from spadgate.estimators import _fold
+from spadgate.spadsim import BLOCK_CYCLES, FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -43,18 +45,27 @@ def outcomes_record(num_bins: int, outcomes: list[CycleOutcome]) -> AcquisitionR
     )
 
 
-def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
-    """Reference for ``run_acquisition``: one ``sample_cycle`` per cycle, any policy.
+def reference_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
+    """Reference for ``run_acquisition``: ``per_block_acquisition`` for an
+    adaptive policy without a stop rule, else ``per_cycle_acquisition``."""
+    per_block = hasattr(policy, "observe_block") and not policy.per_cycle
+    reference = per_block_acquisition if per_block else per_cycle_acquisition
+    return reference(scene, config, policy, budget_bins, max_cycles, seed)
 
-    An open-loop policy (one with ``gates``) gives cycle i's gate as
-    ``gates(i, 1)``.  A closed-loop one is asked ``should_stop``, then the
-    cycle cap, then the budget before each cycle; ``next_gate`` draws
-    before the cycle's exponential and ``observe`` sees its outcome.
+
+def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
+    """Reference for ``run_acquisition``: one ``sample_cycle`` per cycle.
+
+    A gate schedule (a policy with ``gates`` and no ``next_gate``) gives
+    cycle i's gate as ``gates(i, 1)``.  A closed-loop policy is asked
+    ``should_stop``, then the cycle cap, then the budget before each
+    cycle; ``next_gate`` draws before the cycle's exponential and
+    ``observe`` sees its outcome.
     """
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
     state = SimState(rng=rng)
     min_cycle = 1 + config.dead_time_bins
-    open_loop = hasattr(policy, "gates")
+    open_loop = not hasattr(policy, "next_gate")
     outcomes: list[CycleOutcome] = []
     while True:
         if not open_loop and policy.should_stop():
@@ -73,6 +84,56 @@ def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
         if not open_loop:
             policy.observe(outcome)
     return outcomes_record(scene.num_bins, outcomes)
+
+
+def per_block_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
+    """Reference for ``run_acquisition`` of an adaptive policy without a stop
+    rule: blocks of gates, then one ``sample_cycle`` per cycle.
+
+    Calibration cycles go through ``next_gate`` and ``observe`` one at a
+    time, as in the closed loop; they draw no uniforms, so their
+    exponentials are the closed loop's.  After calibration each block
+    holds the least of ``BLOCK_CYCLES``, the cycles the rest of the budget
+    could start at the shortest cycle (the dead time or a censored scan),
+    the cycle cap's remainder and max(1, cycles run // FEEDBACK_DIVISOR).
+    Its gates are Thompson draws from the policy's posterior as it stands,
+    one uniform each, bisected in the cumulative depth marginal; its
+    cycles then run until the block ends or the budget no longer holds
+    the minimal cycle, and the kept cycles are folded from their law
+    statistics in one step.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
+    state = SimState(rng=rng)
+    b = scene.num_bins
+    dead = config.dead_time_bins
+    shortest = min(dead, config.max_active_periods * b)
+    outcomes: list[CycleOutcome] = []
+
+    def room() -> int:
+        """Cycles that may still start: the cap's remainder, and those the budget holds."""
+        left = max_cycles - state.cycles if max_cycles is not None else BLOCK_CYCLES
+        if budget_bins is not None:
+            left = min(left, max(0, (budget_bins - 1 - dead - state.ready_time) // shortest + 1))
+        return left
+
+    while policy.posterior is None and room() > 0:
+        outcome = sample_cycle(scene, config, state, policy.next_gate(rng))
+        outcomes.append(outcome)
+        policy.observe(outcome)
+    while room() > 0:
+        n = min(BLOCK_CYCLES, room(), max(1, state.cycles // FEEDBACK_DIVISOR))
+        cdf = np.cumsum(policy.posterior.rows).tolist()
+        depths = [min(bisect.bisect_right(cdf, u * cdf[-1]), b - 1) for u in rng.random(n)]
+        block = []
+        for depth in depths:
+            if budget_bins is not None and state.ready_time + 1 + dead > budget_bins:
+                break
+            block.append(sample_cycle(scene, config, state, (depth - policy.gate_offset) % b))
+        outcomes += block
+        policy.cycle_index += len(block)
+        stats = law_statistics(b, [o.gate for o in block], [o.timestamp for o in block], [o.detected for o in block])
+        _fold(policy.posterior, stats, policy.bkg_flux)
+    return outcomes_record(b, outcomes)
 
 
 def full_period_cycle_rows(post, bkg_flux: float) -> tuple:

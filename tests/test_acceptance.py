@@ -13,10 +13,10 @@ of the adaptive policy beats a free-running baseline whose estimator is
 given the per-cycle arm phases. The free-running mode banks ~28% more
 detection cycles, and the budget is an order of magnitude too small for
 Thompson sampling to exit its exploration phase over 500 candidate bins,
-so adaptive gating degenerates to uniform gating with extra idle time
-(measured: adaptive does beat the uniform-gating policy, and wins cleanly
-once the posterior can converge - see criteria 8, 9, 11). The assertion is
-kept at the stated direction rather than weakened.
+so adaptive gating degenerates to uniform gating with extra idle time.
+Measured on its 200 seeds: adaptive loss 0.680 and RMSE 1.867 m, against
+free running's 0.675 and 1.741 m. The assertion is kept at the stated
+direction rather than weakened.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -207,6 +208,50 @@ def test_non_finite_sweep_values_and_integers_are_config_errors():
     assert str(exc.value) == (
         "experiment.seeds: expected int, got inf; sweep.ambient_flux: expected finite numbers, got [0.01, inf]; "
         "sweep.sbr: expected a list of numbers; sweep.budget_us: expected finite numbers, got [nan]")
+
+
+@pytest.mark.parametrize("value", [1e308, 1e300, 9.3e17])  # 9.3e17 ns is 9.3e18 bins, past 2**63
+def test_a_dead_time_of_more_bins_than_an_int64_is_a_config_error(value):
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["spad"]["dead_time_ns"] = value
+    with pytest.raises(sg.ConfigError, match=rf"^spad\.dead_time_ns {re.escape(repr(value))} gives a dead time of "
+                                             r"\S+ bins, more than an int64 holds$"):
+        sg.parse_config(raw)
+    raw["spad"]["dead_time_ns"] = 20.0
+    raw["sweep"] = {"dead_time_ns": [20.0, value]}
+    with pytest.raises(sg.ConfigError, match=rf"^sweep\.dead_time_ns {re.escape(repr(value))} gives"):
+        sg.parse_config(raw)
+    raw["sweep"] = {"dead_time_ns": [20.0, 9.2e17]}  # 9.2e18 bins fit
+    assert sg.parse_config(raw).sweep_dead_time_ns == (20.0, 9.2e17)
+
+
+def test_a_row_that_could_run_too_many_cycles_is_a_config_error():
+    # Only parsed, never run.  At 100 ps bins and a 20 ns (200-bin) dead
+    # time, a budget of B us lets (B * 10**4 - 201) // 200 + 1 cycles start.
+    assert harness.MAX_ROW_CYCLES == 10**7
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["budget_us"] = 200_000.0  # 10**7 cycles: at the cap, accepted
+    assert sg.parse_config(raw).budget_us == 200_000.0
+    raw["budget_us"] = 1e300
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(raw)
+    assert str(exc.value) == ("budget_us 1e+300 lets a row run up to 5e+301 cycles (dead time 200 bins), "
+                              "above the limit of 10000000 cycles per row")
+    raw["max_cycles"] = 1000  # the cycle cap bounds the row instead
+    assert sg.parse_config(raw).max_cycles == 1000
+    raw.update(budget_us=None, max_cycles=10**7 + 1)
+    with pytest.raises(sg.ConfigError, match=r"^max_cycles 10000001 lets a row run up to 10000001 cycles"):
+        sg.parse_config(raw)
+    raw.update(budget_us=20.0, max_cycles=None, sweep={"budget_us": [20.0, 200_001.0]})
+    with pytest.raises(sg.ConfigError, match=r"^sweep\.budget_us 200001\.0 lets a row run up to 10000049 cycles "):
+        sg.parse_config(raw)
+    # The shortest cycle is a censored scan when that is shorter than the dead time.
+    raw.update(sweep={"budget_us": [20.0]}, spad={**raw["spad"], "dead_time_ns": 1000.0, "max_active_periods": 1})
+    raw["budget_us"] = 20.0
+    assert sg.parse_config(raw).max_active_periods == 1
+    raw["sweep"] = {"budget_us": [40_002.0]}  # (4.0002e8 - 10001) // 40 + 1 cycles
+    with pytest.raises(sg.ConfigError, match=r"lets a row run up to 10000250 cycles \(dead time 10000 bins\)"):
+        sg.parse_config(raw)
 
 
 @pytest.mark.parametrize("prior, message", [
@@ -525,6 +570,27 @@ def test_sweep_thread_invariance(tmp_path):
     sg.write_aggregates_csv(a1, aggs1)
     sg.write_aggregates_csv(a4, aggs4)
     assert a1.read_bytes() == a4.read_bytes()
+
+
+def test_block_rows_are_thread_invariant(tmp_path, monkeypatch):
+    # Adaptive rows without a stop rule run in blocks of Thompson draws,
+    # calibration first; at 1 and 4 workers they give the same bytes.
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw.update(policies=[{"name": "adaptive", "kind": "adaptive"}], background={"mode": "estimated"},
+               sweep={"ambient_flux": [0.01, 0.05]})
+    cfg = sg.parse_config(raw)
+    blocks = []
+    observe = sg.AdaptiveGatePolicy.observe_block
+    monkeypatch.setattr(sg.AdaptiveGatePolicy, "observe_block",
+                        lambda self, *columns: blocks.append(len(columns[0])) or observe(self, *columns))
+    rows1, _, failures1 = sg.run_sweep(cfg, threads=1)
+    assert len(blocks) > 10 * len(rows1)  # the in-process run went through the blocks
+    rows4, _, failures4 = sg.run_sweep(cfg, threads=4)
+    assert failures1 == failures4 == []
+    p1, p4 = tmp_path / "r1.csv", tmp_path / "r4.csv"
+    sg.write_results_csv(p1, rows1)
+    sg.write_results_csv(p4, rows4)
+    assert p1.read_bytes() == p4.read_bytes()
 
 
 def test_compute_metrics_hand_check():

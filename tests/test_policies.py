@@ -437,15 +437,138 @@ def _golden_acquisitions():
 
 def test_adaptive_decisions_are_pinned():
     # Every gate (so every Thompson draw), every outcome, the stop and the
-    # final MAP of three acquisitions, hashed.  A change to the per-cycle
-    # path that flips one draw or moves one stop fails here, even if the
-    # bits of the posterior are free to move at rounding level.
-    digest = hashlib.sha256()
-    summary = []
+    # final MAP of three acquisitions, each hashed on its own.  A change to
+    # either path that flips one draw or moves one stop fails here, even if
+    # the bits of the posterior are free to move at rounding level.  The
+    # second acquisition has a stop rule, so it runs per cycle; the other
+    # two run in blocks.
+    pinned = []
     for record, post in _golden_acquisitions():
+        digest = hashlib.sha256()
         for column in (record.gates, record.timestamps, record.detected):
             digest.update(column.tobytes())
         digest.update(str(sg.map_depth(post)).encode())
-        summary.append((len(record), sg.map_depth(post)))
-    assert summary == [(930, 275), (329, 60), (121, 90)]
-    assert digest.hexdigest() == "05a7aa9310b886a4b18b601192230762826fd98efd4e8771d248b5fd82263f56"
+        pinned.append((len(record), sg.map_depth(post), digest.hexdigest()[:16]))
+    assert pinned == [(971, 275, "f36326a4cd52904f"), (329, 60, "d76121f3aa3a2966"), (120, 90, "3e9b0be5db3a8e98")]
+
+
+# ---------------------------------------------------------------------------
+# Periodic Thompson sampling: budget rows run in blocks
+
+_PAPER_SPAD = sg.SpadConfig(rep_rate_hz=20e6, num_bins=500, dead_time_ns=81.0)
+_PAPER_SCENE = sg.SceneTransient(num_bins=500, ambient_flux=0.02, peaks=((275, 0.04),))
+_PAPER_BUDGET = 500 * 2000  # 100 us of 100 ps bins
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_calibration_block_is_the_closed_loop_calibration(seed):
+    # The calibration block draws no uniforms, so its cycles and the
+    # background estimated from them are those of the per-cycle loop (a
+    # stop rule that never fires keeps that policy per cycle).
+    never = sg.ExposureControl(epsilon=1e-300, min_cycles=10**9)
+    block, closed = (sg.AdaptiveGatePolicy(num_bins=500, calibration_cycles=40, exposure=control)
+                     for control in (None, never))
+    assert not block.per_cycle and closed.per_cycle
+    records = [sg.run_acquisition(_PAPER_SCENE, _PAPER_SPAD, pol, budget_bins=_PAPER_BUDGET, seed=seed)
+               for pol in (block, closed)]
+    for field in ("gates", "timestamps", "detected", "elapsed_periods", "cycle_durations"):
+        first = [getattr(rec, field)[:40] for rec in records]
+        assert np.array_equal(*first), field
+    assert block.bkg_flux == closed.bkg_flux
+    assert block.background_estimate == closed.background_estimate
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("known", [False, True])
+def test_block_posterior_is_the_posterior_of_its_record(seed, known):
+    # Folding block by block is the batch posterior of the whole record,
+    # calibration included, up to rounding.
+    prior = sg.flatness_prior(500, prev_depth=270.0)
+    pol = sg.AdaptiveGatePolicy(num_bins=500, prior=prior, bkg_flux=0.02 if known else None,
+                                calibration_cycles=0 if known else 40)
+    rec = sg.run_acquisition(_PAPER_SCENE, _PAPER_SPAD, pol, budget_bins=_PAPER_BUDGET, seed=seed)
+    batch = sg.posterior_from_record(rec, pol.bkg_flux, pol.posterior.flux_grid, prior)
+    assert len(rec) > 900
+    assert sg.map_depth(pol.posterior) == sg.map_depth(batch)
+    assert np.allclose(pol.posterior.mass / pol.posterior.total, batch.mass / batch.total, rtol=1e-9, atol=1e-300)
+
+
+def _block_sizes(monkeypatch) -> tuple[list[int], list[int]]:
+    """Gates each adaptive block drew and cycles each kept, in order."""
+    drawn, kept = [], []
+    gates, observe = sg.AdaptiveGatePolicy.gates, sg.AdaptiveGatePolicy.observe_block
+
+    def counted_gates(self, start, count, rng):
+        out = gates(self, start, count, rng)
+        drawn.append(len(out))
+        return out
+
+    def counted_observe(self, *columns):
+        kept.append(len(columns[0]))
+        return observe(self, *columns)
+
+    monkeypatch.setattr(sg.AdaptiveGatePolicy, "gates", counted_gates)
+    monkeypatch.setattr(sg.AdaptiveGatePolicy, "observe_block", counted_observe)
+    return drawn, kept
+
+
+def test_a_block_cut_by_the_budget_stays_within_one_cycle_of_it(monkeypatch):
+    drawn, kept = _block_sizes(monkeypatch)
+    b, cap, dead = 500, _PAPER_SPAD.max_active_periods, _PAPER_SPAD.dead_time_bins
+    longest = (b - 1) + cap * b + dead  # a wait to the gate, a full scan, then the dead time
+    cut = 0
+    for seed in range(6):
+        drawn.clear()
+        kept.clear()
+        pol = sg.AdaptiveGatePolicy(num_bins=b, calibration_cycles=40)
+        rec = sg.run_acquisition(_PAPER_SCENE, _PAPER_SPAD, pol, budget_bins=_PAPER_BUDGET, seed=seed)
+        assert sum(kept) == len(rec) == pol.cycle_index
+        assert drawn[:-1] == kept[:-1]  # only the last block can be cut
+        cut += kept[-1] < drawn[-1]
+        started = rec.exposure_bins - int(rec.cycle_durations[-1])
+        assert started + 1 + dead <= _PAPER_BUDGET  # the minimal cycle fitted when the last one started
+        assert rec.exposure_bins + 1 + dead > _PAPER_BUDGET  # and no longer fits after it
+        assert rec.exposure_bins <= _PAPER_BUDGET + longest
+    assert cut >= 3  # most runs end inside a block
+
+
+def test_a_paper_point_row_folds_in_few_blocks(monkeypatch):
+    # A regression guard, by counting: an adaptive row without a stop rule
+    # reads and folds its posterior O(log T) times, not once per cycle.
+    # One-cycle blocks (fewer than FEEDBACK_DIVISOR * 2 cycles run) take
+    # the one-cycle update; every other block is one fold.
+    drawn, kept = _block_sizes(monkeypatch)
+    folds = {"batch": 0, "fold": 0, "one-cycle": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            folds[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(policies, "posterior_from_record", counting("batch", policies.posterior_from_record))
+    monkeypatch.setattr(policies, "_fold", counting("fold", policies._fold))
+    monkeypatch.setattr(policies, "posterior_update", counting("one-cycle", policies.posterior_update))
+    config = sg.parse_config({
+        "experiment": {"id": "paper-point", "seeds": 1, "global_seed": 77},
+        "spad": {"bin_resolution_ps": 100.0, "rep_rate_mhz": 20.0, "dead_time_ns": 81.0},
+        "scene": {"depth_bin": 275, "ambient_flux": 0.02, "sbr": 2.0},
+        "policies": [{"name": "adaptive", "kind": "adaptive"}],
+        "budget_us": 100.0,
+        "background": {"mode": "estimated"},
+    })
+    rows, _, failures = sg.run_sweep(config, threads=1)
+    assert not failures and 900 < rows[0].cycles < 1000
+    assert folds["batch"] == 1 and drawn[0] == 40  # the calibration block, folded from its record
+    assert folds["batch"] + folds["fold"] + folds["one-cycle"] <= 20
+    assert folds["one-cycle"] == kept.count(1) == 0
+
+    # A known background has no calibration: the first eight blocks hold one cycle each.
+    kept.clear()
+    folds.update({"batch": 0, "fold": 0, "one-cycle": 0})
+    known = sg.parse_config({**config.to_dict(), "background": {"mode": "known"}})
+    rows, _, failures = sg.run_sweep(known, threads=1)
+    assert not failures and 900 < rows[0].cycles < 1100
+    assert kept[:10] == [1] * 8 + [2, 2]
+    assert folds["one-cycle"] == kept.count(1) == 8
+    assert folds["fold"] == len(kept) - 8 and len(kept) <= 40

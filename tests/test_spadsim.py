@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import spadgate as sg
 from spadgate import spadsim
-from conftest import per_cycle_acquisition
+from conftest import reference_acquisition
 from spadgate.spadsim import SimState
 
 
@@ -221,12 +221,12 @@ def test_triggered_cycle_bookkeeping():
         ready += expect
 
 
-def _assert_matches_the_per_cycle_reference(scene, spad, make_policy, budget, max_cycles, seed=3):
-    """``run_acquisition`` and the per-cycle reference loop, each with a fresh policy, agree to the bit."""
+def _assert_matches_the_reference(scene, spad, make_policy, budget, max_cycles, seed=3):
+    """``run_acquisition`` and the reference loop, each with a fresh policy, agree to the bit."""
     run_policy, cycle_policy = make_policy(), make_policy()
     run_rng, cycle_rng = sg.stream_rng(seed), sg.stream_rng(seed)
     run = sg.run_acquisition(scene, spad, run_policy, budget_bins=budget, max_cycles=max_cycles, seed=run_rng)
-    cycle = per_cycle_acquisition(scene, spad, cycle_policy, budget_bins=budget, max_cycles=max_cycles, seed=cycle_rng)
+    cycle = reference_acquisition(scene, spad, cycle_policy, budget_bins=budget, max_cycles=max_cycles, seed=cycle_rng)
     for field in ("gates", "timestamps", "detected", "elapsed_periods", "cycle_durations"):
         assert np.array_equal(getattr(run, field), getattr(cycle, field)), field
     assert run.exposure_bins == cycle.exposure_bins
@@ -262,16 +262,16 @@ def test_open_loop_blocks_match_the_per_cycle_loop(b, ambient, peak, dead_bins, 
     spad = sg.SpadConfig(num_bins=b, bin_resolution_ps=100.0, dead_time_ns=dead_bins / 10, max_active_periods=cap)
     assert spad.dead_time_bins == max(dead_bins, 1)  # the detection bin is spent at zero dead time
     for make in _OPEN_LOOP.values():
-        _assert_matches_the_per_cycle_reference(scene, spad, lambda: make(b, gate), budget, max_cycles, seed)
+        _assert_matches_the_reference(scene, spad, lambda: make(b, gate), budget, max_cycles, seed)
 
 
 @pytest.mark.parametrize("kind", sorted(_OPEN_LOOP))
 def test_open_loop_runs_longer_than_one_block(kind):
     scene = sg.SceneTransient(num_bins=50, ambient_flux=0.02, peaks=((27, 0.3),))
     spad = sg.SpadConfig(num_bins=50, dead_time_ns=8.1, max_active_periods=4)
-    rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](50, 22), 1_500_000, None)
+    rec = _assert_matches_the_reference(scene, spad, lambda: _OPEN_LOOP[kind](50, 22), 1_500_000, None)
     assert len(rec) > 2 * spadsim.BLOCK_CYCLES
-    capped = _assert_matches_the_per_cycle_reference(
+    capped = _assert_matches_the_reference(
         scene, spad, lambda: _OPEN_LOOP[kind](50, 22), None, 2 * spadsim.BLOCK_CYCLES + 5)
     assert len(capped) == 2 * spadsim.BLOCK_CYCLES + 5
 
@@ -282,7 +282,7 @@ def test_open_loop_runs_longer_than_one_block(kind):
 def test_open_loop_record_with_every_cycle_censored(kind, ambient):
     scene = sg.SceneTransient(num_bins=12, ambient_flux=ambient)
     spad = sg.SpadConfig(num_bins=12, dead_time_ns=2.0, max_active_periods=2)
-    rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](12, 5), 10_000, None)
+    rec = _assert_matches_the_reference(scene, spad, lambda: _OPEN_LOOP[kind](12, 5), 10_000, None)
     assert len(rec) > 0 and not rec.detected.any()
     assert np.all(rec.timestamps == -1) and np.all(rec.elapsed_periods == 2)
 
@@ -329,7 +329,7 @@ _SIZED_BLOCK_CASES = {
 def test_blocks_sized_to_the_budget_match_the_per_cycle_loop(monkeypatch, kind, case):
     scene, spad, budget, max_cycles = _SIZED_BLOCK_CASES[case]
     handed = _count_block_draws(monkeypatch)
-    rec = _assert_matches_the_per_cycle_reference(scene, spad, lambda: _OPEN_LOOP[kind](scene.num_bins, 0),
+    rec = _assert_matches_the_reference(scene, spad, lambda: _OPEN_LOOP[kind](scene.num_bins, 0),
                                                   budget, max_cycles)
     shortest = min(spad.dead_time_bins, spad.max_active_periods * scene.num_bins)
     bound = (budget - 1 - spad.dead_time_bins) // shortest + 1  # cycles that could start
@@ -364,9 +364,28 @@ def test_zero_dead_time_cycles_are_bounded_by_the_budget(kind):
     else:
         def make():
             return _OPEN_LOOP[kind](b, 7)
-    rec = _assert_matches_the_per_cycle_reference(scene, spad, make, budget, None)
+    rec = _assert_matches_the_reference(scene, spad, make, budget, None)
     assert rec.detected.any() and rec.cycle_durations.min() >= 1
     assert len(rec) <= budget
+
+
+def test_a_calibration_longer_than_a_block_matches_the_reference():
+    # The calibration spans two blocks and is folded once the second ends;
+    # Thompson blocks follow.
+    n_cal = spadsim.BLOCK_CYCLES + 100
+    scene = sg.SceneTransient(num_bins=8, ambient_flux=0.1, peaks=((5, 0.4),))
+    spad = sg.SpadConfig(num_bins=8, dead_time_ns=1.0)
+    policies = []
+
+    def make():
+        policies.append(sg.AdaptiveGatePolicy(num_bins=8, calibration_cycles=n_cal))
+        return policies[-1]
+
+    rec = _assert_matches_the_reference(scene, spad, make, None, n_cal + 3000)
+    assert len(rec) == n_cal + 3000
+    run_post, reference_post = (pol.posterior for pol in policies)
+    assert run_post.mass.tobytes() == reference_post.mass.tobytes()
+    assert sg.map_depth(run_post) == 5
 
 
 # The gated-sweep operating point (500 bins, 81 ns dead time), run for 2000 us.
@@ -382,7 +401,7 @@ _SWEEP_SCENES = {
 @pytest.mark.parametrize("name", sorted(_SWEEP_SCENES))
 def test_free_running_matches_the_per_cycle_loop_at_sweep_scale(name):
     assert _SWEEP_SPAD.dead_time_bins == 810
-    rec = _assert_matches_the_per_cycle_reference(
+    rec = _assert_matches_the_reference(
         _SWEEP_SCENES[name], _SWEEP_SPAD, sg.FreeRunningPolicy, 20_000_000, None, seed=41)
     assert len(rec) > spadsim.BLOCK_CYCLES and len(rec) % spadsim.BLOCK_CYCLES  # ends inside a later block
     assert rec.detected.any()
@@ -395,7 +414,11 @@ def test_free_running_does_not_call_the_scalar_scan(monkeypatch):
     scene = _SWEEP_SCENES["ambient 0.02"]
     rec = sg.run_acquisition(scene, _SWEEP_SPAD, sg.FreeRunningPolicy(), budget_bins=200_000, seed=5)
     assert len(rec) > 100 and calls == []
-    sg.run_acquisition(scene, _SWEEP_SPAD, sg.AdaptiveGatePolicy(500, bkg_flux=0.02), max_cycles=3, seed=5)
+    rec = sg.run_acquisition(scene, _SWEEP_SPAD, sg.AdaptiveGatePolicy(500, bkg_flux=0.02), budget_bins=200_000,
+                             seed=5)
+    assert len(rec) > 100 and calls == []  # an adaptive row without a stop rule runs in blocks too
+    stopping = sg.AdaptiveGatePolicy(500, bkg_flux=0.02, exposure=sg.ExposureControl(epsilon=0.25))
+    sg.run_acquisition(scene, _SWEEP_SPAD, stopping, max_cycles=3, seed=5)
     assert len(calls) == 3  # the counter sees the closed loop's scans
 
 
@@ -417,7 +440,8 @@ def test_free_running_does_not_call_the_scalar_scan(monkeypatch):
 def test_closed_loop_matches_the_per_cycle_reference(
         b, ambient, peak, dead_bins, cap, budget, max_cycles, calibration, exposure, gate_offset, seed):
     # Adaptive acquisitions, background known (no calibration) or estimated
-    # from calibration cycles, with and without exposure control.
+    # from calibration cycles, with exposure control (per cycle, against the
+    # per-cycle reference) and without (in blocks, against the per-block one).
     if budget is None and max_cycles is None:
         max_cycles = 300
     peaks = () if peak is None else ((peak[0] % b, peak[1]),)
@@ -433,7 +457,7 @@ def test_closed_loop_matches_the_per_cycle_reference(
                                               gate_offset=gate_offset, exposure=control))
         return policies[-1]
 
-    _assert_matches_the_per_cycle_reference(scene, spad, policy, budget, max_cycles, seed)
+    _assert_matches_the_reference(scene, spad, policy, budget, max_cycles, seed)
     for pol in policies:
         pol.ensure_posterior()  # a run that ended inside calibration folds what it has
     run_post, cycle_post = (pol.posterior for pol in policies)
