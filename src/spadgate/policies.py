@@ -12,14 +12,13 @@ block of cycles, which ``run_acquisition`` simulates in one pass (see
 ``spadsim``).  Fixed, uniform and free running are gate schedules and
 nothing else: all ``count`` gates of cycles ``start .. start+count-1``
 (an int64 array, or FREE_RUN); they draw nothing, see no outcome and
-never stop early.  The adaptive policy updates its gate periodically:
-without a stop rule, a block is its calibration, or Thompson draws from
-one posterior read, and ``observe_block`` folds the block's outcomes in
-one step before the next block is drawn.  The blocks grow with the
-cycles run (``spadsim.FEEDBACK_DIVISOR``).  With a stop rule it runs per
-cycle instead (``per_cycle``), since the rule reads the posterior after
-every cycle: ``next_gate`` draws one gate, ``observe`` folds one outcome
-and ``should_stop`` ends the run.
+never stop early.  The adaptive policy updates its gate periodically: a
+block is its calibration, or Thompson draws from one posterior read, and
+``observe_block`` takes the block's outcomes before the next block is
+drawn.  The blocks grow with the cycles run (``spadsim.FEEDBACK_DIVISOR``).
+Without a stop rule a block is folded in one step; with one, it is taken
+one cycle at a time (``observe``), and the block ends at the first cycle
+after which ``should_stop`` holds.
 
 Adaptive exposure stops an acquisition once the posterior is confident:
 when 1 - (posterior mass at the MAP bin), or optionally the posterior
@@ -32,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SceneTransient, detection_distribution, detection_likelihood, law_statistics, no_detection_probability
+from .core import (
+    AcquisitionRecord,
+    SceneTransient,
+    detection_distribution,
+    detection_likelihood,
+    law_statistics,
+    no_detection_probability,
+)
 from .estimators import (
     BackgroundEstimate,
     DepthPosterior,
@@ -43,7 +49,7 @@ from .estimators import (
     posterior_from_record,
     posterior_update,
 )
-from .spadsim import FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, cycles_record
+from .spadsim import FEEDBACK_DIVISOR, FREE_RUN
 
 
 def termination_value(post: DepthPosterior, metric: str = "termination") -> float:
@@ -76,6 +82,8 @@ class ExposureControl:
             raise ValueError("epsilon must be positive")
         if self.metric not in ("termination", "entropy"):
             raise ValueError(f"unknown termination metric {self.metric!r}")
+        if self.min_cycles is not None and self.min_cycles < 0:
+            raise ValueError("min_cycles cannot be negative")
 
 
 class FixedGatePolicy:
@@ -120,11 +128,12 @@ class AdaptiveGatePolicy:
     gates at (depth - gate_offset) mod B.  ``calibration_cycles`` is the
     policy's own count: the record of its run does not mark them.
 
-    Without a stop rule the policy runs in blocks (``gates`` and
-    ``observe_block``): the calibration is one block, and each later
-    block is up to max(1, cycles run // FEEDBACK_DIVISOR) draws from one
-    posterior read, folded in one step once simulated.  With a stop rule
-    it runs per cycle (``next_gate``, ``observe`` and ``should_stop``).
+    The policy runs in blocks (``gates`` and ``observe_block``): the
+    calibration is one block, and each later block is up to max(1, cycles
+    run // FEEDBACK_DIVISOR) draws from one posterior read.  Without a
+    stop rule a block is folded in one step once simulated.  With one,
+    ``observe`` takes it cycle by cycle and ``should_stop`` is asked after
+    each, so the run ends at the first cycle at which the rule holds.
     """
 
     def __init__(
@@ -138,6 +147,8 @@ class AdaptiveGatePolicy:
         background_fallback: float = 0.01,
         flux_grid_spec: tuple[int, float, float] = (16, 0.1, 100.0),
     ):
+        if calibration_cycles < 0:
+            raise ValueError("calibration_cycles cannot be negative")
         if bkg_flux is None and calibration_cycles < 1:
             raise ValueError("unknown background needs calibration cycles to estimate it")
         self.num_bins = int(num_bins)
@@ -156,68 +167,70 @@ class AdaptiveGatePolicy:
         self.posterior: DepthPosterior | None = None
         self.bkg_flux: float | None = None
         self.background_estimate: BackgroundEstimate | None = None
-        self.last_sampled_depth: int | None = None
-        self._buffer: list[CycleOutcome] = []
+        self._buffer: list[tuple[np.ndarray, ...]] = []  # calibration blocks' record columns
         if self.calibration_cycles == 0:
             self._finalize()
-
-    @property
-    def per_cycle(self) -> bool:
-        """True with a stop rule, which reads the posterior after every cycle."""
-        return self.exposure is not None
 
     def gates(self, start: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Gates of the next block of at most ``count`` cycles from cycle ``start``.
 
         The rest of the calibration (evenly spread gates, no draws), or
         max(1, start // FEEDBACK_DIVISOR) Thompson draws, capped at
-        ``count``, from the current posterior (one uniform each).
+        ``count``, from the current posterior (one uniform each); none
+        once ``should_stop`` holds.
         """
         b = self.num_bins
         if self.posterior is None:
             n = min(count, self.calibration_cycles - start)
             return np.arange(start, start + n, dtype=np.int64) * b // self.calibration_cycles % b
+        if self.should_stop():
+            return np.zeros(0, dtype=np.int64)
         n = min(count, max(1, start // FEEDBACK_DIVISOR))
         return (self.sample_depth(rng, n) - self.gate_offset) % b
 
-    def observe_block(self, gates, timestamps, detected, periods, durations) -> None:
-        """Take in a block's outcomes: buffer calibration, else fold them in one step."""
-        self.cycle_index += len(gates)
+    def observe_block(self, gates, timestamps, detected, periods, durations) -> int:
+        """Take in a block's outcomes and return how many cycles were taken.
+
+        Calibration is buffered.  Without a stop rule a block of several
+        cycles is folded in one step.  Otherwise the cycles go one at a
+        time through ``observe``, and the block ends at the first after
+        which ``should_stop`` holds.
+        """
+        n = len(gates)
         if self.posterior is None:
-            self._buffer.extend(zip(gates.tolist(), timestamps.tolist(), periods.tolist(), durations.tolist()))
-            if len(self._buffer) >= self.calibration_cycles:
+            self.cycle_index += n
+            self._buffer.append((gates, timestamps, detected, periods, durations))
+            if self.cycle_index >= self.calibration_cycles:
                 self._finalize()
-        elif len(gates) == 1:  # the one-cycle update gives the fold's bits, faster
-            timestamp = int(timestamps[0])
-            posterior_update(self.posterior, timestamp if timestamp >= 0 else None, int(gates[0]), self.bkg_flux)
-        else:
+            return n
+        if self.exposure is None and n > 1:  # a one-cycle block takes observe: the fold's bits, faster
+            self.cycle_index += n
             _fold(self.posterior, law_statistics(self.num_bins, gates, timestamps, detected), self.bkg_flux)
+            return n
+        for taken, (gate, timestamp) in enumerate(zip(gates.tolist(), timestamps.tolist()), 1):
+            self.observe(gate, timestamp)
+            if self.should_stop():
+                return taken
+        return n
 
-    def next_gate(self, rng: np.random.Generator):
-        if self.posterior is None:
-            # Calibration: spread gates evenly across the period.
-            return (self.cycle_index * self.num_bins) // self.calibration_cycles % self.num_bins
-        self.last_sampled_depth = self.sample_depth(rng)
-        return (self.last_sampled_depth - self.gate_offset) % self.num_bins
-
-    def sample_depth(self, rng: np.random.Generator, count: int | None = None):
-        """Thompson draws from the depth marginal, one uniform each: one
-        depth (an int), or an int64 array of ``count`` from one read."""
-        cdf = np.add.accumulate(self.posterior.rows)
-        if count is None:
-            idx = int(cdf.searchsorted(rng.random() * cdf[-1], "right"))
-            return idx if idx < self.num_bins else self.num_bins - 1
-        return np.minimum(cdf.searchsorted(rng.random(count) * cdf[-1], "right"), self.num_bins - 1)
-
-    def observe(self, outcome: CycleOutcome) -> None:
+    def observe(self, gate: int, timestamp: int) -> None:
+        """Fold one cycle after calibration; ``timestamp`` -1 is a censored cycle."""
         self.cycle_index += 1
-        if self.posterior is None:
-            self._buffer.append(outcome)
-            if len(self._buffer) >= self.calibration_cycles:
-                self._finalize()
-            return
-        gate, timestamp = outcome[0], outcome[1]
         posterior_update(self.posterior, timestamp if timestamp >= 0 else None, gate, self.bkg_flux)
+
+    def next_gate(self, rng: np.random.Generator) -> int:
+        """The next cycle's gate, as a block of one.
+
+        Kept because ``bench/tracing.py`` patches it by name; it goes with
+        ROADMAP item 1's change to the benchmark.
+        """
+        return int(self.gates(self.cycle_index, 1, rng)[0])
+
+    def sample_depth(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` Thompson draws from one read of the depth marginal, one
+        uniform each, as an int64 array."""
+        cdf = np.add.accumulate(self.posterior.rows)
+        return np.minimum(cdf.searchsorted(rng.random(count) * cdf[-1], "right"), self.num_bins - 1)
 
     def should_stop(self) -> bool:
         """True once past ``min_cycles`` with the exposure metric below epsilon."""
@@ -232,7 +245,8 @@ class AdaptiveGatePolicy:
             self._finalize()
 
     def _finalize(self) -> None:
-        record = cycles_record(self.num_bins, self._buffer)
+        columns = [np.concatenate(c) for c in zip(*self._buffer)] if self._buffer else [()] * 5
+        record = AcquisitionRecord(self.num_bins, *columns, exposure_bins=int(np.sum(columns[4])))
         if self.known_bkg is not None:
             self.bkg_flux = float(self.known_bkg)
         else:

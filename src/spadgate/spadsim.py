@@ -12,48 +12,38 @@ a cycle draws one unit exponential and locates the detection bin in the
 cumulative rate profile; the tests check the resulting outcome law
 against ``detection_likelihood``.
 
-``run_acquisition`` takes one of two paths:
+``run_acquisition`` runs every policy in blocks of cycles.  A policy
+gives the gates of a block, ``gates(start, count, rng)``: cycles start ..
+start+n-1 for some n <= count (or FREE_RUN, to arm immediately, for all
+count cycles); an empty block ends the run.  Fixed, uniform and free
+running are gate schedules: they draw no randomness, see no outcome and
+give all count gates.  The adaptive policy gives its calibration as one
+block, then blocks of Thompson draws from one posterior read, each at most
+``1 / FEEDBACK_DIVISOR`` of the cycles run before it (at least one), and
+an empty block once its stop rule holds.  Its ``observe_block`` takes each
+block's kept cycles before the next block is drawn, and returns how many
+of them it took: a stop rule reads the posterior after every cycle, so it
+can end the run inside a block.  ``count`` is at most ``BLOCK_CYCLES``, at
+most the cycle cap's remainder, and at most as many cycles as could still
+start if each took the shortest possible time (the dead time after a
+detection in its arm bin, or a censored scan, whichever is shorter).  A
+block draws its unit exponentials in one call, after whatever ``gates``
+drew.  Triggered gates then locate every detection with one ``divmod`` and
+one ``searchsorted`` over the block, and the ready times are a cumulative
+sum, because the phase a triggered cycle leaves the pixel in depends only
+on its own gate and draw.  Free running re-arms at that phase, so
+``_free_run_offsets`` walks the phase recurrence one cycle at a time, in
+one loop with the scalar scan inlined, and keeps only the offsets; the arm
+phases are then one cumulative sum of the cycles' active times.
 
-- Closed loop, per cycle.  A policy whose ``per_cycle`` is true (the
-  adaptive policy with a stop rule, which reads the posterior after every
-  cycle) chooses each gate after seeing the previous outcome:
-  ``should_stop`` is asked before each cycle, then ``next_gate`` gives its
-  gate and ``observe`` gets its outcome as a plain (gate, timestamp,
-  elapsed periods, duration) tuple.  The loop arms and scans inline
-  (``_scan_exponential``), the same steps as ``sample_cycle`` without its
-  per-call state object, validation and ``CycleOutcome``.
-- Blocks.  Every other policy gives the gates of a block of cycles,
-  ``gates(start, count, rng)``: cycles start .. start+n-1 for some
-  n <= count (or FREE_RUN, to arm immediately, for all count cycles).
-  Fixed, uniform and free running are gate schedules: they draw no
-  randomness, see no outcome and give all count gates.  The adaptive
-  policy without a stop rule gives its calibration as one block, then
-  blocks of Thompson draws from one posterior read, each at most
-  ``1 / FEEDBACK_DIVISOR`` of the cycles run before it (at least one);
-  ``observe_block`` folds each block's kept cycles before the next block
-  is drawn.  ``count`` is at most ``BLOCK_CYCLES``, at most the cycle
-  cap's remainder, and at most as many cycles as could still start if
-  each took the shortest possible time (the dead time after a detection
-  in its arm bin, or a censored scan, whichever is shorter).  A block
-  draws its unit exponentials in one call, after whatever ``gates`` drew.
-  Triggered gates then locate every detection with one ``divmod`` and one
-  ``searchsorted`` over the block, and the ready times are a cumulative
-  sum, because the phase a triggered cycle leaves the pixel in depends
-  only on its own gate and draw.  Free running re-arms at that phase, so
-  ``_free_run_offsets`` walks the phase recurrence one cycle at a time,
-  in one loop with the scalar scan inlined, and keeps only the offsets;
-  the arm phases are then one cumulative sum of the cycles' active times.
-
-Draw order: the closed loop draws, per cycle, what ``next_gate`` draws and
-then one unit exponential.  A block draws what ``gates`` draws (n
-uniforms for a block of Thompson draws, nothing for a schedule) and then
-n unit exponentials.  A block cut short by the budget restores the
-generator to just before its exponentials and redraws only the cycles it
-kept, so a schedule leaves the caller's generator where a per-cycle loop
-would, and a block of Thompson draws leaves it after its n uniforms and
-its kept exponentials.  ``tests/test_spadsim.py`` checks every path to
-the bit against reference loops over ``sample_cycle``
-(``tests/conftest.py``).
+Draw order: a block draws what ``gates`` draws (n uniforms for a block of
+Thompson draws, nothing for a schedule) and then n unit exponentials.  A
+block cut short, by the budget or by a stop rule, restores the generator
+to just before its exponentials and redraws only the cycles it kept, so a
+schedule leaves the caller's generator where a per-cycle loop would, and a
+block of Thompson draws leaves it after its n uniforms and its kept
+exponentials.  ``tests/test_spadsim.py`` checks every policy to the bit
+against a reference loop over ``sample_cycle`` (``tests/conftest.py``).
 
 Determinism: all randomness flows through one numpy PCG64 generator.
 Identical seeds give bit-identical records; per-pixel streams come from
@@ -107,11 +97,7 @@ class SimState:
 
 
 class CycleOutcome(NamedTuple):
-    """One armed cycle: effective gate, folded timestamp (-1 if censored), time spent.
-
-    Policies see each outcome through ``observe`` as a tuple of these four
-    fields; the closed loop of ``run_acquisition`` passes plain tuples.
-    """
+    """One armed cycle: effective gate, folded timestamp (-1 if censored), time spent."""
 
     gate: int
     timestamp: int
@@ -247,10 +233,14 @@ def run_acquisition(
     the minimal possible next cycle (one bin plus dead time) no longer
     fits in ``budget_bins``; so a budget smaller than one cycle yields an
     empty record, and exposure never overshoots the budget by more than
-    one cycle's duration.  A policy whose ``per_cycle`` is true sees every
-    outcome through ``observe`` and may consume randomness in
-    ``next_gate``, which returns a gate bin; any other runs in blocks of
-    ``gates`` (see the module docstring).
+    one cycle's duration.  The policy gives its gates a block at a time
+    (see the module docstring).  Its ``observe_block``, if it has one,
+    gets the record columns (gates, timestamps, detected, elapsed periods,
+    durations) of each block's kept cycles before the next block's gates
+    are asked for, and returns how many of them it took; the block ends
+    after those.  Every block is kept until the run ends;
+    ``harness.parse_config`` bounds a configured row to
+    ``harness.MAX_ROW_CYCLES`` cycles.
     """
     if budget_bins is None and max_cycles is None:
         raise ValueError("need a budget, a cycle cap, or both")
@@ -262,47 +252,6 @@ def run_acquisition(
     # The last ready time at which the minimal cycle (one bin plus dead
     # time) still fits in the budget.
     last_start = sys.maxsize if budget_bins is None else budget_bins - (1 + dead)
-    if not getattr(policy, "per_cycle", False):
-        return _run_blocks(scene, policy, b, cap, dead, last_start, max_cycles, rng)
-    limit = sys.maxsize if max_cycles is None else max_cycles
-    should_stop, next_gate, observe, exponential = policy.should_stop, policy.next_gate, policy.observe, rng.exponential
-    cycles: list[tuple[int, int, int, int]] = []
-    ready = 0
-    while not should_stop() and len(cycles) < limit and ready <= last_start:
-        gate = next_gate(rng)
-        if not 0 <= gate < b:
-            raise ValueError(f"gate {gate} outside [0, {b})")
-        arm = ready + (gate - ready) % b
-        phase = arm % b
-        offset = _scan_exponential(scene, phase, exponential(), cap)
-        if offset is None:
-            outcome = (phase, -1, cap, arm + cap * b - ready)
-        else:
-            outcome = (phase, (arm + offset) % b, offset // b, arm + offset + dead - ready)
-        ready += outcome[3]
-        cycles.append(outcome)
-        observe(outcome)
-    return cycles_record(b, cycles)
-
-
-def _run_blocks(
-    scene: SceneTransient,
-    policy,
-    b: int,
-    cap: int,
-    dead: int,
-    last_start: int,
-    max_cycles: int | None,
-    rng: np.random.Generator,
-) -> AcquisitionRecord:
-    """``run_acquisition`` for a policy that gives its gates a block at a time.
-
-    The policy's ``observe_block``, if it has one, gets the record columns
-    (gates, timestamps, detected, elapsed periods, durations) of each
-    block's kept cycles before the next block's gates are asked for.
-    Every block is kept until the run ends; ``harness.parse_config``
-    bounds a configured row to ``harness.MAX_ROW_CYCLES`` cycles.
-    """
     observe = getattr(policy, "observe_block", None)
     ready, done = 0, 0
     blocks = []
@@ -317,6 +266,8 @@ def _run_blocks(
         free = gates is FREE_RUN
         if not free:
             n = len(gates)
+            if n == 0:  # the policy ended the run
+                break
         saved = rng.bit_generator.state
         e = rng.exponential(size=n)
         if free:
@@ -333,9 +284,6 @@ def _run_blocks(
         durations = (gates - left_at) % b + active
         ends = ready + np.cumsum(durations)
         m = int(np.searchsorted(ends - durations, last_start, side="right"))
-        if m < n:  # the budget ends the run inside this block
-            rng.bit_generator.state = saved
-            rng.exponential(size=m)
         kept = (
             gates[:m],
             np.where(censored, -1, (gates + offsets) % b)[:m],
@@ -343,9 +291,13 @@ def _run_blocks(
             np.where(censored, cap, offsets // b)[:m],
             durations[:m],
         )
-        blocks.append(kept)
         if observe is not None:
-            observe(*kept)
+            m = observe(*kept)
+            kept = tuple(column[:m] for column in kept)
+        if m < n:  # the budget or the policy ends the run inside this block
+            rng.bit_generator.state = saved
+            rng.exponential(size=m)
+        blocks.append(kept)
         done += m
         ready = int(ends[m - 1])
     columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 5
@@ -392,20 +344,3 @@ def _free_run_offsets(
             ready += offset + dead
     return offsets
 
-
-def cycles_record(num_bins: int, cycles: list) -> AcquisitionRecord:
-    """Record of consecutive cycle outcomes from the start of a run.
-
-    Each outcome is a (gate, timestamp, elapsed periods, duration) tuple,
-    such as a ``CycleOutcome``.
-    """
-    gates, timestamps, periods, durations = np.array(cycles, dtype=np.int64).reshape(len(cycles), 4).T.copy()
-    return AcquisitionRecord(
-        num_bins=num_bins,
-        gates=gates,
-        timestamps=timestamps,
-        detected=timestamps >= 0,
-        elapsed_periods=periods,
-        cycle_durations=durations,
-        exposure_bins=int(durations.sum()),
-    )

@@ -10,7 +10,8 @@ import pytest
 
 from spadgate import AcquisitionRecord
 from spadgate.core import law_statistics, peak_log_likelihood
-from spadgate.estimators import _fold
+from spadgate.estimators import _fold, posterior_update
+from spadgate.policies import termination_value
 from spadgate.spadsim import BLOCK_CYCLES, FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
 
 
@@ -46,61 +47,23 @@ def outcomes_record(num_bins: int, outcomes: list[CycleOutcome]) -> AcquisitionR
 
 
 def reference_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
-    """Reference for ``run_acquisition``: ``per_block_acquisition`` for an
-    adaptive policy without a stop rule, else ``per_cycle_acquisition``."""
-    per_block = hasattr(policy, "observe_block") and not policy.per_cycle
-    reference = per_block_acquisition if per_block else per_cycle_acquisition
-    return reference(scene, config, policy, budget_bins, max_cycles, seed)
-
-
-def per_cycle_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
     """Reference for ``run_acquisition``: one ``sample_cycle`` per cycle.
 
-    A gate schedule (a policy with ``gates`` and no ``next_gate``) gives
-    cycle i's gate as ``gates(i, 1)``.  A closed-loop policy is asked
-    ``should_stop``, then the cycle cap, then the budget before each
-    cycle; ``next_gate`` draws before the cycle's exponential and
-    ``observe`` sees its outcome.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
-    state = SimState(rng=rng)
-    min_cycle = 1 + config.dead_time_bins
-    open_loop = not hasattr(policy, "next_gate")
-    outcomes: list[CycleOutcome] = []
-    while True:
-        if not open_loop and policy.should_stop():
-            break
-        if max_cycles is not None and state.cycles >= max_cycles:
-            break
-        if budget_bins is not None and state.ready_time + min_cycle > budget_bins:
-            break
-        if open_loop:
-            gates = policy.gates(state.cycles, 1)
-            gate = FREE_RUN if gates is FREE_RUN else int(gates[0])
-        else:
-            gate = policy.next_gate(rng)
-        outcome = sample_cycle(scene, config, state, gate)
-        outcomes.append(outcome)
-        if not open_loop:
-            policy.observe(outcome)
-    return outcomes_record(scene.num_bins, outcomes)
-
-
-def per_block_acquisition(scene, config, policy, budget_bins=None, max_cycles=None, seed=0) -> AcquisitionRecord:
-    """Reference for ``run_acquisition`` of an adaptive policy without a stop
-    rule: blocks of gates, then one ``sample_cycle`` per cycle.
-
-    Calibration cycles go through ``next_gate`` and ``observe`` one at a
-    time, as in the closed loop; they draw no uniforms, so their
-    exponentials are the closed loop's.  After calibration each block
-    holds the least of ``BLOCK_CYCLES``, the cycles the rest of the budget
-    could start at the shortest cycle (the dead time or a censored scan),
-    the cycle cap's remainder and max(1, cycles run // FEEDBACK_DIVISOR).
-    Its gates are Thompson draws from the policy's posterior as it stands,
-    one uniform each, bisected in the cumulative depth marginal; its
-    cycles then run until the block ends or the budget no longer holds
-    the minimal cycle, and the kept cycles are folded from their law
-    statistics in one step.
+    A gate schedule (a policy without ``observe_block``) gives cycle i's
+    gate as ``gates(i, 1)``.  An adaptive policy runs its calibration on
+    evenly spread gates, then blocks of Thompson draws.  Before each cycle
+    the cycle cap and the budget are checked; the run ends once either
+    leaves no room for the minimal cycle (one bin plus the dead time).
+    Each Thompson block holds the least of ``BLOCK_CYCLES``, the cycles
+    the rest of the budget could start at the shortest cycle (the dead
+    time or a censored scan), the cycle cap's remainder and max(1, cycles
+    run // FEEDBACK_DIVISOR).  Its gates are draws from the policy's
+    posterior as it stands, one uniform each, bisected in the cumulative
+    depth marginal.  Without a stop rule, the block's kept cycles are
+    folded from their law statistics in one step.  With one, each cycle
+    is folded on its own, and the run ends at the first cycle index at or
+    after ``min_cycles`` whose termination value is below epsilon,
+    whether at a block's start or inside one.
     """
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
     state = SimState(rng=rng)
@@ -116,23 +79,48 @@ def per_block_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
             left = min(left, max(0, (budget_bins - 1 - dead - state.ready_time) // shortest + 1))
         return left
 
+    if not hasattr(policy, "observe_block"):
+        while room() > 0:
+            gates = policy.gates(state.cycles, 1)
+            outcomes.append(sample_cycle(scene, config, state, FREE_RUN if gates is FREE_RUN else int(gates[0])))
+        return outcomes_record(b, outcomes)
+
+    control = policy.exposure
+
+    def stopped() -> bool:
+        if control is None or policy.cycle_index < policy.min_cycles:
+            return False
+        return termination_value(policy.posterior, control.metric) < control.epsilon
+
+    n_cal = policy.calibration_cycles
     while policy.posterior is None and room() > 0:
-        outcome = sample_cycle(scene, config, state, policy.next_gate(rng))
-        outcomes.append(outcome)
-        policy.observe(outcome)
-    while room() > 0:
+        outcomes.append(sample_cycle(scene, config, state, state.cycles * b // n_cal % b))
+        if state.cycles == n_cal or room() == 0:  # calibration done, or the run ends inside it
+            calibration = outcomes_record(b, outcomes)
+            policy.observe_block(calibration.gates, calibration.timestamps, calibration.detected,
+                                 calibration.elapsed_periods, calibration.cycle_durations)
+    while room() > 0 and not stopped():
         n = min(BLOCK_CYCLES, room(), max(1, state.cycles // FEEDBACK_DIVISOR))
         cdf = np.cumsum(policy.posterior.rows).tolist()
         depths = [min(bisect.bisect_right(cdf, u * cdf[-1]), b - 1) for u in rng.random(n)]
         block = []
         for depth in depths:
-            if budget_bins is not None and state.ready_time + 1 + dead > budget_bins:
+            if room() == 0:
                 break
             block.append(sample_cycle(scene, config, state, (depth - policy.gate_offset) % b))
+            if control is not None:
+                timestamp = block[-1].timestamp
+                posterior_update(policy.posterior, timestamp if timestamp >= 0 else None, block[-1].gate,
+                                 policy.bkg_flux)
+                policy.cycle_index += 1
+                if stopped():
+                    break
         outcomes += block
-        policy.cycle_index += len(block)
-        stats = law_statistics(b, [o.gate for o in block], [o.timestamp for o in block], [o.detected for o in block])
-        _fold(policy.posterior, stats, policy.bkg_flux)
+        if control is None:
+            policy.cycle_index += len(block)
+            stats = law_statistics(b, [o.gate for o in block], [o.timestamp for o in block],
+                                   [o.detected for o in block])
+            _fold(policy.posterior, stats, policy.bkg_flux)
     return outcomes_record(b, outcomes)
 
 

@@ -967,7 +967,19 @@ def test_traced_run_hooks_see_every_adaptive_cycle():
     out = json.loads(done.stdout.splitlines()[-1])
     spans, cycles = out["spans"], out["cycles"]
     assert out["failures"] == 0 and len(cycles) == 2 and 20 <= min(cycles) < 500  # one stopped by the rule
-    assert spans["estimators.posterior_update"] == sum(n - 10 for n in cycles)
-    assert spans["policies.thompson_draw"] == sum(n - 10 for n in cycles)
-    assert spans["policies.should_stop"] == sum(n + 1 for n in cycles)  # once more at the stop
+    # Every cycle after calibration is one update, through observe.
+    assert spans["estimators.posterior_update"] == spans["policies.observe"] == sum(n - 10 for n in cycles)
+
+    def blocks(n: int) -> int:
+        """Thompson blocks of a row of n cycles: max(1, done // 4) draws each, capped at the 500."""
+        done, count = 10, 0
+        while done < n:
+            done += min(max(1, done // 4), 500 - done)
+            count += 1
+        return count
+
+    assert spans["policies.thompson_draw"] == sum(blocks(n) for n in cycles)
+    # Once at each block's start, once more where a stop rule ended the row,
+    # and once after each cycle taken.
+    assert spans["policies.should_stop"] == sum(blocks(n) + (n < 500) + n - 10 for n in cycles)
     assert spans["harness.row"] == spans["spadsim.acquisition"] == 2

@@ -12,12 +12,12 @@ from conftest import assert_marginal_is_the_stored_rows
 from spadgate import estimators, policies
 from spadgate.core import law_statistics
 from spadgate.estimators import _fold
-from spadgate.spadsim import CycleOutcome
 
 
-def _outcome(gate, ts=None, periods=0, duration=100):
-    return CycleOutcome(gate=gate, timestamp=-1 if ts is None else ts, elapsed_periods=periods,
-                        cycle_duration_bins=duration)
+def _block(gates, timestamps):
+    """Record columns of a block (timestamp None if censored): no elapsed periods, 100 bins per cycle."""
+    stamps = np.array([-1 if ts is None else ts for ts in timestamps], dtype=np.int64)
+    return np.array(gates, dtype=np.int64), stamps, stamps >= 0, np.zeros_like(stamps), np.full_like(stamps, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,9 @@ def test_exposure_control_validation():
         sg.ExposureControl(epsilon=0.0)
     with pytest.raises(ValueError):
         sg.ExposureControl(metric="nope")
+    with pytest.raises(ValueError):
+        sg.ExposureControl(min_cycles=-4)  # as parse_config rejects exposure.min_cycles below 0
+    sg.ExposureControl(min_cycles=0)  # fine: may stop before the first cycle
 
 
 def test_should_stop_respects_min_cycles():
@@ -105,6 +108,12 @@ def test_adaptive_requires_calibration_when_background_unknown():
     sg.AdaptiveGatePolicy(num_bins=8, bkg_flux=0.1)  # fine, no calibration needed
 
 
+def test_adaptive_rejects_a_negative_calibration():
+    # Rejected here, not left to fail later inside run_acquisition.
+    with pytest.raises(ValueError, match="calibration_cycles"):
+        sg.AdaptiveGatePolicy(8, bkg_flux=0.1, calibration_cycles=-3)
+
+
 def test_adaptive_known_background_skips_calibration():
     pol = sg.AdaptiveGatePolicy(num_bins=8, bkg_flux=0.1)
     assert pol.posterior is not None
@@ -114,20 +123,10 @@ def test_adaptive_known_background_skips_calibration():
 
 def test_adaptive_calibration_gates_spread_evenly():
     pol = sg.AdaptiveGatePolicy(num_bins=100, calibration_cycles=5)
-    rng = sg.stream_rng(1)
-    gates = []
-    for _ in range(5):
-        g = pol.next_gate(rng)
-        gates.append(g)
-        pol.observe(_outcome(g))
-    assert gates == [0, 20, 40, 60, 80]
+    assert pol.gates(0, 4096, sg.stream_rng(1)).tolist() == [0, 20, 40, 60, 80]
+    assert pol.gates(2, 2, sg.stream_rng(1)).tolist() == [40, 60]  # any stretch of it, capped at count
     pol8 = sg.AdaptiveGatePolicy(num_bins=8, calibration_cycles=3)
-    gates8 = []
-    for _ in range(3):
-        g = pol8.next_gate(rng)
-        gates8.append(g)
-        pol8.observe(_outcome(g))
-    assert gates8 == [0, 2, 5]
+    assert pol8.gates(0, 4096, sg.stream_rng(1)).tolist() == [0, 2, 5]
 
 
 def test_adaptive_finalizes_after_calibration_and_replays_buffer():
@@ -136,18 +135,18 @@ def test_adaptive_finalizes_after_calibration_and_replays_buffer():
     pol = sg.AdaptiveGatePolicy(num_bins=num_bins, prior=prior, calibration_cycles=n_cal)
     rng = sg.stream_rng(2)
     timestamps = [3, None, 5, 0]
-    gates = []
-    for ts in timestamps:
-        g = pol.next_gate(rng)  # calibration chooses the gate
-        gates.append(g)
-        pol.observe(_outcome(g, ts=ts))
-    assert gates == [0, 2, 5, 7]
+    gates = pol.gates(0, 4096, rng)  # calibration chooses the gates
+    assert gates.tolist() == [0, 2, 5, 7]
+    # two blocks of calibration: buffered until the count is reached, then folded
+    assert pol.observe_block(*_block(gates[:1], timestamps[:1])) == 1
+    assert pol.posterior is None
+    assert pol.observe_block(*_block(gates[1:], timestamps[1:])) == 3
     assert pol.posterior is not None
     assert pol.bkg_flux is not None
     # replay must equal a batch posterior over the same outcomes
     import conftest
 
-    record = conftest.make_record(num_bins, list(zip(gates, timestamps)))
+    record = conftest.make_record(num_bins, list(zip(gates.tolist(), timestamps)))
     batch = sg.posterior_from_record(
         record, pol.bkg_flux, prior=prior, flux_grid=pol.posterior.flux_grid
     )
@@ -156,10 +155,7 @@ def test_adaptive_finalizes_after_calibration_and_replays_buffer():
 
 def test_adaptive_ensure_posterior_with_partial_buffer():
     pol = sg.AdaptiveGatePolicy(num_bins=8, calibration_cycles=10, background_fallback=0.03)
-    rng = sg.stream_rng(3)
-    for _ in range(2):
-        g = pol.next_gate(rng)
-        pol.observe(_outcome(g))
+    pol.observe_block(*_block(pol.gates(0, 2, sg.stream_rng(3)), [None, None]))
     assert pol.posterior is None
     pol.ensure_posterior()
     assert pol.posterior is not None
@@ -182,20 +178,24 @@ def test_thompson_gate_tracks_sampled_depth():
     pol = sg.AdaptiveGatePolicy(num_bins=12, bkg_flux=0.1)
     _sharpen(pol, 9)
     rng = sg.stream_rng(4)
-    assert pol.next_gate(rng) == 9
-    assert pol.last_sampled_depth == 9
+    assert pol.gates(0, 1, rng).tolist() == [9]
+    assert pol.gates(40, 4096, rng).tolist() == [9] * 10  # 40 // FEEDBACK_DIVISOR draws
+    assert pol.next_gate(rng) == 9  # the one-gate form the bench tracer times
     offset_pol = sg.AdaptiveGatePolicy(num_bins=12, bkg_flux=0.1, gate_offset=3)
     _sharpen(offset_pol, 2)
-    assert offset_pol.next_gate(rng) == (2 - 3) % 12
+    assert offset_pol.gates(0, 1, rng).tolist() == [(2 - 3) % 12]
 
 
 def test_sample_depth_consumes_exactly_one_uniform():
+    # One uniform per draw, so a block of n draws is n uniforms.
     pol = sg.AdaptiveGatePolicy(num_bins=16, bkg_flux=0.1)
-    a = sg.stream_rng(5)
-    b = sg.stream_rng(5)
-    pol.sample_depth(a)
-    b.random()
-    assert a.random() == b.random()
+    for count in (1, 5):
+        a = sg.stream_rng(5)
+        b = sg.stream_rng(5)
+        depths = pol.sample_depth(a, count)
+        assert depths.dtype == np.int64 and depths.shape == (count,)
+        b.random(count)
+        assert a.random() == b.random()
 
 
 def test_sample_depth_uniform_posterior_chi_squared():
@@ -204,7 +204,7 @@ def test_sample_depth_uniform_posterior_chi_squared():
     num_bins, draws = 100, 100_000
     pol = sg.AdaptiveGatePolicy(num_bins=num_bins, bkg_flux=0.1)
     rng = sg.stream_rng(6)
-    samples = np.array([pol.sample_depth(rng) for _ in range(draws)])
+    samples = pol.sample_depth(rng, draws)
     counts = np.bincount(samples, minlength=num_bins)
     expected = draws / num_bins
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -214,7 +214,7 @@ def test_sample_depth_uniform_posterior_chi_squared():
 def test_sample_depth_respects_posterior_mass():
     pol = sg.AdaptiveGatePolicy(num_bins=4, bkg_flux=0.1, prior=np.array([0.7, 0.3, 0.0, 0.0]))
     rng = sg.stream_rng(7)
-    samples = np.array([pol.sample_depth(rng) for _ in range(20_000)])
+    samples = pol.sample_depth(rng, 20_000)
     freq = np.bincount(samples, minlength=4) / samples.size
     assert freq[0] == pytest.approx(0.7, abs=0.02)
     assert freq[1] == pytest.approx(0.3, abs=0.02)
@@ -392,7 +392,7 @@ class _NumpyCounter:
 
 
 def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
-    # A controlled cycle (Thompson draw, update, stop check) touches the
+    # A controlled cycle (Thompson draw, stop check, update, stop check) touches the
     # joint mass only to multiply it whole, once, and to sum it once over
     # the flux axis: no exp or log over the joint.  The stop rule and the
     # next draw read the rows that sum installed.
@@ -408,10 +408,9 @@ def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
     whole = f"multiply {pol.posterior.mass.shape}"
     for cycle, shift in enumerate([3, 0, None, 19, 7, 1, None, 12]):
         numpy.calls.clear()
-        gate = pol.next_gate(rng)
+        gate = int(pol.gates(cycle, 1, rng)[0])
         mass = pol.posterior.mass
-        pol.observe(_outcome(gate, ts=None if shift is None else (gate + shift) % num_bins))
-        assert not pol.should_stop()
+        assert pol.observe_block(*_block([gate], [None if shift is None else (gate + shift) % num_bins])) == 1
         assert numpy.calls == [whole, "flux-axis sum"], cycle
         assert pol.posterior.mass is mass  # multiplied in place
 
@@ -440,8 +439,8 @@ def test_adaptive_decisions_are_pinned():
     # final MAP of three acquisitions, each hashed on its own.  A change to
     # either path that flips one draw or moves one stop fails here, even if
     # the bits of the posterior are free to move at rounding level.  The
-    # second acquisition has a stop rule, so it runs per cycle; the other
-    # two run in blocks.
+    # second acquisition has a stop rule, so it folds its blocks cycle by
+    # cycle and stops inside one; the other two fold each block at once.
     pinned = []
     for record, post in _golden_acquisitions():
         digest = hashlib.sha256()
@@ -449,11 +448,11 @@ def test_adaptive_decisions_are_pinned():
             digest.update(column.tobytes())
         digest.update(str(sg.map_depth(post)).encode())
         pinned.append((len(record), sg.map_depth(post), digest.hexdigest()[:16]))
-    assert pinned == [(971, 275, "f36326a4cd52904f"), (329, 60, "d76121f3aa3a2966"), (120, 90, "3e9b0be5db3a8e98")]
+    assert pinned == [(971, 275, "f36326a4cd52904f"), (1190, 60, "0af31e4c68905621"), (120, 90, "3e9b0be5db3a8e98")]
 
 
 # ---------------------------------------------------------------------------
-# Periodic Thompson sampling: budget rows run in blocks
+# Periodic Thompson sampling: every adaptive row runs in blocks
 
 _PAPER_SPAD = sg.SpadConfig(rep_rate_hz=20e6, num_bins=500, dead_time_ns=81.0)
 _PAPER_SCENE = sg.SceneTransient(num_bins=500, ambient_flux=0.02, peaks=((275, 0.04),))
@@ -461,21 +460,20 @@ _PAPER_BUDGET = 500 * 2000  # 100 us of 100 ps bins
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_calibration_block_is_the_closed_loop_calibration(seed):
-    # The calibration block draws no uniforms, so its cycles and the
-    # background estimated from them are those of the per-cycle loop (a
-    # stop rule that never fires keeps that policy per cycle).
+def test_a_stop_rule_keeps_the_calibration_block(seed):
+    # The calibration block draws no uniforms and reads no stop rule, so a
+    # row with a stop rule (one that never fires here) runs the same
+    # calibration cycles as a row without, and estimates the same background.
     never = sg.ExposureControl(epsilon=1e-300, min_cycles=10**9)
-    block, closed = (sg.AdaptiveGatePolicy(num_bins=500, calibration_cycles=40, exposure=control)
-                     for control in (None, never))
-    assert not block.per_cycle and closed.per_cycle
+    block, stopping = (sg.AdaptiveGatePolicy(num_bins=500, calibration_cycles=40, exposure=control)
+                       for control in (None, never))
     records = [sg.run_acquisition(_PAPER_SCENE, _PAPER_SPAD, pol, budget_bins=_PAPER_BUDGET, seed=seed)
-               for pol in (block, closed)]
+               for pol in (block, stopping)]
     for field in ("gates", "timestamps", "detected", "elapsed_periods", "cycle_durations"):
         first = [getattr(rec, field)[:40] for rec in records]
         assert np.array_equal(*first), field
-    assert block.bkg_flux == closed.bkg_flux
-    assert block.background_estimate == closed.background_estimate
+    assert block.bkg_flux == stopping.bkg_flux
+    assert block.background_estimate == stopping.background_estimate
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -494,7 +492,7 @@ def test_block_posterior_is_the_posterior_of_its_record(seed, known):
 
 
 def _block_sizes(monkeypatch) -> tuple[list[int], list[int]]:
-    """Gates each adaptive block drew and cycles each kept, in order."""
+    """Gates each adaptive block drew and cycles the policy took of each, in order."""
     drawn, kept = [], []
     gates, observe = sg.AdaptiveGatePolicy.gates, sg.AdaptiveGatePolicy.observe_block
 
@@ -504,8 +502,8 @@ def _block_sizes(monkeypatch) -> tuple[list[int], list[int]]:
         return out
 
     def counted_observe(self, *columns):
-        kept.append(len(columns[0]))
-        return observe(self, *columns)
+        kept.append(observe(self, *columns))
+        return kept[-1]
 
     monkeypatch.setattr(sg.AdaptiveGatePolicy, "gates", counted_gates)
     monkeypatch.setattr(sg.AdaptiveGatePolicy, "observe_block", counted_observe)
@@ -530,6 +528,57 @@ def test_a_block_cut_by_the_budget_stays_within_one_cycle_of_it(monkeypatch):
         assert rec.exposure_bins + 1 + dead > _PAPER_BUDGET  # and no longer fits after it
         assert rec.exposure_bins <= _PAPER_BUDGET + longest
     assert cut >= 3  # most runs end inside a block
+
+
+def _replayed_stop(record, make_policy) -> int | None:
+    """Cycles up to the first stop of a fresh stop-rule policy fed ``record``
+    cycle by cycle (known background), or None if it never stops."""
+    pol = make_policy()
+    for i, (gate, timestamp) in enumerate(zip(record.gates.tolist(), record.timestamps.tolist())):
+        pol.observe(gate, timestamp)
+        if i + 1 >= pol.min_cycles and sg.termination_value(pol.posterior) < pol.exposure.epsilon:
+            return i + 1
+    return None
+
+
+def test_a_stop_inside_a_block_ends_the_record_at_the_stop(monkeypatch):
+    # A stop-rule row draws its blocks like a budget row, but takes them a
+    # cycle at a time: the record ends at the first cycle at or after
+    # min_cycles whose termination value is below epsilon, most often inside
+    # the block that reached it, and its exposure is the sum of the kept
+    # durations.
+    drawn, kept = _block_sizes(monkeypatch)
+    spad = sg.SpadConfig(rep_rate_hz=100e6, num_bins=100, dead_time_ns=81.0)
+    scene = sg.SceneTransient(num_bins=100, ambient_flux=0.01, peaks=((60, 0.05),))
+
+    def make():
+        return sg.AdaptiveGatePolicy(num_bins=100, bkg_flux=0.01, exposure=sg.ExposureControl(0.25, min_cycles=30))
+
+    cut = 0
+    for seed in range(6):
+        drawn.clear()
+        kept.clear()
+        pol = make()
+        rec = sg.run_acquisition(scene, spad, pol, max_cycles=4000, seed=seed)
+        assert 30 <= len(rec) < 4000 and pol.cycle_index == len(rec)
+        assert _replayed_stop(rec, make) == len(rec)
+        assert rec.exposure_bins == int(rec.cycle_durations.sum())
+        assert drawn[-1] == 0  # the stop rule held at the next block's start
+        assert sum(kept) == len(rec) and drawn[:-2] == kept[:-1]
+        cut += kept[-1] < drawn[-2]  # the stop cut its block short
+    assert cut >= 3
+
+
+def test_a_stop_before_the_first_cycle_leaves_an_empty_record():
+    # With min_cycles 0 and epsilon above the prior's termination value
+    # (1 - 1/B), the rule holds before any cycle runs.
+    spad = sg.SpadConfig(rep_rate_hz=100e6, num_bins=100, dead_time_ns=81.0)
+    scene = sg.SceneTransient(num_bins=100, ambient_flux=0.01, peaks=((60, 0.05),))
+    pol = sg.AdaptiveGatePolicy(num_bins=100, bkg_flux=0.01, exposure=sg.ExposureControl(0.995, min_cycles=0))
+    rng = sg.stream_rng(4)
+    rec = sg.run_acquisition(scene, spad, pol, max_cycles=4000, seed=rng)
+    assert len(rec) == 0 and rec.exposure_bins == 0 and pol.cycle_index == 0
+    assert rng.random() == sg.stream_rng(4).random()  # nothing was drawn
 
 
 def test_a_paper_point_row_folds_in_few_blocks(monkeypatch):
