@@ -11,7 +11,10 @@ Hardware timestamps are recorded modulo the pulse period (folded).
 Everything downstream (estimators, gating policies, the simulator) is built
 on the per-cycle probability kernels in this module.  The log likelihood
 of folded timestamps is written once (``_law``), on four sufficient
-statistics of the cycles (``law_statistics``).
+statistics of the cycles (``law_statistics``).  Over the one-peak scenes
+of the depth posterior it is ``peak_log_likelihood``, which reads the
+flux-grid terms a posterior computes once (``peak_columns``) and builds
+the (depth, flux) array flux-major, in a few contiguous passes.
 """
 
 from __future__ import annotations
@@ -366,7 +369,8 @@ class LawStatistics(NamedTuple):
 def _window_counts(starts: np.ndarray, lengths: np.ndarray, num_bins: int) -> np.ndarray:
     """Per-bin count of cyclic windows [start, start + length), one per pass.
 
-    Partial windows go through a difference array over two periods.
+    Windows may span whole periods (the histogram's multi-period scans);
+    partial windows go through a difference array over two periods.
     """
     full, rem = np.divmod(lengths, num_bins)
     size = 2 * num_bins
@@ -375,12 +379,22 @@ def _window_counts(starts: np.ndarray, lengths: np.ndarray, num_bins: int) -> np
 
 
 def law_statistics(num_bins: int, gates, timestamps, detected) -> LawStatistics:
-    """Sufficient statistics of per-cycle (gate, folded timestamp, detected) outcomes."""
+    """Sufficient statistics of per-cycle (gate, folded timestamp, detected) outcomes.
+
+    A detected cycle's window [gate, timestamp) is shorter than a period,
+    so ``passed`` is one difference array over one period: +1 at each
+    gate, -1 at each timestamp, summed up, plus 1 in every bin for each
+    window that wraps past the period's end (timestamp < gate).
+    """
     det = np.asarray(detected, dtype=bool)
-    gates = np.asarray(gates, dtype=np.int64)[det]
-    stamps = np.asarray(timestamps, dtype=np.int64)[det]
-    passed = _window_counts(gates, (stamps - gates) % num_bins, num_bins)
-    return LawStatistics(np.bincount(stamps, minlength=num_bins), passed, stamps.size, det.size - stamps.size)
+    gates = np.asarray(gates, dtype=np.int64)
+    stamps = np.asarray(timestamps, dtype=np.int64)
+    if not det.all():
+        gates, stamps = gates[det], stamps[det]
+    counts = np.bincount(stamps, minlength=num_bins)
+    passed = np.cumsum(np.bincount(gates, minlength=num_bins) - counts)
+    passed += np.count_nonzero(stamps < gates)
+    return LawStatistics(counts, passed, stamps.size, det.size - stamps.size)
 
 
 def _count_times(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
@@ -391,18 +405,19 @@ def _count_times(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
         return np.where(counts > 0, counts * log_p, 0.0)
 
 
-def _law(stats: LawStatistics, detect_term, pass_term, total, log_detect):
+def _law(stats: LawStatistics, ll, pass_term, total, log_detect):
     """c.log1mexp(r) - P.r - N_det log1mexp(sum r) - N_cens sum r, per hypothesis.
 
-    Takes c.log1mexp(r), P.r, sum r and log1mexp(sum r).  A detected cycle
-    folding onto t after scanning [gate, t) has probability
+    Takes ``ll`` = c.log1mexp(r) (an array is updated in place), P.r, sum r
+    and log1mexp(sum r), the last taken as 0 where sum r is 0.  A detected
+    cycle folding onto t after scanning [gate, t) has probability
     (1 - e^-r_t) e^-(rates scanned) / (1 - e^-sum r), its period index
     summed out; a censored cycle counts one period without a detection.
+    With no rate at all c.log1mexp(r) is already -inf.
     """
-    ll = detect_term - pass_term
+    ll -= pass_term
     if stats.detected:
-        # With no rate at all detect_term is already -inf; keep it so.
-        ll -= stats.detected * np.where(total > 0.0, log_detect, 0.0)
+        ll -= stats.detected * log_detect
     if stats.censored:
         ll -= stats.censored * total
     return ll
@@ -419,29 +434,49 @@ def sequence_log_likelihood(scene: SceneTransient, record: AcquisitionRecord) ->
     stats = law_statistics(record.num_bins, record.gates, record.timestamps, record.detected)
     rates, total = scene.rates, scene.total_rate
     detect_term = float(_count_times(stats.counts, log1mexp(rates)).sum())
-    return float(_law(stats, detect_term, float(stats.passed @ rates), total, log1mexp(total)))
+    log_detect = log1mexp(total) if total > 0.0 else 0.0
+    return float(_law(stats, detect_term, float(stats.passed @ rates), total, log_detect))
 
 
-def peak_log_likelihood(
-    stats: LawStatistics, bkg_flux: float, flux: np.ndarray, num_bins: int | None = None
-) -> np.ndarray:
+class PeakColumns(NamedTuple):
+    """The flux-grid terms of ``peak_log_likelihood`` for one background,
+    grid and period, as (K, 1) columns (``background`` is a scalar)."""
+
+    flux: np.ndarray
+    hit: np.ndarray  # log1mexp(bkg + f)
+    background: np.float64  # log1mexp(bkg)
+    detect: np.ndarray  # log1mexp(B bkg + f), 0 where B bkg + f is 0
+    total: np.ndarray  # B bkg + f
+
+
+def peak_columns(bkg_flux: float, flux: np.ndarray, num_bins: int) -> PeakColumns:
+    """``peak_log_likelihood``'s terms for background ``bkg_flux``, flux grid
+    ``flux`` and a period of ``num_bins`` bins."""
+    k = flux.size
+    total = num_bins * bkg_flux + flux
+    logs = log1mexp(np.concatenate((bkg_flux + flux, total, [bkg_flux])))
+    detect = np.where(total > 0.0, logs[k:-1], 0.0)
+    return PeakColumns(flux[:, None], logs[:k, None], logs[-1], detect[:, None], total[:, None])
+
+
+def peak_log_likelihood(stats: LawStatistics, columns: PeakColumns) -> np.ndarray:
     """Law log likelihood of each scene r = bkg + f e_d: peak bin d by row, flux f by column.
 
     Rank-one form: c.log1mexp(r) = (N_det - c_d) log1mexp(bkg) + c_d
     log1mexp(bkg + f), P.r = bkg sum(P) + P_d f (bkg sum(P) is dropped, as
     it is the same in every cell) and sum r = B bkg + f.  Each row reads
     only its own c_d and P_d, so ``stats`` may carry a few representative
-    rows of a period of ``num_bins`` bins (default: one row per bin).
+    rows of the period ``columns`` was made for.  The array is built as
+    (K, B), one contiguous pass per term, and returned transposed: a
+    (B, K) flux-major view, laid out like a posterior's mass.  Each cell
+    takes the terms in the order above.
     """
-    k = flux.size
-    total = (stats.counts.size if num_bins is None else num_bins) * bkg_flux + flux
-    logs = log1mexp(np.concatenate((bkg_flux + flux, total, [bkg_flux])))
-    # Float columns: int-by-float products over (B, K) are several times slower.
-    counts = stats.counts[:, None].astype(float)
-    detect_term = _count_times(counts, logs[:k])
-    detect_term += _count_times(stats.detected - counts, logs[-1:])
-    pass_term = stats.passed[:, None].astype(float) * flux
-    return _law(stats, detect_term, pass_term, total, logs[k:-1])
+    # Float counts: int-by-float products are several times slower.
+    counts = stats.counts.astype(float)
+    ll = _count_times(counts, columns.hit)
+    ll += _count_times(stats.detected - counts, columns.background)
+    ll = _law(stats, ll, columns.flux * stats.passed.astype(float), columns.total, columns.detect)
+    return ll.T
 
 
 def timestamps_to_histogram(record: AcquisitionRecord, num_bins: int | None = None) -> DetectedHistogram:

@@ -40,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import AcquisitionRecord, DetectedHistogram, LawStatistics, law_statistics, log1mexp, peak_log_likelihood
-from .core import timestamps_to_histogram
+from .core import AcquisitionRecord, DetectedHistogram, LawStatistics, law_statistics, log1mexp
+from .core import peak_columns, peak_log_likelihood, timestamps_to_histogram
 
 
 @dataclass
@@ -138,15 +138,16 @@ class DepthPosterior:
     outcomes had zero probability under every cell of positive mass; their
     update is skipped rather than aborting.
 
-    Each posterior keeps its own one-cycle factors (``_cycle_rows``) and a
-    factor buffer of the mass's shape (written by ``posterior_update``); a
-    copy starts without either.
+    Each posterior keeps what it reads off the law for its background and
+    grid (``_Factors``: the likelihood's column terms and the one-cycle
+    factors) and a factor buffer of the mass's shape (written by
+    ``posterior_update``); a copy starts without either.
     """
 
     def __init__(self, mass: np.ndarray, flux_grid: np.ndarray, degraded_cycles: int = 0):
         self.flux_grid = flux_grid
         self.degraded_cycles = degraded_cycles
-        self._factors: tuple | None = None
+        self._factors: _Factors | None = None
         self._buffer: np.ndarray | None = None
         self._buffer_holds: tuple = (None, 0, 0)  # (step, gate, rows from gate not holding "other")
         mass = np.array(mass, dtype=float, order="F")
@@ -246,25 +247,51 @@ def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+class _Factors:
+    """What a posterior reads off the law for one background and flux grid:
+    ``peak_log_likelihood``'s column terms, and, built on first use, the
+    one-cycle row templates and the factor steps of each combination
+    (``_cycle_rows``)."""
+
+    def __init__(self, bkg_flux: float, flux_grid: np.ndarray, num_bins: int):
+        self.bkg_flux = bkg_flux
+        self.flux_grid = flux_grid
+        self.columns = peak_columns(bkg_flux, flux_grid, num_bins)
+        self.rows: tuple | None = None
+        self.steps: dict = {}
+
+
+def _factors(post: DepthPosterior, bkg_flux: float) -> _Factors:
+    """The posterior's ``_Factors`` for ``bkg_flux``, rebuilt when the background or grid changed."""
+    cache = post._factors  # the mass's shape is fixed, so the background and grid are the key
+    if cache is None or cache.bkg_flux != bkg_flux or cache.flux_grid is not post.flux_grid:
+        _check_background(bkg_flux)
+        cache = post._factors = _Factors(bkg_flux, post.flux_grid, post.num_bins)
+    return cache
+
+
 def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float) -> DepthPosterior:
     """Bayes update by cycle outcomes summarized as ``stats``, in place.
 
     Every (depth, flux) cell is multiplied by exp(like - c), its law
-    likelihood over the largest cell's, in the steps of ``_factor_steps``
-    with an install after each.  If the outcomes have zero probability
-    under every cell of positive mass, the posterior is left unchanged and
-    all of them count in ``degraded_cycles``.
+    likelihood over the largest cell's: one exp, taken in place on the
+    flux-major likelihood, when every cell lies within _STEP nats of c;
+    otherwise in the steps of ``_factor_steps``, with an install after
+    each.  If the outcomes have zero probability under every cell of
+    positive mass, the posterior is left unchanged and all of them count
+    in ``degraded_cycles``.
     """
-    _check_background(bkg_flux)
-    like = peak_log_likelihood(stats, bkg_flux, post.flux_grid)
+    like = peak_log_likelihood(stats, _factors(post, bkg_flux).columns)
     cycles = stats.detected + stats.censored
     c = like.max()
     if not math.isfinite(c):  # no cell can give these outcomes
         post.degraded_cycles += cycles
         return post
-    for factor in _factor_steps(like - c):
-        updated = np.multiply(post.mass, factor, out=np.empty_like(post.mass))  # keeps the flux-major layout
-        if not _install(post, updated, cycles):
+    like -= c
+    for factor in [np.exp(like, out=like)] if like.min() > -_STEP else _factor_steps(like):
+        # The product goes to the factor's own flux-major array, so the mass
+        # stays as it was if nothing is left to install.
+        if not _install(post, np.multiply(post.mass, factor, out=factor), cycles):
             break
     return post
 
@@ -284,19 +311,17 @@ def _cycle_rows(post: DepthPosterior, bkg_flux: float, combo: tuple | None) -> l
     factor is exp(value - c), what ``_fold`` multiplies by for such a
     cycle, to the bit.  None if no cell can give the combination.
     """
-    cache = post._factors  # the mass's shape is fixed, so the background and grid are the key
-    if cache is None or cache[0] != bkg_flux or cache[1] is not post.flux_grid:
-        _check_background(bkg_flux)
-        flux, b = post.flux_grid, post.num_bins
+    cache = _factors(post, bkg_flux)
+    if cache.rows is None:
         # One row of each type: a detected cycle's statistics at its hit, at
         # a bin of its window and at any other bin, then a censored cycle's.
         # The period's total rate still counts all B bins.
-        detected = peak_log_likelihood(LawStatistics(np.array([1, 0, 0]), np.array([0, 1, 0]), 1, 0), bkg_flux, flux, b)
-        censored = peak_log_likelihood(LawStatistics(np.zeros(1, np.int64), np.zeros(1, np.int64), 0, 1), bkg_flux, flux, b)
-        cache = post._factors = (bkg_flux, flux, (*detected, censored[0]), {})
-    steps = cache[3]
+        detected = peak_log_likelihood(LawStatistics(np.array([1, 0, 0]), np.array([0, 1, 0]), 1, 0), cache.columns)
+        censored = peak_log_likelihood(LawStatistics(np.zeros(1, np.int64), np.zeros(1, np.int64), 0, 1), cache.columns)
+        cache.rows = (*detected, censored[0])
+    steps = cache.steps
     if combo not in steps:
-        hit, window, other, censored = cache[2]
+        hit, window, other, censored = cache.rows
         if combo is None:
             kinds = (censored, censored, censored)
         else:  # an absent row type is never read

@@ -277,20 +277,30 @@ def run_acquisition(
             offsets, censored = _locate_block(scene, gates, e, cap)
         # Bins from arming to ready; a censored cycle leaves the pixel at its
         # arm phase, a detected one dead time past the detection.
-        active = np.where(censored, cap * b, offsets + dead)
+        some_censored = censored.any()
+        active = offsets + dead
+        if some_censored:
+            active[censored] = cap * b
         if free:  # each cycle arms where the last one left the pixel
-            gates = (ready + np.cumsum(active) - active) % b
-        left_at = np.concatenate(([ready % b], (gates[:-1] + active[:-1]) % b))
-        durations = (gates - left_at) % b + active
-        ends = ready + np.cumsum(durations)
-        m = int(np.searchsorted(ends - durations, last_start, side="right"))
-        kept = (
-            gates[:m],
-            np.where(censored, -1, (gates + offsets) % b)[:m],
-            ~censored[:m],
-            np.where(censored, cap, offsets // b)[:m],
-            durations[:m],
-        )
+            gates = (ready + active.cumsum() - active) % b
+        # A cycle waits from where the one before left the pixel (the first,
+        # from the ready time) to its gate.
+        durations = np.empty_like(active)
+        durations[0] = gates[0] - ready
+        np.subtract(gates[1:], gates[:-1], out=durations[1:])
+        durations[1:] -= active[:-1]
+        durations %= b
+        durations += active
+        ends = durations.cumsum()
+        ends += ready
+        # Cycles start at ready, then at each end; the first starts by the loop's test.
+        m = 1 + int(ends[:-1].searchsorted(last_start, "right"))
+        gates, offsets, censored = gates[:m], offsets[:m], censored[:m]
+        stamps, periods = (gates + offsets) % b, offsets // b
+        if some_censored:
+            stamps[censored] = -1
+            periods[censored] = cap
+        kept = (gates, stamps, ~censored, periods, durations[:m])
         if observe is not None:
             m = observe(*kept)
             kept = tuple(column[:m] for column in kept)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from spadgate import AcquisitionRecord
-from spadgate.core import law_statistics, peak_log_likelihood
-from spadgate.estimators import _fold, posterior_update
+from spadgate.core import LawStatistics, _count_times, _window_counts, law_statistics, log1mexp
+from spadgate.estimators import _factor_steps, _fold, _install, posterior_update
 from spadgate.policies import termination_value
 from spadgate.spadsim import BLOCK_CYCLES, FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
 
@@ -31,6 +31,39 @@ def flux_log_marginal(post) -> np.ndarray:
     """Depth-marginalized flux log mass of a joint posterior, normalized."""
     with np.errstate(divide="ignore"):
         return np.log(post.mass.sum(axis=0)) - math.log(post.total)
+
+
+def reference_law_statistics(num_bins: int, gates, timestamps, detected) -> LawStatistics:
+    """Reference for ``core.law_statistics``: each detected cycle's window
+    [gate, timestamp) counted as a cyclic window of (timestamp - gate) mod B
+    bins by the histogram's ``_window_counts``."""
+    det = np.asarray(detected, dtype=bool)
+    gates = np.asarray(gates, dtype=np.int64)[det]
+    stamps = np.asarray(timestamps, dtype=np.int64)[det]
+    passed = _window_counts(gates, (stamps - gates) % num_bins, num_bins)
+    return LawStatistics(np.bincount(stamps, minlength=num_bins), passed, stamps.size, det.size - stamps.size)
+
+
+def reference_peak_log_likelihood(stats, bkg_flux: float, flux: np.ndarray) -> np.ndarray:
+    """Reference for ``core.peak_log_likelihood``: the (B, K) array built row-major,
+    each term broadcast from (B, 1) row statistics over the K flux values.
+
+    Same terms in the same order per cell: c log1mexp(bkg + f), plus
+    (N_det - c) log1mexp(bkg), minus P f, minus N_det log1mexp(B bkg + f)
+    (0 where B bkg + f is 0), minus N_cens (B bkg + f).  0 * -inf is 0.
+    """
+    k = flux.size
+    total = stats.counts.size * bkg_flux + flux
+    logs = log1mexp(np.concatenate((bkg_flux + flux, total, [bkg_flux])))
+    counts = stats.counts[:, None].astype(float)
+    ll = _count_times(counts, logs[:k])
+    ll += _count_times(stats.detected - counts, logs[-1:])
+    ll = ll - stats.passed[:, None].astype(float) * flux
+    if stats.detected:
+        ll -= stats.detected * np.where(total > 0.0, logs[k:-1], 0.0)
+    if stats.censored:
+        ll -= stats.censored * total
+    return ll
 
 
 def outcomes_record(num_bins: int, outcomes: list[CycleOutcome]) -> AcquisitionRecord:
@@ -136,7 +169,8 @@ def full_period_cycle_rows(post, bkg_flux: float) -> tuple:
     b = post.num_bins
 
     def law(gate: int, timestamp: int) -> np.ndarray:
-        return peak_log_likelihood(law_statistics(b, [gate], [timestamp], [timestamp >= 0]), bkg_flux, post.flux_grid)
+        stats = reference_law_statistics(b, [gate], [timestamp], [timestamp >= 0])
+        return reference_peak_log_likelihood(stats, bkg_flux, post.flux_grid)
 
     at_gate, wrapped = law(0, 0), law(b - 1, 0)
     return at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0]
@@ -195,6 +229,68 @@ def assert_marginal_is_the_stored_rows(post) -> None:
     assert np.array_equal(marginal == -np.inf, exact == -np.inf)  # rows with no mass left
     near = exact > -np.inf
     assert np.allclose(marginal[near], exact[near], rtol=0.0, atol=1e-12)
+
+
+def reference_fold(post, stats, bkg_flux: float):
+    """Reference for ``estimators._fold``: the row-major likelihood of
+    ``reference_peak_log_likelihood``, minus its largest cell, applied in the
+    steps of ``_factor_steps`` (one step unless it spans more than 700 nats),
+    each product written to a new array and installed."""
+    like = reference_peak_log_likelihood(stats, bkg_flux, post.flux_grid)
+    cycles = stats.detected + stats.censored
+    c = like.max()
+    if not math.isfinite(c):
+        post.degraded_cycles += cycles
+        return post
+    for factor in _factor_steps(like - c):
+        if not _install(post, np.multiply(post.mass, factor, out=np.empty_like(post.mass)), cycles):
+            break
+    return post
+
+
+def _flux_axis_sum(calls, a, axis):
+    if np.ndim(a) == 2 and axis in (1, -1):
+        calls.append("flux-axis sum")
+
+
+class _CountingAdd:
+    """``np.add`` whose ``reduce`` records sums over the flux axis."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return getattr(np.add, name)
+
+    def reduce(self, a, axis=0, **kwargs):
+        _flux_axis_sum(self.calls, a, axis)
+        return np.add.reduce(a, axis=axis, **kwargs)
+
+
+class NumpyCounter:
+    """Stands in for numpy in a module (``estimators``, ``policies``); records
+    every exp, log or multiply over a 2-d array (a multiply with the array's
+    shape) and every sum over its flux axis."""
+
+    def __init__(self):
+        self.calls = []
+        self.add = _CountingAdd(self.calls)
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("exp", "expm1", "log", "log1p", "logaddexp", "multiply"):
+            return fn
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                self.calls.append(f"multiply {np.shape(a)}" if name == "multiply" else name)
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    def sum(self, a, axis=None, **kwargs):
+        _flux_axis_sum(self.calls, a, axis)
+        return np.sum(a, axis=axis, **kwargs)
 
 
 @pytest.fixture

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spadgate as sg
-from conftest import brute_detection_likelihood, make_record
-from spadgate.core import law_statistics
+from conftest import brute_detection_likelihood, make_record, reference_law_statistics, reference_peak_log_likelihood
+from spadgate.core import law_statistics, peak_columns, peak_log_likelihood
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +290,74 @@ def test_law_statistics_hand_example():
     assert np.array_equal(stats.counts, [1, 1, 0, 0])
     assert np.array_equal(stats.passed, [1, 0, 0, 1])
     assert (stats.detected, stats.censored) == (2, 1)
+
+
+@st.composite
+def _cycle_outcomes(draw, max_bins=600, max_cycles=60):
+    """(B, gates, timestamps, detected): wrapping windows, timestamps at their
+    gate, all cycles censored and empty blocks among them."""
+    b = draw(st.integers(1, max_bins))
+    n = draw(st.sampled_from([0, 1, draw(st.integers(0, max_cycles))]))
+    gates = draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+    shifts = draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # every detection at its own gate
+        shifts = [0] * n
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))  # of censored cycles
+    censored = [draw(st.floats(0.0, 1.0)) < share for _ in range(n)]
+    stamps = [-1 if c else (g + s) % b for g, s, c in zip(gates, shifts, censored)]
+    return b, gates, stamps, [not c for c in censored]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cycle_outcomes(), st.booleans())
+def test_law_statistics_match_the_window_count_reference(outcomes, as_arrays):
+    b, gates, stamps, detected = outcomes
+    if as_arrays:
+        gates, stamps, detected = np.array(gates, np.int64), np.array(stamps, np.int64), np.array(detected, bool)
+    stats = law_statistics(b, gates, stamps, detected)
+    reference = reference_law_statistics(b, gates, stamps, detected)
+    for got, want in zip(stats, reference):
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)
+    assert stats.counts.shape == stats.passed.shape == (b,)
+
+
+_backgrounds = st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-300, 1e-280), st.floats(1e-6, 3.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    outcomes=_cycle_outcomes(),
+    bkg=_backgrounds,
+    grid=st.lists(st.floats(0.0, 100.0), min_size=0, max_size=19),
+    with_zero=st.booleans(),
+)
+def test_peak_log_likelihood_is_the_row_major_law_to_the_bit(outcomes, bkg, grid, with_zero):
+    # The flux-major build takes each cell's terms in the order of the
+    # row-major one, -inf cells (no background, zero flux) included, and
+    # comes out laid out like a posterior's mass.
+    b, gates, stamps, detected = outcomes
+    flux = np.array([0.0, *grid] if with_zero or not grid else grid)
+    stats = law_statistics(b, gates, stamps, detected)
+    like = peak_log_likelihood(stats, peak_columns(bkg, flux, b))
+    reference = reference_peak_log_likelihood(stats, bkg, flux)
+    assert like.shape == reference.shape == (b, flux.size)
+    assert like.flags.f_contiguous
+    assert like.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("cycles", [1, 64, 2000])
+def test_peak_log_likelihood_of_simulated_blocks_is_the_row_major_law(cycles):
+    # Paper-point blocks under the default flux grid: reordering any two
+    # terms moves a few cells of each by an ulp.
+    spad = sg.SpadConfig(num_bins=500)
+    scene = sg.SceneTransient(num_bins=500, ambient_flux=0.02, peaks=((275, 0.04),))
+    record = sg.run_acquisition(scene, spad, sg.UniformGatePolicy(500), max_cycles=cycles, seed=cycles)
+    stats = law_statistics(500, record.gates, record.timestamps, record.detected)
+    for bkg in (0.02, 0.0173):
+        flux = sg.default_flux_grid(bkg)
+        like = peak_log_likelihood(stats, peak_columns(bkg, flux, 500))
+        assert like.tobytes() == reference_peak_log_likelihood(stats, bkg, flux).tobytes()
 
 
 # ---------------------------------------------------------------------------

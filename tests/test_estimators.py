@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spadgate as sg
-from conftest import (assert_marginal_is_the_stored_rows, brute_detection_likelihood, flux_log_marginal,
-                      full_period_cycle_rows, logsumexp, make_record)
-from spadgate.core import law_statistics
-from spadgate.estimators import _cycle_rows, _fold
+from conftest import (NumpyCounter, assert_marginal_is_the_stored_rows, brute_detection_likelihood,
+                      flux_log_marginal, full_period_cycle_rows, logsumexp, make_record, reference_fold)
+from spadgate import estimators
+from spadgate.core import law_statistics, peak_columns
+from spadgate.estimators import _cycle_rows, _factor_steps, _fold
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +361,8 @@ def test_cycle_rows_match_the_full_period_templates(b, backgrounds, grid, signal
         for gate, t in cycles:
             sg.posterior_update(post, None if t is None else t % b, gate % b, bkg)
         _cycle_rows(post, bkg, None)
-        assert post._factors[0] == bkg
-        rows, reference = post._factors[2], full_period_cycle_rows(post, bkg)
+        assert post._factors.bkg_flux == bkg
+        rows, reference = post._factors.rows, full_period_cycle_rows(post, bkg)
         read = (0, 3) if b == 1 else (0, 1, 2, 3)  # at one bin only the hit and censored rows are read
         for i in read:
             assert _same_bits(rows[i], reference[i]), i
@@ -541,6 +542,95 @@ def test_rescales_keep_a_concentrating_posterior_exact():
     reference = _log_domain_marginal(record, bkg, grid, np.ones(b))
     assert reference.max() - np.sort(reference)[-2] > 100.0  # concentrated
     _assert_matches_the_log_domain(post, reference)
+
+
+# ---------------------------------------------------------------------------
+# The block fold: one exp in place, or steps
+
+
+def _random_stats(rng, b: int, n: int, peak_share: float = 0.5, censored_share: float = 0.1):
+    """Law statistics of n random cycles, ``peak_share`` of the detections at one bin."""
+    stamps = np.where(rng.random(n) < peak_share, int(rng.integers(b)), rng.integers(b, size=n))
+    censored = rng.random(n) < censored_share
+    return law_statistics(b, rng.integers(b, size=n), np.where(censored, -1, stamps), ~censored)
+
+
+def _fold_both(post, ref, stats, bkg):
+    """``_fold`` on ``post`` and the reference fold on ``ref``; they must agree to the bit."""
+    _fold(post, stats, bkg)
+    reference_fold(ref, stats, bkg)
+    assert _same_bits(post.mass, ref.mass) and post.mass.flags.f_contiguous
+    assert _same_bits(post.rows, ref.rows) and post.total == ref.total
+    assert post.degraded_cycles == ref.degraded_cycles
+
+
+@st.composite
+def _fold_cases(draw):
+    """A prior with some empty rows and a few blocks: empty, of one cycle, or
+    of thousands of cycles piled on one bin (a likelihood spanning more than
+    700 nats), under backgrounds that leave -inf cells (0) or sit at the
+    bottom of float range."""
+    b = draw(st.integers(1, 300))
+    bkg = draw(st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-6, 3.0)))
+    grid = np.array([0.0, *draw(st.lists(st.floats(0.0, 100.0), max_size=19))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = np.exp(-rng.uniform(0.0, draw(st.sampled_from([1.0, 700.0])), b))
+    prior[rng.random(b) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    prior[rng.integers(b)] = 1.0
+    blocks = [_random_stats(rng, b, draw(st.sampled_from([0, 1, 16, 3000])), censored_share=draw(
+        st.sampled_from([0.0, 0.1, 1.0]))) for _ in range(draw(st.integers(1, 4)))]
+    return b, bkg, grid, prior, blocks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fold_cases())
+def test_fold_is_the_reference_fold_to_the_bit(case):
+    b, bkg, grid, prior, blocks = case
+    post = sg.posterior_init(b, grid, prior)
+    ref = post.copy()
+    for stats in blocks:
+        _fold_both(post, ref, stats, bkg)
+
+
+@pytest.mark.parametrize("n, peak_share, bkg, steps", [
+    (64, 0.3, 0.02, False),  # within 700 nats: one exp in place
+    (3000, 0.3, 0.02, True),  # more than 700 nats
+    (64, 1.0, 0.0, True),  # no background: -inf cells beside the detections' bin
+])
+def test_both_fold_paths_are_the_reference_fold(monkeypatch, n, peak_share, bkg, steps):
+    calls = []
+    monkeypatch.setattr(estimators, "_factor_steps", lambda a: calls.append(a.shape) or _factor_steps(a))
+    b = 500
+    post = sg.posterior_init(b, sg.default_flux_grid(0.02), sg.flatness_prior(b, prev_depth=270.0))
+    ref = post.copy()
+    _fold_both(post, ref, _random_stats(np.random.default_rng(11), b, n, peak_share), bkg)
+    assert post.degraded_cycles == 0
+    assert calls == ([(b, 17)] if steps else [])
+
+
+def test_a_finite_fold_makes_one_exp_and_reads_the_columns_once(monkeypatch):
+    # A fold within 700 nats takes one exp over the joint, in place, one
+    # multiply of the mass and one flux-axis sum; it never takes the steps
+    # (and their boolean masks).  The column terms are computed once per
+    # posterior and background, not once per fold.
+    numpy = NumpyCounter()
+    monkeypatch.setattr(estimators, "np", numpy)
+    steps, columns = [], []
+    monkeypatch.setattr(estimators, "_factor_steps", lambda a: steps.append(a) or _factor_steps(a))
+    monkeypatch.setattr(estimators, "peak_columns", lambda *args: columns.append(args) or peak_columns(*args))
+    b, bkg = 50, 0.05
+    post = sg.posterior_init(b, sg.default_flux_grid(bkg))
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        numpy.calls.clear()
+        _fold(post, _random_stats(rng, b, 16), bkg)
+        assert numpy.calls == ["exp", f"multiply {post.mass.shape}", "flux-axis sum"]
+    assert steps == [] and len(columns) == 1
+    sg.posterior_update(post, 3, 1, bkg)  # the one-cycle templates read the same columns
+    assert len(columns) == 1
+    steps.clear()  # the templates' own steps, O(K)
+    _fold(post, _random_stats(rng, b, 16), 2 * bkg)  # a new background: new columns
+    assert steps == [] and len(columns) == 2
 
 
 # ---------------------------------------------------------------------------

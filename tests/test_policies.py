@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spadgate as sg
-from conftest import assert_marginal_is_the_stored_rows
+from conftest import NumpyCounter, assert_marginal_is_the_stored_rows
 from spadgate import estimators, policies
 from spadgate.core import law_statistics
 from spadgate.estimators import _fold
@@ -346,57 +346,12 @@ def test_copy_does_not_serve_a_stale_marginal():
     assert np.array_equal(post.depth_log_marginal(), before)
 
 
-def _flux_axis_sum(calls, a, axis):
-    if np.ndim(a) == 2 and axis in (1, -1):
-        calls.append("flux-axis sum")
-
-
-class _CountingAdd:
-    """``np.add`` whose ``reduce`` records sums over the flux axis."""
-
-    def __init__(self, calls):
-        self.calls = calls
-
-    def __getattr__(self, name):
-        return getattr(np.add, name)
-
-    def reduce(self, a, axis=0, **kwargs):
-        _flux_axis_sum(self.calls, a, axis)
-        return np.add.reduce(a, axis=axis, **kwargs)
-
-
-class _NumpyCounter:
-    """Stands in for numpy in ``estimators`` and ``policies``; records every
-    exp, log or multiply over a 2-d array (a multiply with the array's
-    shape) and every sum over its flux axis."""
-
-    def __init__(self):
-        self.calls = []
-        self.add = _CountingAdd(self.calls)
-
-    def __getattr__(self, name):
-        fn = getattr(np, name)
-        if name not in ("exp", "expm1", "log", "log1p", "logaddexp", "multiply"):
-            return fn
-
-        def counted(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                self.calls.append(f"multiply {np.shape(a)}" if name == "multiply" else name)
-            return fn(a, *args, **kwargs)
-
-        return counted
-
-    def sum(self, a, axis=None, **kwargs):
-        _flux_axis_sum(self.calls, a, axis)
-        return np.sum(a, axis=axis, **kwargs)
-
-
 def test_one_controlled_cycle_builds_the_depth_marginal_once(monkeypatch):
     # A controlled cycle (Thompson draw, stop check, update, stop check) touches the
     # joint mass only to multiply it whole, once, and to sum it once over
     # the flux axis: no exp or log over the joint.  The stop rule and the
     # next draw read the rows that sum installed.
-    numpy = _NumpyCounter()
+    numpy = NumpyCounter()
     monkeypatch.setattr(estimators, "np", numpy)
     monkeypatch.setattr(policies, "np", numpy)
     num_bins = 20
@@ -449,6 +404,30 @@ def test_adaptive_decisions_are_pinned():
         digest.update(str(sg.map_depth(post)).encode())
         pinned.append((len(record), sg.map_depth(post), digest.hexdigest()[:16]))
     assert pinned == [(971, 275, "f36326a4cd52904f"), (1190, 60, "0af31e4c68905621"), (120, 90, "3e9b0be5db3a8e98")]
+
+
+def _posterior_digest(post) -> str:
+    digest = hashlib.sha256()
+    for part in (post.mass, post.rows, np.float64(post.total)):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_posterior_bits_are_pinned():
+    # The bits of two final posteriors: a dark-scan-style adaptive row (B =
+    # 200, known background, flatness prior, 30 us; one-cycle updates, then
+    # block folds) and a free-running record's MAP posterior, folded in one
+    # step.  A change to the arithmetic of either path fails here, even when
+    # no draw or MAP moves.
+    spad = sg.SpadConfig(rep_rate_hz=50e6, num_bins=200, dead_time_ns=81.0)
+    scene = sg.SceneTransient(num_bins=200, ambient_flux=0.02, peaks=((90, 0.06),))
+    pol = sg.AdaptiveGatePolicy(num_bins=200, prior=sg.flatness_prior(200, prev_depth=88.0), bkg_flux=0.02)
+    rec = sg.run_acquisition(scene, spad, pol, budget_bins=200 * 1500, seed=8)
+    assert (len(rec), sg.map_depth(pol.posterior), _posterior_digest(pol.posterior)) == (303, 90, "b17b30242dce9eb0")
+    rec = sg.run_acquisition(_PAPER_SCENE, _PAPER_SPAD, sg.FreeRunningPolicy(), budget_bins=_PAPER_BUDGET, seed=9)
+    bkg = sg.estimate_background(rec).value
+    post = sg.posterior_from_record(rec, bkg, sg.default_flux_grid(bkg))
+    assert (len(rec), sg.map_depth(post), _posterior_digest(post)) == (1162, 275, "ad08c3002abde54d")
 
 
 # ---------------------------------------------------------------------------
