@@ -21,6 +21,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    aggregate_rows,
     normalization_check,
     parse_config,
     proposition_check,
@@ -93,12 +94,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    config = parse_config(args.config)
+    """The config file with ``--seed`` and ``--out`` applied, parsed again so the overrides keep their rules."""
+    raw = parse_config(args.config).to_dict()
     if args.seed is not None:
-        config = replace(config, global_seed=args.seed)
+        raw["experiment"]["global_seed"] = args.seed
     if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    return config
+        raw["experiment"]["out_dir"] = args.out
+    return parse_config(raw)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -145,23 +147,10 @@ def _scan_cmd(args: argparse.Namespace) -> int:
     config = _load(args)
     rows, maps, failures = run_scene_scan(config, threads=args.threads)
     out = _out_dir(config)
-    write_results_csv(out / "results.csv", rows)
-    from .harness import aggregate_rows
-
-    write_aggregates_csv(out / "aggregates.csv", aggregate_rows(rows))
     for policy_name, grids in maps.items():
         for key, grid in grids.items():
             write_map_csv(out / f"{policy_name}_{key}.csv", grid)
-    for policy_name in maps:
-        n = sum(1 for r in rows if r.policy == policy_name)
-        print(f"{policy_name}: {n} pixels")
-    print(f"wrote maps and {out / 'results.csv'} ({len(rows)} rows)")
-    if failures:
-        for f in failures[:10]:
-            print(f"pixel stream {f.stream_index} ({f.policy}) failed: {f.error}", file=sys.stderr)
-        print(f"{len(failures)} pixels failed", file=sys.stderr)
-        return 2
-    return 0
+    return _emit_sweep(config, rows, aggregate_rows(rows), failures)
 
 
 def _check_cmd(args: argparse.Namespace) -> int:

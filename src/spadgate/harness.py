@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -76,15 +76,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """One policy column of an experiment."""
+    """One policy column of an experiment.
 
-    name: str
-    kind: str  # fixed | uniform | free_running | adaptive
-    estimator: str = "map"  # map | coates
+    The name defaults to the kind, and the estimator to ``map`` for adaptive
+    and free-running gating and to ``coates`` for fixed and uniform gating.
+    """
+
+    name: str | None = None
+    kind: str = "adaptive"  # fixed | uniform | free_running | adaptive
+    estimator: str | None = None  # map | coates
     gate: int | None = None
     gate_offset: int = 0
 
     def __post_init__(self) -> None:
+        if self.name is None:
+            object.__setattr__(self, "name", self.kind)
+        if self.estimator is None:
+            object.__setattr__(self, "estimator", "map" if self.kind in ("adaptive", "free_running") else "coates")
         if self.kind not in ("fixed", "uniform", "free_running", "adaptive"):
             raise ConfigError(f"policy {self.name!r}: unknown kind {self.kind!r}")
         if self.estimator not in ("map", "coates"):
@@ -93,59 +101,84 @@ class PolicySpec:
             raise ConfigError(f"policy {self.name!r}: fixed gating needs a gate")
 
 
-_DEFAULT_POLICIES = (
-    PolicySpec(name="adaptive", kind="adaptive", estimator="map"),
-    PolicySpec(name="free_running", kind="free_running", estimator="map"),
-)
+_DEFAULT_POLICIES = (PolicySpec(kind="adaptive"), PolicySpec(kind="free_running"))
+
+# Range rules, named by the message they report; every value of a sweep axis
+# must keep its rule.
+_RULES = {
+    "must be positive": lambda v: v > 0,
+    "must be at least 1": lambda v: v >= 1,
+    "cannot be negative": lambda v: v >= 0,
+    "must lie in [0, 1]": lambda v: 0 <= v <= 1,
+    "must be an odd count >= 3": lambda v: v >= 3 and v % 2 == 1,
+}
+
+
+def _key(section: str, default: Any = None, rule: str | tuple[str, ...] | None = None, *,
+         key: str = "", scale: float | None = None, null: bool = False) -> Any:
+    """Declare an ExperimentConfig field: where it sits in the JSON config and what it must hold.
+
+    The field is read from JSON key ``key`` of ``section`` ("" is the top
+    level, "scene.mismatch" a subsection); ``key`` defaults to the field's
+    name less a ``<section>_`` prefix.  ``rule`` is a _RULES name, or the
+    tuple of allowed values.  The JSON value times ``scale`` is the field's
+    value.  A ``null`` field reads and writes JSON null as None (a null
+    budget means cycle-capped only); any other field reads null as its
+    default, and the canonical form leaves it out when it is None.
+    """
+    return field(default=default, metadata={"section": section, "key": key, "rule": rule, "scale": scale, "null": null})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed, validated experiment description (see parse_config)."""
+    """Parsed, validated experiment description (see parse_config).
 
-    experiment_id: str = "experiment"
-    out_dir: str = "results"
-    seeds: int = 1
-    global_seed: int = 0
-    bin_resolution_ps: float = 100.0
-    rep_rate_hz: float = 20e6
-    num_bins: int | None = None
-    dead_time_ns: float = 81.0
-    max_active_periods: int = 16
-    ambient_flux: float | None = None
-    sbr: float | None = None
-    signal_flux: float | None = None
-    depth_bin: int | None = None
-    depth_m: float | None = None
-    mismatch_kind: str | None = None
-    mismatch_second_depth: int | None = None
-    mismatch_second_flux: float | None = None
-    mismatch_tail_amplitude: float | None = None
-    mismatch_tail_decay: float | None = None
-    depth_map: str | None = None
-    ambient_map: str | None = None
-    signal_map: str | None = None
+    Every field but ``policies`` is one config key, declared once by _key.
+    """
+
+    experiment_id: str = _key("experiment", "experiment")
+    out_dir: str = _key("experiment", "results")
+    seeds: int = _key("experiment", 1, "must be at least 1")
+    global_seed: int = _key("experiment", 0, "cannot be negative")
+    bin_resolution_ps: float = _key("spad", 100.0, "must be positive")
+    rep_rate_hz: float = _key("spad", 20e6, "must be positive", key="rep_rate_mhz", scale=1e6)
+    num_bins: int | None = _key("spad", None, "must be at least 1")
+    dead_time_ns: float = _key("spad", 81.0, "cannot be negative")
+    max_active_periods: int = _key("spad", 16, "must be at least 1")
+    ambient_flux: float | None = _key("scene", None, "cannot be negative")
+    sbr: float | None = _key("scene", None, "cannot be negative")
+    signal_flux: float | None = _key("scene", None, "cannot be negative")
+    depth_bin: int | None = _key("scene")
+    depth_m: float | None = _key("scene")
+    mismatch_kind: str | None = _key("scene.mismatch", None, ("two_peak", "corner_tail"))
+    mismatch_second_depth: int | None = _key("scene.mismatch")
+    mismatch_second_flux: float | None = _key("scene.mismatch")
+    mismatch_tail_amplitude: float | None = _key("scene.mismatch")
+    mismatch_tail_decay: float | None = _key("scene.mismatch")
+    depth_map: str | None = _key("scene")
+    ambient_map: str | None = _key("scene")
+    signal_map: str | None = _key("scene")
     policies: tuple[PolicySpec, ...] = _DEFAULT_POLICIES
-    budget_us: float | None = 100.0
-    max_cycles: int | None = None
-    exposure_enabled: bool = False
-    exposure_epsilon: float = 0.25
-    exposure_metric: str = "termination"
-    exposure_min_cycles: int | None = None
-    background_mode: str = "estimated"
-    background_fallback: float = 0.01
-    flux_grid_size: int = 16
-    flux_grid_lo: float = 0.1
-    flux_grid_hi: float = 100.0
-    dither_window: int = 3
-    prior_kind: str = "uniform"
-    prior_sigma_bins: float = 10.0
-    prior_floor_weight: float = 0.1
-    prior_path: str | None = None
-    sweep_ambient_flux: tuple[float, ...] | None = None
-    sweep_sbr: tuple[float, ...] | None = None
-    sweep_dead_time_ns: tuple[float, ...] | None = None
-    sweep_budget_us: tuple[float, ...] | None = None
+    budget_us: float | None = _key("", 100.0, "must be positive", null=True)
+    max_cycles: int | None = _key("", None, "must be at least 1", null=True)
+    exposure_enabled: bool = _key("exposure", False)
+    exposure_epsilon: float = _key("exposure", 0.25, "must be positive")
+    exposure_metric: str = _key("exposure", "termination", ("termination", "entropy"))
+    exposure_min_cycles: int | None = _key("exposure", None, "cannot be negative", null=True)
+    background_mode: str = _key("background", "estimated", ("estimated", "known"))
+    background_fallback: float = _key("background", 0.01, "must be positive", key="fallback_flux")
+    flux_grid_size: int = _key("estimator", 16, "must be at least 1")
+    flux_grid_lo: float = _key("estimator", 0.1, "must be positive")
+    flux_grid_hi: float = _key("estimator", 100.0, "must be positive")
+    dither_window: int = _key("estimator", 3, "must be an odd count >= 3")
+    prior_kind: str = _key("prior", "uniform", ("uniform", "flatness", "external"))
+    prior_sigma_bins: float = _key("prior", 10.0, "must be positive")
+    prior_floor_weight: float = _key("prior", 0.1, "must lie in [0, 1]")
+    prior_path: str | None = _key("prior")
+    sweep_ambient_flux: tuple[float, ...] | None = _key("sweep", None, "cannot be negative")
+    sweep_sbr: tuple[float, ...] | None = _key("sweep", None, "cannot be negative")
+    sweep_dead_time_ns: tuple[float, ...] | None = _key("sweep", None, "cannot be negative")
+    sweep_budget_us: tuple[float, ...] | None = _key("sweep", None, "must be positive")
 
     @property
     def resolved_num_bins(self) -> int:
@@ -178,18 +211,19 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Canonical nested form, the inverse of parse_config."""
         d: dict[str, Any] = {"scene": {}}
-        for section, key, field, kind in _SCHEMA:
-            value = getattr(self, field)
-            if value is None and field not in _WRITTEN_AS_NULL:
-                continue
-            if field == "rep_rate_hz":
-                value /= 1e6
-            elif kind is tuple:
-                value = list(value)
-            node = d
-            for name in filter(None, section.split(".")):
-                node = node.setdefault(name, {})
-            node[key] = value
+        for section, keys in _SECTIONS.items():
+            for key, f, kind in keys:
+                value = getattr(self, f.name)
+                if value is None and not f.metadata["null"]:
+                    continue
+                if kind is tuple:
+                    value = list(value)
+                elif f.metadata["scale"]:
+                    value /= f.metadata["scale"]
+                node = d
+                for name in filter(None, section.split(".")):
+                    node = node.setdefault(name, {})
+                node[key] = value
         d["policies"] = [{k: v for k, v in asdict(p).items() if v is not None} for p in self.policies]
         return d
 
@@ -203,69 +237,28 @@ MAX_NUM_BINS = 1 << 20
 MAX_ROW_CYCLES = 10**7
 _INT64_MAX = 2**63 - 1
 
-# The config schema, written once: (section, JSON key, ExperimentConfig field,
-# kind), in the order parse_config reads and reports them.  Section "" is the
-# top level.  Kind tuple is a sweep axis, a non-empty list of numbers.  Both
-# directions take their defaults from the dataclass; spad.rep_rate_mhz is the
-# one scaled key.  Policies and the cross-field checks live in parse_config.
-_SCHEMA = (
-    ("experiment", "id", "experiment_id", str),
-    ("experiment", "out_dir", "out_dir", str),
-    ("experiment", "seeds", "seeds", int),
-    ("experiment", "global_seed", "global_seed", int),
-    ("spad", "bin_resolution_ps", "bin_resolution_ps", float),
-    ("spad", "rep_rate_mhz", "rep_rate_hz", float),
-    ("spad", "num_bins", "num_bins", int),
-    ("spad", "dead_time_ns", "dead_time_ns", float),
-    ("spad", "max_active_periods", "max_active_periods", int),
-    ("scene", "ambient_flux", "ambient_flux", float),
-    ("scene", "sbr", "sbr", float),
-    ("scene", "signal_flux", "signal_flux", float),
-    ("scene", "depth_bin", "depth_bin", int),
-    ("scene", "depth_m", "depth_m", float),
-    ("scene", "depth_map", "depth_map", str),
-    ("scene", "ambient_map", "ambient_map", str),
-    ("scene", "signal_map", "signal_map", str),
-    ("scene.mismatch", "kind", "mismatch_kind", str),
-    ("scene.mismatch", "second_depth", "mismatch_second_depth", int),
-    ("scene.mismatch", "second_flux", "mismatch_second_flux", float),
-    ("scene.mismatch", "tail_amplitude", "mismatch_tail_amplitude", float),
-    ("scene.mismatch", "tail_decay", "mismatch_tail_decay", float),
-    ("", "budget_us", "budget_us", float),
-    ("", "max_cycles", "max_cycles", int),
-    ("exposure", "enabled", "exposure_enabled", bool),
-    ("exposure", "epsilon", "exposure_epsilon", float),
-    ("exposure", "metric", "exposure_metric", str),
-    ("exposure", "min_cycles", "exposure_min_cycles", int),
-    ("background", "mode", "background_mode", str),
-    ("background", "fallback_flux", "background_fallback", float),
-    ("estimator", "flux_grid_size", "flux_grid_size", int),
-    ("estimator", "flux_grid_lo", "flux_grid_lo", float),
-    ("estimator", "flux_grid_hi", "flux_grid_hi", float),
-    ("estimator", "dither_window", "dither_window", int),
-    ("prior", "kind", "prior_kind", str),
-    ("prior", "sigma_bins", "prior_sigma_bins", float),
-    ("prior", "floor_weight", "prior_floor_weight", float),
-    ("prior", "path", "prior_path", str),
-    ("sweep", "ambient_flux", "sweep_ambient_flux", tuple),
-    ("sweep", "sbr", "sweep_sbr", tuple),
-    ("sweep", "dead_time_ns", "sweep_dead_time_ns", tuple),
-    ("sweep", "budget_us", "sweep_budget_us", tuple),
-)
-_SECTIONS = {sec: [row for row in _SCHEMA if row[0] == sec] for sec in dict.fromkeys(row[0] for row in _SCHEMA)}
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-_FIELD_AT = {f"{sec}.{key}".lstrip("."): field for sec, key, field, _ in _SCHEMA}
-# Every other unset field is left out of the canonical form; a null budget
-# means cycle-capped only.
-_WRITTEN_AS_NULL = frozenset({"budget_us", "max_cycles", "exposure_min_cycles"})
-# Range rules, named by the message they report; every value of a sweep axis
-# must keep its rule.
-_RULES = {
-    "must be positive": lambda v: v > 0,
-    "must be at least 1": lambda v: v >= 1,
-    "cannot be negative": lambda v: v >= 0,
-    "must lie in [0, 1]": lambda v: 0 <= v <= 1,
-}
+_KINDS = {"str": str, "int": int, "float": float, "bool": bool, "tuple[float, ...]": tuple}
+
+
+def _kind(annotation: str) -> type:
+    """The JSON kind of a field's annotation; kind tuple is a sweep axis, a non-empty list of numbers."""
+    return _KINDS[annotation.removesuffix(" | None")]
+
+
+def _sections() -> dict[str, list[tuple[str, Any, type]]]:
+    """The declared fields of each section, as (JSON key, field, kind), in the order parse_config reads them."""
+    sections: dict[str, list] = {}
+    for f in fields(ExperimentConfig):
+        if f.metadata:
+            section = f.metadata["section"]
+            key = f.metadata["key"] or f.name.removeprefix(section.rpartition(".")[2] + "_")
+            sections.setdefault(section, []).append((key, f, _kind(f.type)))
+    return sections
+
+
+_SECTIONS = _sections()
+# The config schema as (section, JSON key, ExperimentConfig field, kind), read off the declarations.
+_SCHEMA = tuple((section, key, f.name, kind) for section, keys in _SECTIONS.items() for key, f, kind in keys)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -352,36 +345,12 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         _take_section(raw, path, errors, kwargs)
     errors.extend(f"unknown section {k}" for k in raw)
 
-    # Value ranges and cross-field requirements, in the order they are reported.
-    if kwargs["seeds"] < 1:
-        errors.append("experiment.seeds must be at least 1")
-    if kwargs["exposure_metric"] not in ("termination", "entropy"):
-        errors.append(f"exposure.metric must be termination or entropy, got {kwargs['exposure_metric']!r}")
-    for path, rule in (
-        ("exposure.epsilon", "must be positive"), ("exposure.min_cycles", "cannot be negative"),
-        ("background.fallback_flux", "must be positive"), ("estimator.flux_grid_lo", "must be positive"),
-        ("estimator.flux_grid_hi", "must be positive"), ("estimator.flux_grid_size", "must be at least 1"),
-        ("spad.bin_resolution_ps", "must be positive"), ("spad.rep_rate_mhz", "must be positive"),
-        ("spad.num_bins", "must be at least 1"), ("spad.dead_time_ns", "cannot be negative"),
-        ("spad.max_active_periods", "must be at least 1"), ("scene.ambient_flux", "cannot be negative"),
-        ("scene.sbr", "cannot be negative"), ("scene.signal_flux", "cannot be negative"),
-        ("budget_us", "must be positive"), ("sweep.ambient_flux", "cannot be negative"),
-        ("sweep.sbr", "cannot be negative"), ("sweep.dead_time_ns", "cannot be negative"),
-        ("sweep.budget_us", "must be positive"), ("prior.sigma_bins", "must be positive"),
-        ("prior.floor_weight", "must lie in [0, 1]"),
-    ):
-        value = kwargs[_FIELD_AT[path]]
-        if value is not None and not all(map(_RULES[rule], value if isinstance(value, tuple) else (value,))):
-            errors.append(f"{path} {rule}")
-    if kwargs["dither_window"] < 3 or kwargs["dither_window"] % 2 == 0:
-        errors.append("estimator.dither_window must be an odd count >= 3")
-    if kwargs["background_mode"] not in ("estimated", "known"):
-        errors.append(f"background.mode must be estimated or known, got {kwargs['background_mode']!r}")
+    # Cross-field requirements, in the order they are reported.
     lo, hi = kwargs["flux_grid_lo"], kwargs["flux_grid_hi"]
     if kwargs["background_mode"] == "known" and lo > 0 and hi > 0:
         # A known background scales default_flux_grid, whose ends must stay positive floats.
-        for path in ("scene.ambient_flux", "sweep.ambient_flux"):
-            value = kwargs[_FIELD_AT[path]]
+        for path, value in (("scene.ambient_flux", kwargs["ambient_flux"]),
+                            ("sweep.ambient_flux", kwargs["sweep_ambient_flux"])):
             for v in value if isinstance(value, tuple) else (value,):
                 if v is None or v <= 0:  # unset, or a dark background that rows report
                     continue
@@ -391,8 +360,6 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
                 elif not math.isfinite(hi * v):
                     errors.append(f"{path} {v!r} is too large for the known-background flux grid "
                                   f"(estimator.flux_grid_hi * {path} overflows)")
-    if kwargs["prior_kind"] not in ("uniform", "flatness", "external"):
-        errors.append(f"prior.kind must be uniform, flatness or external, got {kwargs['prior_kind']!r}")
     if kwargs["prior_kind"] == "external" and not kwargs["prior_path"]:
         errors.append("prior.path required when prior.kind is external")
     if kwargs["budget_us"] is None and kwargs["max_cycles"] is None:
@@ -406,9 +373,7 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         errors.append("scene needs sbr, signal_flux or signal_map" if scan_mode else "scene needs sbr or signal_flux")
     if kwargs["sbr"] is not None and kwargs["signal_flux"] is not None:
         errors.append("scene.sbr and scene.signal_flux are mutually exclusive")
-    if kwargs["mismatch_kind"] is not None and kwargs["mismatch_kind"] not in ("two_peak", "corner_tail"):
-        errors.append(f"scene.mismatch.kind must be two_peak or corner_tail, got {kwargs['mismatch_kind']!r}")
-    kindless = [key for _, key, field, _ in _SECTIONS["scene.mismatch"] if kwargs[field] is not None]
+    kindless = [key for key, f, _ in _SECTIONS["scene.mismatch"] if kwargs[f.name] is not None]
     if kwargs["mismatch_kind"] is None and kindless:
         errors.append(f"scene.mismatch.kind required when scene.mismatch sets {', '.join(kindless)}")
     if errors:
@@ -493,15 +458,25 @@ def _take_section(parent: dict, path: str, errors: list[str], kwargs: dict) -> N
             errors.append(f"{path}: expected an object")
             section = {}
     where = path or "config"
-    for _, key, field, kind in _SECTIONS[path]:
+    for key, f, kind in _SECTIONS[path]:
+        scale = f.metadata["scale"]
         if kind is tuple:
-            kwargs[field] = _float_list(section, errors, where, key)
-        elif field == "rep_rate_hz":
-            kwargs[field] = _take(section, errors, where, key, kind, _DEFAULTS[field] / 1e6) * 1e6
-        elif field == "budget_us" and section.get(key, 0) is None:
-            kwargs[field] = section.pop(key)  # an explicit null: cycle-capped only
+            value = _float_list(section, errors, where, key)
+        elif f.metadata["null"] and section.get(key, 0) is None:
+            value = section.pop(key)  # an explicit null stays None: a null budget means cycle-capped only
+        elif scale:
+            value = _take(section, errors, where, key, kind, f.default / scale) * scale
         else:
-            kwargs[field] = _take(section, errors, where, key, kind, _DEFAULTS[field])
+            value = _take(section, errors, where, key, kind, f.default)
+        rule = f.metadata["rule"]
+        if value is not None and rule is not None:
+            at = f"{path}.{key}" if path else key
+            if isinstance(rule, tuple):
+                if value not in rule:
+                    errors.append(f"{at} must be {', '.join(rule[:-1])} or {rule[-1]}, got {value!r}")
+            elif not all(map(_RULES[rule], value if kind is tuple else (value,))):
+                errors.append(f"{at} {rule}")
+        kwargs[f.name] = value
     if path:
         for sub in (sec for sec in _SECTIONS if sec.rpartition(".")[0] == path):
             _take_section(section, sub, errors, kwargs)
@@ -521,14 +496,10 @@ def _parse_policies(pols: Any, errors: list[str]) -> tuple[PolicySpec, ...]:
         if not isinstance(entry, dict):
             errors.append(f"{path}: expected an object")
             continue
-        kind = _take(entry, errors, path, "kind", str, "adaptive")
-        name = _take(entry, errors, path, "name", str, kind)
-        est = _take(entry, errors, path, "estimator", str, "map" if kind in ("adaptive", "free_running") else "coates")
-        gate = _take(entry, errors, path, "gate", int)
-        offset = _take(entry, errors, path, "gate_offset", int, 0)
+        spec = {f.name: _take(entry, errors, path, f.name, _kind(f.type), f.default) for f in fields(PolicySpec)}
         errors.extend(f"unknown key {path}.{k}" for k in entry)
         try:
-            parsed.append(PolicySpec(name=name, kind=kind, estimator=est, gate=gate, gate_offset=offset))
+            parsed.append(PolicySpec(**spec))
         except ConfigError as exc:
             errors.append(str(exc))
     policies = tuple(parsed) or _DEFAULT_POLICIES

@@ -357,20 +357,20 @@ def test_config_error_text_and_order_are_pinned():
     with pytest.raises(sg.ConfigError) as exc:
         sg.parse_config(several)
     assert str(exc.value) == (
-        "experiment.id: expected str, got 5; unknown key experiment.colour; "
+        "experiment.id: expected str, got 5; experiment.seeds must be at least 1; unknown key experiment.colour; "
         "spad.rep_rate_mhz: expected float, got 'fast'; spad.num_bins: expected int, got 2.5; "
         "unknown key spad.bogus; scene.depth_bin: expected int, got 'deep'; "
+        "scene.mismatch.kind must be two_peak or corner_tail, got 'three_peak'; "
         "scene.mismatch.second_depth: expected int, got 1.5; unknown key scene.mismatch.extra; "
         "policy 'a': fixed gating needs a gate; policies[2]: expected an object; "
         "config.budget_us: expected float, got 'soon'; exposure.enabled: expected bool, got 'yes'; "
+        "exposure.epsilon must be positive; exposure.metric must be termination or entropy, got 'variance'; "
+        "exposure.min_cycles cannot be negative; estimator.flux_grid_size must be at least 1; "
+        "estimator.flux_grid_lo must be positive; estimator.dither_window must be an odd count >= 3; "
         "sweep.sbr: empty sweep axis; sweep.budget_us: expected a list of numbers; unknown key sweep.speed; "
-        "unknown section extra_section; experiment.seeds must be at least 1; "
-        "exposure.metric must be termination or entropy, got 'variance'; exposure.epsilon must be positive; "
-        "exposure.min_cycles cannot be negative; estimator.flux_grid_lo must be positive; "
-        "estimator.flux_grid_size must be at least 1; estimator.dither_window must be an odd count >= 3; "
+        "unknown section extra_section; "
         "scene needs depth_bin, depth_m or depth_map; scene needs ambient_flux; "
-        "scene.sbr and scene.signal_flux are mutually exclusive; "
-        "scene.mismatch.kind must be two_peak or corner_tail, got 'three_peak'"
+        "scene.sbr and scene.signal_flux are mutually exclusive"
     )
     # Sections of the wrong type, falsy ones too; only an absent or null section reads as empty.
     sections = {
@@ -391,13 +391,85 @@ def test_config_error_text_and_order_are_pinned():
     assert str(exc.value) == (
         "experiment: expected an object; spad: expected an object; scene.ambient_map: expected str, got 3; "
         "scene.mismatch: expected an object; unknown key scene.unknown; policies: expected a non-empty list; config.max_cycles: expected int, got 'ten'; "
-        "exposure.metric: expected str, got 3; estimator.flux_grid_size: expected int, got 2.5; "
-        "prior.sigma_bins: expected float, got 'wide'; sweep: expected an object; exposure.epsilon must be positive; "
-        "background.fallback_flux must be positive; estimator.flux_grid_hi must be positive; "
-        "background.mode must be estimated or known, got 'guess'; prior.path required when prior.kind is external; "
+        "exposure.epsilon must be positive; exposure.metric: expected str, got 3; "
+        "background.mode must be estimated or known, got 'guess'; background.fallback_flux must be positive; "
+        "estimator.flux_grid_size: expected int, got 2.5; estimator.flux_grid_hi must be positive; "
+        "prior.sigma_bins: expected float, got 'wide'; sweep: expected an object; "
+        "prior.path required when prior.kind is external; "
         "need budget_us or max_cycles; scene needs depth_bin, depth_m or depth_map; scene needs ambient_flux; "
         "scene needs sbr or signal_flux"
     )
+
+
+# A point scene with every map set as well, so that a key read as its
+# default (after a wrong-kind value) still leaves a complete scene.
+SCHEMA_BASE = {
+    "spad": {"num_bins": 40},
+    "scene": {"depth_bin": 11, "depth_map": "depth.txt", "ambient_flux": 0.02, "ambient_map": "ambient.txt",
+              "sbr": 2.0, "signal_map": "signal.txt"},
+    "policies": [{"kind": "uniform"}],
+    "budget_us": 20.0,
+}
+
+
+def test_every_declared_key_rejects_a_wrong_kind_and_a_broken_rule():
+    # The cases come from the field declarations, so a key added later is covered too.
+    wrong_kind = {str: 5, int: 2.5, float: "x", bool: "yes", tuple: "x"}
+    breaking = {"must be positive": 0, "must be at least 1": 0, "cannot be negative": -1,
+                "must lie in [0, 1]": 2, "must be an odd count >= 3": 4}
+    assert sorted(breaking) == sorted(harness._RULES)
+    rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(sg.ExperimentConfig) if f.metadata}
+    sg.parse_config(SCHEMA_BASE)
+    for section, key, name, kind in harness._SCHEMA:
+        path = f"{section}.{key}" if section else key
+        rule = rules[name]
+        cases = [wrong_kind[kind]]
+        if rule is not None:
+            bad = "other" if isinstance(rule, tuple) else breaking[rule]
+            cases.append([bad] if kind is tuple else bad)
+        for value in cases:
+            raw = json.loads(json.dumps(SCHEMA_BASE))
+            if name == "signal_flux":
+                del raw["scene"]["sbr"]  # the two are exclusive
+            node = raw
+            for part in filter(None, section.split(".")):
+                node = node.setdefault(part, {})
+            node[key] = value
+            with pytest.raises(sg.ConfigError) as exc:
+                sg.parse_config(raw)
+            messages = str(exc.value).split("; ")
+            assert len(messages) == 1 and path in messages[0], (path, value, messages)
+
+
+def test_a_negative_global_seed_is_a_config_error(tmp_path, capsys):
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["experiment"]["global_seed"] = -1
+    with pytest.raises(sg.ConfigError, match=r"^experiment\.global_seed cannot be negative$"):
+        sg.parse_config(raw)
+    assert main(["pixel", "--config", str(_write_cfg(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    assert "experiment.global_seed cannot be negative" in capsys.readouterr().err
+
+
+def test_the_command_line_overrides_keep_the_field_rules(tmp_path, capsys):
+    p = _write_cfg(tmp_path, BASE_CONFIG)
+    assert main(["pixel", "--config", str(p), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+    assert "config error: experiment.global_seed cannot be negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("max_cycles", [0, -5])
+def test_max_cycles_must_be_at_least_1(max_cycles):
+    with pytest.raises(sg.ConfigError, match="^max_cycles must be at least 1$"):
+        _config(max_cycles=max_cycles)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "uniform", "free_running", "adaptive"])
+def test_a_policy_spec_built_in_python_equals_the_one_parsed_from_json(kind):
+    entry = {"kind": kind, **({"gate": 3} if kind == "fixed" else {})}
+    spec = sg.PolicySpec(**entry)
+    assert spec.name == kind
+    assert spec.estimator == ("map" if kind in ("adaptive", "free_running") else "coates")
+    assert _config(policies=[entry]).policies == (spec,)
 
 
 def test_parse_config_from_file(tmp_path):
