@@ -235,6 +235,10 @@ MAX_NUM_BINS = 1 << 20
 # Most cycles one row may run.  A row keeps its whole record, five columns
 # (33 bytes) per cycle, so 10**7 cycles hold about 330 MB.
 MAX_ROW_CYCLES = 10**7
+# Most rows one config may ask for (seeds x policies x each sweep axis).
+# A sweep builds every row's spec, about 225 bytes, before it runs one,
+# and keeps every result row.
+MAX_CONFIG_ROWS = 10**5
 _INT64_MAX = 2**63 - 1
 
 _KINDS = {"str": str, "int": int, "float": float, "bool": bool, "tuple[float, ...]": tuple}
@@ -400,6 +404,13 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
                   f"spad.rep_rate_mhz and spad.bin_resolution_ps give {num_bins} bins per period,")
         errors.append(f"{source} above the spad.num_bins limit of {MAX_NUM_BINS}")
     errors.extend(_row_work_errors(config, num_bins))
+    factors = [("experiment.seeds", config.seeds), ("policies", len(config.policies))]
+    factors += [(f"sweep.{key}", len(getattr(config, f.name))) for key, f, _ in _SECTIONS["sweep"]
+                if getattr(config, f.name)]
+    rows = math.prod(n for _, n in factors)
+    if rows > MAX_CONFIG_ROWS:
+        errors.append(f"{' x '.join(f'{key} {n}' for key, n in factors)} give {rows} rows, "
+                      f"above the limit of {MAX_CONFIG_ROWS} rows per config")
     if errors:
         raise ConfigError("; ".join(errors))
     return config

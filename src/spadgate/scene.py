@@ -192,19 +192,22 @@ def _parse_grid_file(path: str | Path, values_per_pixel: int) -> np.ndarray:
     rows = body[1:]
     if len(rows) != height:
         raise ValueError(f"{path}: expected {height} data rows, found {len(rows)}")
+    # Rows are read before any array is made, so a header that claims more
+    # values than the file holds fails on its first short row.
     expected = width * values_per_pixel
-    out = np.empty((height, expected))
-    for r, (line_no, line) in enumerate(rows):
+    values = []
+    for line_no, line in rows:
         fields = line.split()
         if len(fields) != expected:
             raise ValueError(f"{path}:{line_no}: expected {expected} values, found {len(fields)}")
         try:
-            out[r] = [float(f) for f in fields]
+            row = [float(f) for f in fields]
         except ValueError:
             raise ValueError(f"{path}:{line_no}: non-numeric value") from None
-        if not np.isfinite(out[r]).all():
+        if not np.isfinite(row).all():
             raise ValueError(f"{path}:{line_no}: non-finite value")
-    return out
+        values.append(row)
+    return np.array(values, dtype=float)
 
 
 def load_depth_map(path: str | Path) -> np.ndarray:

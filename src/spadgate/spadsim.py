@@ -28,13 +28,20 @@ most the cycle cap's remainder, and at most as many cycles as could still
 start if each took the shortest possible time (the dead time after a
 detection in its arm bin, or a censored scan, whichever is shorter).  A
 block draws its unit exponentials in one call, after whatever ``gates``
-drew.  Triggered gates then locate every detection with one ``divmod`` and
-one ``searchsorted`` over the block, and the ready times are a cumulative
-sum, because the phase a triggered cycle leaves the pixel in depends only
-on its own gate and draw.  Free running re-arms at that phase, so
+drew.  Triggered gates then locate every detection with one
+``searchsorted`` over the block, and the ready times are a cumulative sum,
+because the phase a triggered cycle leaves the pixel in depends only on
+its own gate and draw.  Free running re-arms at that phase, so
 ``_free_run_offsets`` walks the phase recurrence one cycle at a time, in
 one loop with the scalar scan inlined, and keeps only the offsets; the arm
 phases are then one cumulative sum of the cycles' active times.
+
+Both scans skip the period ``divmod`` for a draw that lands in the period
+it armed in (``prefix[phase] + e < total_rate``): there it would return
+exactly ``(0.0, prefix[phase] + e)``, and the scan can be neither censored
+nor longer than a period.  The free-running loop takes that shortcut draw
+by draw; a triggered block takes it when all its draws qualify, and runs
+one ``divmod`` over the block otherwise.
 
 Draw order: a block draws what ``gates`` draws (n uniforms for a block of
 Thompson draws, nothing for a schedule) and then n unit exponentials.  A
@@ -134,6 +141,8 @@ def _scan_exponential(
     zero rate are skipped for free.  Exactly matches a per-bin Bernoulli
     walk in distribution.  ``_locate_block`` is the same scan over arrays,
     and ``_free_run_offsets`` has an inlined copy: a change here goes there.
+    Both add an exact shortcut that this reference does not take: a draw
+    that lands in its arming period skips the ``divmod``.
     """
     b = scene.num_bins
     total = scene.total_rate
@@ -159,15 +168,21 @@ def _locate_block(
 
     Returns the offsets and a censored mask; censored offsets are
     meaningless.  Same float operations as the scalar scan, element by
-    element, so the same offsets.
+    element, so the same offsets.  A block whose draws all land in their
+    arming periods has k = 0 throughout, so it skips the ``divmod``, its
+    round-up fix and the censoring test.
     """
     b = scene.num_bins
     total = scene.total_rate
     if total <= 0.0:
         return np.zeros_like(gates), np.ones(gates.shape, dtype=bool)
     prefix = scene.scan_prefix
+    x = prefix[gates] + e
+    if (x < total).all():  # every draw lands in the period it armed in: divmod would give (0.0, x)
+        offsets = np.searchsorted(prefix, x, side="right") - 1 - gates
+        return offsets, np.zeros(offsets.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny total overflows k; clipped below
-        k, x = np.divmod(prefix[gates] + e, total)
+        k, x = np.divmod(x, total)
     up = x >= total
     k[up] += 1.0
     x[up] = 0.0
@@ -322,7 +337,9 @@ def _free_run_offsets(
     Free running arms where the last cycle left the pixel, so only this
     phase recurrence is sequential; the caller rebuilds the arm phases
     from the offsets.  The loop is ``_scan_exponential`` inlined, with the
-    scene constants hoisted: the same float operations in the same order.
+    scene constants hoisted: the same float operations in the same order,
+    except that a draw landing in its arming period skips the ``divmod``,
+    which would give k = 0 and leave it unchanged.
     Stops early at the first cycle that would start after ``last_start``.
     """
     b = scene.num_bins
@@ -337,7 +354,13 @@ def _free_run_offsets(
         if ready > last_start:
             break
         phase = ready % b
-        k, x = divmod(prefix[phase] + draw, total)
+        x = prefix[phase] + draw
+        if x < total:  # lands in the period it armed in: divmod would give (0.0, x), never censored
+            offset = bisect_right(prefix, x) - 1 - phase
+            append(offset)
+            ready += offset + dead
+            continue
+        k, x = divmod(x, total)
         if x >= total:  # float remainder can round up to the divisor
             k += 1.0
             x = 0.0

@@ -254,6 +254,28 @@ def test_a_row_that_could_run_too_many_cycles_is_a_config_error():
         sg.parse_config(raw)
 
 
+def test_a_config_that_asks_for_too_many_rows_is_a_config_error():
+    # Only parsed, never run: a sweep builds every row's spec before it runs one.
+    assert harness.MAX_CONFIG_ROWS == 10**5
+    raw = json.loads(json.dumps(BASE_CONFIG))  # two policies
+    raw["experiment"]["seeds"] = 10**12
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(raw)
+    assert str(exc.value) == ("experiment.seeds 1000000000000 x policies 2 give 2000000000000 rows, "
+                              "above the limit of 100000 rows per config")
+    raw["experiment"]["seeds"] = 10**9
+    raw["sweep"] = {"ambient_flux": [0.01 + i * 1e-5 for i in range(1000)], "budget_us": [20.0, 40.0]}
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(raw)
+    assert str(exc.value) == ("experiment.seeds 1000000000 x policies 2 x sweep.ambient_flux 1000 x "
+                              "sweep.budget_us 2 give 4000000000000 rows, above the limit of 100000 rows per config")
+    raw["experiment"]["seeds"] = 25  # 25 x 2 x 1000 x 2 = 100,000 rows: at the limit, accepted
+    assert sg.parse_config(raw).seeds == 25
+    raw["experiment"]["seeds"] = 26
+    with pytest.raises(sg.ConfigError, match=r"give 104000 rows, above the limit of 100000 rows per config$"):
+        sg.parse_config(raw)
+
+
 @pytest.mark.parametrize("prior, message", [
     ({"sigma_bins": 0.0}, "prior.sigma_bins must be positive"),
     ({"sigma_bins": -2.0}, "prior.sigma_bins must be positive"),

@@ -206,6 +206,8 @@ def test_scene_file_errors_name_file_and_line(tmp_path):
         ("headerpos.txt", "0 2\n", "must be positive"),
         ("rows.txt", "2 2\n0.1 0.2\n", "expected 2 data rows"),
         ("fields.txt", "2 1\n0.1 0.2 0.3\n", "expected 2 values, found 3"),
+        # a width far beyond memory fails on the row, before any array is made
+        ("width.txt", "1000000000000 1\n0.1 0.2\n", "expected 1000000000000 values, found 2"),
         ("numeric.txt", "2 1\n0.1 x\n", "non-numeric value"),
     ]
     for name, text, msg in cases:

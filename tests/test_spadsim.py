@@ -1,6 +1,7 @@
 """Event-driven SPAD cycle simulation: arming, sampling, budgets, determinism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -420,6 +421,94 @@ def test_free_running_does_not_call_the_scalar_scan(monkeypatch):
     stopping = sg.AdaptiveGatePolicy(500, bkg_flux=0.02, exposure=sg.ExposureControl(epsilon=0.25))
     rec = sg.run_acquisition(scene, _SWEEP_SPAD, stopping, max_cycles=300, seed=5)
     assert len(rec) > 100 and calls == []  # and so does one with a stop rule
+
+
+# Zero-rate bins at both ends of the period: scan prefix [0, 0, 0.5, 1, 1],
+# total rate 1.  Every prefix plus a draw below is exact in binary, so some
+# draws land exactly on the period's end (prefix[phase] + draw == total),
+# where divmod gives k = 1 and the scan goes on into the next period.
+_EDGE_SCENE = sg.SceneTransient.from_rates(np.array([0.0, 0.5, 0.5, 0.0]))
+_EDGE_DRAWS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 3.0, 4.5)
+
+
+def _scan_offset(scene, phase, draw, cap) -> int:
+    offset = spadsim._scan_exponential(scene, phase, draw, cap)
+    return -1 if offset is None else offset
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@pytest.mark.parametrize("dead", [1, 2, 3])
+def test_free_running_draws_on_the_period_end_match_the_scalar_scan(cap, dead):
+    scene, b = _EDGE_SCENE, _EDGE_SCENE.num_bins
+    prefix, total = scene.scan_prefix_list, scene.total_rate
+    draws = np.random.default_rng(10 * cap + dead).choice(_EDGE_DRAWS, 300).tolist()
+    expect, ready, on_the_end = [], 0, 0
+    for draw in draws:  # the scalar scan, cycle by cycle
+        on_the_end += prefix[ready % b] + draw == total
+        expect.append(_scan_offset(scene, ready % b, draw, cap))
+        ready += cap * b if expect[-1] < 0 else expect[-1] + dead
+    assert on_the_end >= 10 and 0.0 in draws
+    assert spadsim._free_run_offsets(scene, draws, 0, dead, cap, sys.maxsize) == expect
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_triggered_blocks_with_draws_on_the_period_end_match_the_scalar_scan(cap):
+    scene, b = _EDGE_SCENE, _EDGE_SCENE.num_bins
+    prefix, total = scene.scan_prefix_list, scene.total_rate
+    pairs = [(gate, draw) for gate in range(b) for draw in _EDGE_DRAWS]
+    blocks = {
+        "empty": [],
+        "in period": [(g, d) for g, d in pairs if prefix[g] + d < total],
+        "in period or on the end": [(g, d) for g, d in pairs if prefix[g] + d <= total],
+        "in period, on the end and wrapping": pairs,
+    }
+    for name, block in blocks.items():
+        gates = np.array([g for g, _ in block], dtype=np.int64)
+        draws = np.array([d for _, d in block], dtype=float)
+        offsets, censored = spadsim._locate_block(scene, gates, draws, cap)
+        expect = [_scan_offset(scene, g, d, cap) for g, d in block]
+        assert censored.tolist() == [o < 0 for o in expect], name
+        assert np.where(censored, -1, offsets).tolist() == expect, name
+
+
+# Every scan ends by the last bin, whose rate of 60 no unit exponential
+# passes in practice: every draw lands in the period it armed in.
+_IN_PERIOD_SCENE = sg.SceneTransient(num_bins=500, ambient_flux=0.5, peaks=((499, 60.0),))
+
+
+def test_in_period_draws_take_no_divmod(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return divmod(*args)
+
+    monkeypatch.setattr(spadsim, "divmod", counted, raising=False)  # shadows the builtin in spadsim
+    rec = sg.run_acquisition(_IN_PERIOD_SCENE, _SWEEP_SPAD, sg.FreeRunningPolicy(), budget_bins=5_000_000, seed=5)
+    assert len(rec) > spadsim.BLOCK_CYCLES and calls == []
+    # At ambient 0.5 a few scans cross the period's end, and only those divide.
+    rec = sg.run_acquisition(_SWEEP_SCENES["ambient 0.5"], _SWEEP_SPAD, sg.FreeRunningPolicy(),
+                             budget_bins=5_000_000, seed=5)
+    crossed = ~rec.detected | (rec.elapsed_periods > 0) | (rec.timestamps < rec.gates)
+    assert 0 < len(calls) == crossed.sum()
+
+
+@pytest.mark.parametrize("kind", ["fixed", "uniform"])
+def test_triggered_blocks_in_period_take_no_np_divmod(monkeypatch, kind):
+    calls = []
+    np_divmod = np.divmod
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return np_divmod(*args)
+
+    monkeypatch.setattr(spadsim.np, "divmod", counted)
+    rec = sg.run_acquisition(_IN_PERIOD_SCENE, _SWEEP_SPAD, _OPEN_LOOP[kind](500, 270), budget_bins=5_000_000, seed=5)
+    assert len(rec) > spadsim.BLOCK_CYCLES and calls == []
+    # At ambient 0.02 every block holds scans that cross the period's end.
+    rec = sg.run_acquisition(_SWEEP_SCENES["ambient 0.02"], _SWEEP_SPAD, _OPEN_LOOP[kind](500, 270),
+                             budget_bins=5_000_000, seed=5)
+    assert sum(calls) >= len(rec) > spadsim.BLOCK_CYCLES
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
