@@ -14,9 +14,12 @@ in sorted key order, never completion order.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
@@ -872,15 +875,88 @@ def run_sweep(
 
 
 def _map_rows(config: ExperimentConfig, specs: list[RowSpec], threads: int) -> list[ResultRow | RowFailure]:
+    """Run rows in order: serially, or on ``min(threads, len(specs))`` worker processes.
+
+    The workers start at the first parallel call and are kept for every
+    later call that needs as many, so a sweep does not pay for a fork per
+    call.  Kept workers run this package as it was when they started:
+    monkeypatching after that point does not reach them.  They exit with
+    their parent, even when it is killed.  A pool that breaks (a worker
+    died, or starting one failed) is dropped, never reused; rows are pure,
+    so after a worker died between calls they run once more on fresh
+    workers and give the same rows.
+    """
     args = [(config, s) for s in specs]
     if threads <= 1 or len(specs) <= 1:
         return [_run_row_safe(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor  # serial runs never pay for its import
+    from concurrent.futures.process import BrokenProcessPool  # serial runs never pay for its import
 
     workers = min(threads, len(args))  # a forked pool starts every worker at its first submit
     chunk = max(1, len(args) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_row_safe, args, chunksize=chunk))
+    try:
+        return _pool_map(workers, args, chunk)
+    except BrokenProcessPool:
+        return _pool_map(workers, args, chunk)
+
+
+# The worker pool kept across parallel calls, as (worker count, executor).
+_POOL: tuple[int, Any] | None = None
+
+
+def _pool_map(workers: int, args: list, chunk: int) -> list[ResultRow | RowFailure]:
+    try:
+        return list(_shared_pool(workers).map(_run_row_safe, args, chunksize=chunk))
+    except BaseException:
+        _drop_pool()
+        raise
+
+
+def _shared_pool(workers: int):
+    """The kept pool if it has ``workers`` workers, else a new one that replaces it."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == workers:
+        return _POOL[1]
+    _drop_pool()  # its threads are gone before the new workers fork
+    from concurrent.futures import ProcessPoolExecutor
+
+    _POOL = (workers, ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent))
+    return _POOL[1]
+
+
+def _drop_pool() -> None:
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown(cancel_futures=True)
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None  # a forked child shares the parent's pipes, but not its threads
+
+
+# Shut the pool down while the interpreter is still whole; its executor's
+# weakref callback would otherwise run during module teardown.
+atexit.register(_drop_pool)
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker as soon as its parent is gone.
+
+    An idle worker blocks on its call queue, which a killed parent never
+    closes.  The parent's sentinel becomes ready when the parent exits.
+    """
+    import multiprocessing.connection
+
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    if parent is not None:
+        threading.Thread(target=watch, daemon=True).start()
 
 
 # Scan map name -> the ResultRow field it shows.

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -622,31 +626,168 @@ def test_dark_pixels_aggregate_in_one_group():
     assert math.isnan(mixed[1].sbr) and mixed[1].n_rows == 2
 
 
-def test_pool_starts_no_more_workers_than_rows(monkeypatch):
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs the rows here, logs its start and shutdown."""
+
+    events: list = []
+
+    def __init__(self, max_workers, initializer=None):
+        self.workers = max_workers
+        self.events.append(("start", max_workers))
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.events.append(("shutdown", self.workers))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Pools run inline, starting with no kept pool; returns the pools' start and shutdown events."""
     import concurrent.futures
 
-    started = []
-
-    class InlinePool:  # records its worker count and runs the rows here
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
+    monkeypatch.setattr(InlinePool, "events", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    cfg = _config(experiment={"id": "unit", "seeds": 3, "global_seed": 7},
-                  policies=[{"name": "fixed0", "kind": "fixed", "gate": 0}])
+    monkeypatch.setattr(harness, "_POOL", None)  # restored afterwards, so no earlier pool is seen or lost
+    return InlinePool.events
+
+
+def _one_policy_config(seeds=3):
+    return _config(experiment={"id": "unit", "seeds": seeds, "global_seed": 7},
+                   policies=[{"name": "fixed0", "kind": "fixed", "gate": 0}])
+
+
+def test_pool_starts_no_more_workers_than_rows(inline_pool):
+    cfg = _one_policy_config()
     rows, _aggs, failures = sg.run_sweep(cfg, threads=64)
     assert len(rows) == 3 and failures == []
     sg.run_sweep(cfg, threads=2)
-    assert started == [3, 2]
+    assert [n for event, n in inline_pool if event == "start"] == [3, 2]
+
+
+def test_calls_with_one_worker_count_share_one_pool(inline_pool, tmp_path):
+    cfg = _one_policy_config()
+    sg.run_sweep(cfg, threads=2)
+    sg.run_sweep(cfg, threads=2)
+    sg.run_scene_scan(_scan_config(tmp_path), threads=2)  # two policies, one pool
+    assert inline_pool == [("start", 2)]
+    sg.run_sweep(cfg, threads=3)
+    assert inline_pool == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+
+def test_a_pool_that_fails_is_not_kept(inline_pool, monkeypatch):
+    import concurrent.futures
+
+    cfg = _one_policy_config()
+    sg.run_sweep(cfg, threads=2)
+
+    def no_pool(max_workers, initializer=None):
+        raise OSError("cannot start workers")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(OSError, match="cannot start workers"):
+        sg.run_sweep(cfg, threads=3)
+    assert harness._POOL is None and inline_pool == [("start", 2), ("shutdown", 2)]
+
+    class ForkFails(InlinePool):  # a forked pool starts its workers at the first submit
+        def map(self, fn, iterable, chunksize=1):
+            raise OSError("fork failed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkFails)
+    with pytest.raises(OSError, match="fork failed"):
+        sg.run_sweep(cfg, threads=3)
+    assert harness._POOL is None and inline_pool[-2:] == [("start", 3), ("shutdown", 3)]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rows, _aggs, failures = sg.run_sweep(cfg, threads=3)
+    assert len(rows) == 3 and failures == [] and harness._POOL[0] == 3
+
+
+def _results_bytes(path, rows):
+    sg.write_results_csv(path, rows)
+    return path.read_bytes()
+
+
+def test_a_kept_pool_with_a_dead_worker_is_replaced(tmp_path):
+    cfg = _one_policy_config(seeds=6)
+    serial = _results_bytes(tmp_path / "serial.csv", sg.run_sweep(cfg, threads=1)[0])
+    sg.run_sweep(cfg, threads=2)
+    kept = harness._POOL
+    workers = multiprocessing.active_children()
+    assert kept[0] == 2 and len(workers) == 2
+    os.kill(workers[0].pid, signal.SIGKILL)
+    rows, _aggs, failures = sg.run_sweep(cfg, threads=2)
+    assert failures == [] and harness._POOL is not kept
+    assert _results_bytes(tmp_path / "parallel.csv", rows) == serial
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie left to an init that does not reap counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True  # no /proc: the signal reached it
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+# Runs a 2-worker sweep, writes the kept workers' pids and kills itself.
+_KILLED_PARENT = """
+import json, multiprocessing, os, signal, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import spadgate as sg
+sg.run_sweep(sg.parse_config(json.loads(sys.argv[2])), threads=2)
+Path(sys.argv[3]).write_text(" ".join(str(child.pid) for child in multiprocessing.active_children()))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    pid_file, err_file = tmp_path / "pids.txt", tmp_path / "stderr.txt"
+    # Files, not pipes: a worker that outlived its parent would hold a pipe open.
+    with err_file.open("w") as err:
+        done = subprocess.run([sys.executable, "-c", _KILLED_PARENT, str(src), json.dumps(BASE_CONFIG), str(pid_file)],
+                              stdout=subprocess.DEVNULL, stderr=err, timeout=300)
+    pids = [int(pid) for pid in pid_file.read_text().split()] if pid_file.exists() else []
+    try:
+        assert done.returncode == -signal.SIGKILL and len(pids) == 2, err_file.read_text()
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+# Runs a 2-worker sweep, forks, and runs it again in the child, whose
+# inherited kept pool has no threads behind it.
+_FORKED_CHILD = """
+import json, os, signal, sys
+sys.path.insert(0, sys.argv[1])
+import spadgate as sg
+cfg = sg.parse_config(json.loads(sys.argv[2]))
+sg.run_sweep(cfg, threads=2)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    rows, _, failures = sg.run_sweep(cfg, threads=2)
+    os._exit(0 if len(rows) == 4 and not failures else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _FORKED_CHILD, str(src), json.dumps(BASE_CONFIG)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and done.stdout.split() == ["0"], done.stderr
 
 
 def test_sweep_thread_invariance(tmp_path):

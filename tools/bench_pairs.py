@@ -6,12 +6,14 @@
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T``
 once in each tree, on the same seed; odd pairs run the parent tree first,
 even pairs the change tree.  Pair i uses seed ``first_seed + i - 1``.
-Every run's digest line, row-count line and final JSON go into the output
-file, with both trees' ``git rev-parse HEAD`` (and their ``src`` tree ids,
-and whether the tree has uncommitted changes), the CPU model, the Python
-and numpy versions and the seeds.  For each workload and metric it prints
-the median and quartiles of each side and how many pairs each side won,
-the direction of "better" read from the change tree's BENCHMARK.json.
+Every run's digest line, row-count line, final JSON and the peak RSS of
+its largest process (``largest_process_rss_mb``, see ``run_once``) go into
+the output file, with both trees' ``git rev-parse HEAD`` (and their
+``src`` tree ids, and whether the tree has uncommitted changes), the CPU
+model, the Python and numpy versions and the seeds.  For each workload
+and metric it prints the median and quartiles of each side and how many
+pairs each side won, the direction of "better" read from the change
+tree's BENCHMARK.json, and each side's median largest process.
 
 Standard library only.  Run nothing else heavy alongside: the runs are
 timed on the host they share.
@@ -23,9 +25,12 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -66,13 +71,30 @@ def _versions() -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its key output lines and final JSON."""
+    """One benchmark run in ``tree``: its key output lines, final JSON and largest process.
+
+    The run is reaped with ``os.wait4``.  On Linux its ``ru_maxrss`` (KiB) is
+    the largest peak RSS among the benchmark process and every descendant
+    it reaped, worker processes included; ``largest_process_rss_mb`` is
+    that figure in MiB.
+    """
     cmd = [PYTHON, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    t = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=4 * seconds + 300)
-    wall = time.perf_counter() - t
-    lines = proc.stdout.strip().splitlines()
-    run = {"seed": seed, "returncode": proc.returncode, "wall_s": round(wall, 3)}
+    # Files, not pipes: nothing has to drain them while wait4 blocks.
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        t = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=tree, stdout=out, stderr=err, text=True)
+        timer = threading.Timer(4 * seconds + 300, os.kill, (proc.pid, signal.SIGKILL))
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
+        wall = time.perf_counter() - t
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    lines = stdout.strip().splitlines()
+    run = {"seed": seed, "returncode": proc.returncode, "wall_s": round(wall, 3),
+           "largest_process_rss_mb": round(usage.ru_maxrss / 1024.0, 2)}
     for line in lines[:-1]:
         if line.startswith("digest "):
             run["digest"] = line
@@ -82,7 +104,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         run["result"] = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         run["result"] = None
-        run["stderr_tail"] = proc.stderr[-2000:]
+        run["stderr_tail"] = stderr[-2000:]
     return run
 
 
@@ -127,6 +149,9 @@ def summarize(workload: str, pairs: list[dict], better: dict[str, str]) -> dict:
             "change_over_parent": ratio,
             "wins": wins,
         }
+    rss = {s: statistics.median(p[s]["largest_process_rss_mb"] for p in pairs) for s in SIDES}
+    print(f"  largest process RSS, median: parent {rss['parent']:.2f} MB, change {rss['change']:.2f} MB")
+    summary["largest_process_rss_mb"] = {s: {"median": rss[s]} for s in SIDES}
     for s in SIDES:
         digests = sorted({p[s].get("digest", "none") for p in pairs})
         failed = [p[s]["result"]["failed"] if p[s]["result"] else None for p in pairs]
