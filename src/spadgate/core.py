@@ -203,10 +203,11 @@ class AcquisitionRecord:
     ``timestamps`` hold folded detection bins in [0, num_bins); censored
     cycles (no detection within the active-period cap) store -1 with
     ``detected`` False.  ``elapsed_periods`` counts whole pulse periods
-    between arming and detection (the cap count for censored cycles); it is
-    kept for histogram building and diagnostics, estimators never condition
-    on it.  ``cycle_durations`` count absolute bins consumed per cycle
-    including re-arm wait and dead time, so they sum to ``exposure_bins``.
+    between arming and detection (the cap count for censored cycles), never
+    negative; it enters the histogram only through its sum, and the law's
+    estimators never condition on it.  ``cycle_durations`` count absolute
+    bins consumed per cycle including re-arm wait and dead time, so they
+    sum to ``exposure_bins``.
     A record holds outcomes only: which of its cycles a policy spent on
     calibration is the policy's to say (``calibration_cycles``).
     """
@@ -237,6 +238,8 @@ class AcquisitionRecord:
                 raise ValueError("timestamp outside [0, num_bins)")
             if np.any(ts[~self.detected] != -1):
                 raise ValueError("censored cycles must store timestamp -1")
+            if self.elapsed_periods.min() < 0:
+                raise ValueError("elapsed_periods cannot be negative")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -249,7 +252,10 @@ class DetectedHistogram:
     ``counts[i]`` is the number of detections folded into bin ``i``;
     ``denominators[i]`` is the number of times bin ``i`` was armed with no
     detection yet (the detection bin itself included).  A cycle that scans
-    several pulse periods contributes one pass per scan of the bin.
+    several pulse periods contributes one pass per scan of the bin.  So
+    ``denominators == passed + counts + E``, with ``passed`` the law
+    statistics of the detected cycles and E the record's summed
+    ``elapsed_periods`` (censored cycles included).
     """
 
     counts: np.ndarray
@@ -366,18 +372,6 @@ class LawStatistics(NamedTuple):
     censored: int
 
 
-def _window_counts(starts: np.ndarray, lengths: np.ndarray, num_bins: int) -> np.ndarray:
-    """Per-bin count of cyclic windows [start, start + length), one per pass.
-
-    Windows may span whole periods (the histogram's multi-period scans);
-    partial windows go through a difference array over two periods.
-    """
-    full, rem = np.divmod(lengths, num_bins)
-    size = 2 * num_bins
-    covered = np.cumsum(np.bincount(starts, minlength=size) - np.bincount(starts + rem, minlength=size))
-    return int(full.sum()) + covered[:num_bins] + covered[num_bins:]
-
-
 def law_statistics(num_bins: int, gates, timestamps, detected) -> LawStatistics:
     """Sufficient statistics of per-cycle (gate, folded timestamp, detected) outcomes.
 
@@ -486,14 +480,14 @@ def timestamps_to_histogram(record: AcquisitionRecord, num_bins: int | None = No
     including the detection bin (all scanned bins for censored cycles).
     Multi-period cycles add one pass per scan, so counts[i]/denominators[i]
     estimates the per-pass trigger probability 1 - exp(-r[i]) without
-    pile-up bias.
+    pile-up bias.  Read off the law statistics of the detected cycles: a
+    detected cycle arms its window [gate, timestamp) and its detection bin,
+    and every whole period any cycle scanned arms each bin once more, so
+    the denominators are passed + counts + sum(elapsed_periods).
     """
     b = int(num_bins) if num_bins is not None else record.num_bins
     if b != record.num_bins:
         raise ValueError("record and histogram have mismatched num_bins")
-    det = record.detected
-    counts = np.bincount(record.timestamps[det], minlength=b)
-    # Scanned-window lengths in bins, detection bin inclusive.
-    offsets = (record.timestamps - record.gates) % b
-    lengths = record.elapsed_periods * b + np.where(det, offsets + 1, 0)
-    return DetectedHistogram(counts=counts, denominators=_window_counts(record.gates, lengths, b))
+    stats = law_statistics(b, record.gates, record.timestamps, record.detected)
+    whole_periods = int(record.elapsed_periods.sum())
+    return DetectedHistogram(counts=stats.counts, denominators=stats.passed + stats.counts + whole_periods)

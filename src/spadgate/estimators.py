@@ -7,7 +7,10 @@ on a grid of candidate values (a known signal flux is a one-value grid).
 Its likelihood is the folded-timestamp law of ``core``, which reads a
 record only through four sufficient statistics (per-bin detection and
 passed-over counts, detected and censored cycle counts).  A whole record
-folds in one step from its statistics.
+folds in one step from its statistics.  The histogram route reads the
+same statistics: a bin's armed passes are its passed-over count, plus
+its detections, plus the record's summed elapsed periods
+(``timestamps_to_histogram``).
 
 The posterior stores probability mass, not log mass: an unnormalized
 (depth, flux) array, flux-major (Fortran order) so that sums over the flux
@@ -22,14 +25,14 @@ drops only cells about 1000 nats or more below it.  One cycle gives each
 depth row one of three values (its detection bin, a bin of the window it
 passed over, any other bin; one value for a censored cycle), each a
 vector over the flux grid read off the same law once per posterior and
-background.  A posterior keeps those factors for every cell in a buffer
-shaped and laid out like its mass; a cycle rewrites only the rows whose
-type changed since the last cycle, so an update is one contiguous
-multiply of the whole joint and one flux-axis sum, with no exp, log or
-normalizing pass over the joint.  The Thompson draw, the stop rule and
-the readouts read the installed row sums; the log mass and the depth log
-marginal are derived on demand.  A log-domain parabola fit around the
-chosen bin recovers sub-bin depth (temporal dithering).
+background.  A posterior keeps a buffer shaped and laid out like its
+mass; each cycle refills it with the "other" factors and then writes its
+window and hit rows, so an update is one contiguous multiply of the whole
+joint and one flux-axis sum, with no exp, log or normalizing pass over
+the joint.  The Thompson draw, the stop rule and the readouts read the
+installed row sums; the log mass and the depth log marginal are derived
+on demand.  A log-domain parabola fit around the chosen bin recovers
+sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
@@ -140,8 +143,9 @@ class DepthPosterior:
 
     Each posterior keeps what it reads off the law for its background and
     grid (``_Factors``: the likelihood's column terms and the one-cycle
-    factors) and a factor buffer of the mass's shape (written by
-    ``posterior_update``); a copy starts without either.
+    factors) and a factor buffer of the mass's shape, which
+    ``posterior_update`` refills on every cycle; a copy starts without
+    either.
     """
 
     def __init__(self, mass: np.ndarray, flux_grid: np.ndarray, degraded_cycles: int = 0):
@@ -149,7 +153,6 @@ class DepthPosterior:
         self.degraded_cycles = degraded_cycles
         self._factors: _Factors | None = None
         self._buffer: np.ndarray | None = None
-        self._buffer_holds: tuple = (None, 0, 0)  # (step, gate, rows from gate not holding "other")
         mass = np.array(mass, dtype=float, order="F")
         if mass.ndim != 2 or mass.shape[1] != len(flux_grid):
             raise ValueError(f"mass of shape {mass.shape} is not (depth bins, {len(flux_grid)} flux values)")
@@ -350,14 +353,12 @@ def posterior_update(post: DepthPosterior, timestamp: int | None, gate: int, bkg
     flux-axis sum installs the rows.  The buffer holds a step's factors for
     every cell: depth rows [gate, gate + window) (mod B) its window
     factors, row gate + window its hit factors, every other row its other
-    factors (every row, for a censored cycle).  When it holds the same step
-    from the last cycle, only that cycle's window and hit rows go back to
-    the other factors before the new ones are written; otherwise it is
-    refilled.  The product is written in place unless a factor is 0; it
-    then goes to a new array, so that an outcome impossible under every
-    cell of positive mass leaves the mass as it was.  (With positive
-    factors, all at least exp(-700), and a total of at least 2**500 the
-    peak cell stays positive.)
+    factors (every row, for a censored cycle).  Each cycle refills it with
+    the other factors, then writes its window and hit rows.  The product
+    is written in place unless a factor is 0; it then goes to a new array,
+    so that an outcome impossible under every cell of positive mass leaves
+    the mass as it was.  (With positive factors, all at least exp(-700),
+    and a total of at least 2**500 the peak cell stays positive.)
     """
     b = post.mass.shape[0]
     if not 0 <= gate < b:
@@ -373,19 +374,14 @@ def posterior_update(post: DepthPosterior, timestamp: int | None, gate: int, bkg
     if steps is None:
         post.degraded_cycles += 1
         return post
+    buf = post._buffer
+    if buf is None:
+        buf = post._buffer = np.empty_like(post.mass)  # flux-major, like the mass
     for step in steps:
-        buf = post._buffer
-        last_step, start, count = post._buffer_holds
-        if last_step is step:  # the last cycle's window and hit rows go back to "other"
-            _put_rows(buf, start, count, step[2])
-        else:
-            if buf is None:
-                buf = post._buffer = np.empty_like(post.mass)  # flux-major, like the mass
-            buf[...] = step[2]
+        buf[...] = step[2]
         if window >= 0:
             _put_rows(buf, gate, window, step[0])
             buf[(gate + window) % b] = step[1]
-        post._buffer_holds = (step, gate, window + 1)
         mass = post.mass
         if not _install(post, np.multiply(mass, buf, mass if step[3] else np.empty_like(mass)), 1):
             break

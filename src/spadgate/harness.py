@@ -236,7 +236,9 @@ class ExperimentConfig:
 # flux columns, 2**20 bins make it 136 MiB, and an update holds a few.
 MAX_NUM_BINS = 1 << 20
 # Most cycles one row may run.  A row keeps its whole record, five columns
-# (33 bytes) per cycle, so 10**7 cycles hold about 330 MB.
+# (33 bytes) per cycle, and joins it from its blocks, so it peaks at about
+# 73 bytes per cycle (a free running + MAP row at the paper point: 107 MB
+# at 10**6 cycles, 38 MB at 10**3): about 730 MB at 10**7 cycles.
 MAX_ROW_CYCLES = 10**7
 # Most rows one config may ask for (seeds x policies x each sweep axis).
 # A sweep builds every row's spec, about 225 bytes, before it runs one,

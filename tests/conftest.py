@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spadgate import AcquisitionRecord
-from spadgate.core import LawStatistics, _count_times, _window_counts, law_statistics, log1mexp
+from spadgate.core import LawStatistics, _count_times, law_statistics, log1mexp
 from spadgate.estimators import _factor_steps, _fold, _install, posterior_update
 from spadgate.policies import termination_value
 from spadgate.spadsim import BLOCK_CYCLES, FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
@@ -33,10 +33,22 @@ def flux_log_marginal(post) -> np.ndarray:
         return np.log(post.mass.sum(axis=0)) - math.log(post.total)
 
 
+def _window_counts(starts: np.ndarray, lengths: np.ndarray, num_bins: int) -> np.ndarray:
+    """Per-bin count of cyclic windows [start, start + length), one per pass.
+
+    Windows may span whole periods; partial windows go through a
+    difference array over two periods.
+    """
+    full, rem = np.divmod(lengths, num_bins)
+    size = 2 * num_bins
+    covered = np.cumsum(np.bincount(starts, minlength=size) - np.bincount(starts + rem, minlength=size))
+    return int(full.sum()) + covered[:num_bins] + covered[num_bins:]
+
+
 def reference_law_statistics(num_bins: int, gates, timestamps, detected) -> LawStatistics:
     """Reference for ``core.law_statistics``: each detected cycle's window
     [gate, timestamp) counted as a cyclic window of (timestamp - gate) mod B
-    bins by the histogram's ``_window_counts``."""
+    bins by ``_window_counts``."""
     det = np.asarray(detected, dtype=bool)
     gates = np.asarray(gates, dtype=np.int64)[det]
     stamps = np.asarray(timestamps, dtype=np.int64)[det]

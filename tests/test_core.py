@@ -413,6 +413,34 @@ def test_histogram_matches_brute_force_on_simulated_record():
     assert int(hist.counts.sum()) == int(record.detected.sum())
 
 
+@st.composite
+def _histogram_records(draw):
+    """Records of arbitrary cycles: any gate, detections at any offset
+    (B - 1 included, a window of a whole period), censored cycles, and any
+    elapsed period count for either kind; B = 1 and empty records too."""
+    b = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    cycles = []
+    for _ in range(draw(st.integers(0, 20))):
+        gate = draw(st.integers(0, b - 1))
+        periods = draw(st.integers(0, 8))
+        kind = draw(st.sampled_from(["censored", "whole period", "any"]))
+        if kind == "censored":
+            cycles.append((gate, None, periods))
+        else:
+            offset = b - 1 if kind == "whole period" else draw(st.integers(0, b - 1))
+            cycles.append((gate, (gate + offset) % b, periods))
+    return make_record(b, cycles)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_histogram_records())
+def test_histogram_matches_brute_force_on_arbitrary_records(record):
+    hist = sg.timestamps_to_histogram(record)
+    counts, denoms = _brute_histogram(record)
+    assert np.array_equal(hist.counts, counts)
+    assert np.array_equal(hist.denominators, denoms)
+
+
 def test_histogram_empty_record():
     hist = sg.timestamps_to_histogram(make_record(5, []))
     assert np.array_equal(hist.counts, np.zeros(5, dtype=np.int64))
@@ -426,6 +454,14 @@ def test_detected_histogram_validation():
 
 # ---------------------------------------------------------------------------
 # Record plumbing
+
+
+def test_record_rejects_negative_elapsed_periods():
+    with pytest.raises(ValueError, match="elapsed_periods cannot be negative"):
+        make_record(4, [(0, 2, 1), (1, None, -1)])
+    with pytest.raises(ValueError, match="elapsed_periods cannot be negative"):
+        make_record(4, [(3, 1, -2)])
+    assert len(make_record(4, [(1, None)])) == 1  # a censored cycle with 0 periods stays valid
 
 
 def test_record_validation():

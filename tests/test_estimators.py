@@ -383,7 +383,7 @@ def test_posterior_update_is_the_one_cycle_fold_to_the_bit(case):
     b, bkg, grid, prior, history, cycles = case
     post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid)
     ref = post.copy()
-    for gate, t, cycle_bkg, twin in cycles:  # later cycles read the cached rows and patch the buffer
+    for gate, t, cycle_bkg, twin in cycles:  # later cycles read the cached rows and refill the kept buffer
         if twin is not None:  # the copy keeps a buffer of its own
             _update_both(post.copy(), ref.copy(), *twin, cycle_bkg)
         _update_both(post, ref, gate, t, cycle_bkg)

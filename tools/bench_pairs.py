@@ -13,7 +13,11 @@ the output file, with both trees' ``git rev-parse HEAD`` (and their
 model, the Python and numpy versions and the seeds.  For each workload
 and metric it prints the median and quartiles of each side and how many
 pairs each side won, the direction of "better" read from the change
-tree's BENCHMARK.json, and each side's median largest process.
+tree's BENCHMARK.json, and each side's median largest process.  Each
+metric also gets a verdict against its BENCHMARK.json ``bound``: worse
+than the bound, within it, or unresolved when the parent's quartile
+spread is wider than the bound.  One line says whether both sides gave
+the same set of digests.
 
 Standard library only.  Run nothing else heavy alongside: the runs are
 timed on the host they share.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import signal
@@ -122,40 +127,71 @@ def _metric(run: dict, name: str) -> float | None:
     return result["metrics"][name]["value"]
 
 
-def summarize(workload: str, pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles and the pairs each side won."""
-    names = [n for n in better if any(_metric(p["parent"], n) is not None for p in pairs)]
+def verdict(parent: tuple[float, float, float], change_median: float, better: str, bound: float) -> tuple[float, str]:
+    """How much worse the change's median is than the parent's, as a fraction
+    of the parent's median, and what that says against ``bound``.
+
+    "unresolved" when the parent's quartile spread, as a fraction of its
+    median, is wider than the bound (the runs cannot tell a move of the
+    bound from noise); else "worse than bound" or "within bound".
+    """
+    q1, median, q3 = parent
+    worse = (median - change_median) if better == "higher" else (change_median - median)
+    if median:
+        worse_by, spread = worse / abs(median), (q3 - q1) / abs(median)
+    else:  # a metric at 0 on the parent: any move is unbounded
+        worse_by = math.copysign(math.inf, worse) if worse else 0.0
+        spread = math.inf if q3 > q1 else 0.0
+    if spread > bound:
+        return worse_by, "unresolved"
+    return worse_by, "worse than bound" if worse_by > bound else "within bound"
+
+
+def summarize(workload: str, pairs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per metric: each side's quartiles, the pairs each side won and the
+    verdict against the metric's bound; then whether both sides gave the
+    same digests.  ``spec`` maps each metric to its BENCHMARK.json entry
+    (``better`` and ``bound``)."""
+    names = [n for n in spec if any(_metric(p["parent"], n) is not None for p in pairs)]
     summary = {}
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':18s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
-          f"{'change/parent':>13s}  wins parent/change/tie")
+          f"{'change/parent':>13s}  wins parent/change/tie  verdict (worse by, bound)")
     for name in names:
         values = {s: [_metric(p[s], name) for p in pairs] for s in SIDES}
         if any(v is None for s in SIDES for v in values[s]):
             print(f"  {name:18s} missing in some runs")
             continue
-        sign = 1.0 if better[name] == "higher" else -1.0
+        better, bound = spec[name]["better"], spec[name]["bound"]
+        sign = 1.0 if better == "higher" else -1.0
         wins = {"parent": 0, "change": 0, "tie": 0}
         for a, b in zip(values["parent"], values["change"]):
             d = sign * (b - a)
             wins["change" if d > 0 else "parent" if d < 0 else "tie"] += 1
         stats = {s: _quartiles(values[s]) for s in SIDES}
         ratio = stats["change"][1] / stats["parent"][1] if stats["parent"][1] else float("nan")
+        worse_by, call = verdict(stats["parent"], stats["change"][1], better, bound)
         shown = {s: f"{stats[s][1]:.6g} [{stats[s][0]:.6g}, {stats[s][2]:.6g}]" for s in SIDES}
-        print(f"  {name:18s} {shown['parent']:>34s} {shown['change']:>34s} {ratio:13.4f}  "
-              f"{wins['parent']}/{wins['change']}/{wins['tie']}")
+        won = f"{wins['parent']}/{wins['change']}/{wins['tie']}"
+        print(f"  {name:18s} {shown['parent']:>34s} {shown['change']:>34s} {ratio:13.4f}  {won:22s}  "
+              f"{call} ({worse_by:+.2%}, {bound:.0%})")
         summary[name] = {
             **{s: {"q1": stats[s][0], "median": stats[s][1], "q3": stats[s][2]} for s in SIDES},
             "change_over_parent": ratio,
             "wins": wins,
+            "bound": bound,
+            "worse_by": worse_by,
+            "verdict": call,
         }
     rss = {s: statistics.median(p[s]["largest_process_rss_mb"] for p in pairs) for s in SIDES}
     print(f"  largest process RSS, median: parent {rss['parent']:.2f} MB, change {rss['change']:.2f} MB")
     summary["largest_process_rss_mb"] = {s: {"median": rss[s]} for s in SIDES}
+    digests = {s: sorted({p[s].get("digest", "none") for p in pairs}) for s in SIDES}
     for s in SIDES:
-        digests = sorted({p[s].get("digest", "none") for p in pairs})
         failed = [p[s]["result"]["failed"] if p[s]["result"] else None for p in pairs]
-        print(f"  {s}: {' | '.join(digests)}; failed rows per run {failed}")
+        print(f"  {s}: {' | '.join(digests[s])}; failed rows per run {failed}")
+    summary["digests_equal"] = digests["parent"] == digests["change"]
+    print(f"  digests: {'the same set on both sides' if summary['digests_equal'] else 'the sides differ'}")
     return summary
 
 
@@ -172,7 +208,7 @@ def main() -> int:
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     record = {
         "command": "python3 bench/run.py --workload W --seed S --seconds T",
@@ -194,7 +230,7 @@ def main() -> int:
             pairs.append(pair)
             print(f"{workload} pair {i}/{len(seeds)} seed {seed} done", file=sys.stderr, flush=True)
         record["workloads"][workload] = {"pairs": pairs}
-        record["workloads"][workload]["summary"] = summarize(workload, pairs, better)
+        record["workloads"][workload]["summary"] = summarize(workload, pairs, metrics)
         args.out.write_text(json.dumps(record, indent=1) + "\n")  # kept after each workload
     return 0
 
