@@ -19,10 +19,8 @@ from .core import (
     depth_to_bin,
     derive_num_bins,
     detection_distribution,
-    detection_likelihood,
     folded_detection_distribution,
     no_detection_probability,
-    pileup_distribution,
     sequence_log_likelihood,
     timestamps_to_histogram,
 )
@@ -56,7 +54,6 @@ from .harness import (
     normalization_check,
     parse_config,
     proposition_check,
-    reward_consistency_check,
     run_pixel_experiment,
     run_scene_scan,
     run_sweep,

@@ -25,7 +25,6 @@ from .harness import (
     normalization_check,
     parse_config,
     proposition_check,
-    reward_consistency_check,
     run_scene_scan,
     run_sweep,
     serialize_config,
@@ -168,12 +167,6 @@ def _oracle_cmd(args: argparse.Namespace) -> int:
     ok &= passed
     print(f"[{'PASS' if passed else 'FAIL'}] outcome distributions sum to one "
           f"(max deviation {dev:.3e}, tolerance 1e-12)")
-
-    dev = reward_consistency_check()
-    passed = dev < 1e-12
-    ok &= passed
-    print(f"[{'PASS' if passed else 'FAIL'}] closed-form reward matches brute-force expectation "
-          f"(max gap {dev:.3e}, tolerance 1e-12)")
 
     passed, detail = proposition_check()
     ok &= passed

@@ -281,61 +281,23 @@ def _validate_gate(gate: int, num_bins: int) -> None:
         raise ValueError(f"gate {gate} outside [0, {num_bins})")
 
 
-def no_detection_probability(scene: SceneTransient, gate: int = 0) -> float:
-    """Probability of surviving one full period armed, exp(-sum r).
-
-    Independent of the gate position (the product runs over every bin
-    exactly once); the argument is validated and otherwise ignored.
-    """
-    _validate_gate(gate, scene.num_bins)
+def no_detection_probability(scene: SceneTransient) -> float:
+    """Probability of surviving one full period armed, exp(-sum r), whatever the gate."""
     return math.exp(-scene.total_rate)
-
-
-def detection_likelihood(scene: SceneTransient, t: int, gate: int) -> float:
-    """Probability the first detection lands at absolute bin ``t``.
-
-    The pixel arms at ``gate`` and scans bins gate, gate+1, ... (indices
-    mod num_bins) for as many periods as it takes; ``t`` at or beyond
-    ``gate + num_bins`` means detection in a later period, each full
-    period contributing one no-detection survival factor.  The window sum
-    is accumulated in scan order so the result is exactly invariant under
-    a cyclic rotation of scene, gate and t together.
-    """
-    b = scene.num_bins
-    _validate_gate(gate, b)
-    if t < gate:
-        raise ValueError(f"t={t} before the arming bin {gate}")
-    rates = scene.rates
-    r_t = rates[t % b]
-    if r_t <= 0.0:
-        return 0.0
-    periods, t_fold = divmod(t - gate, b)
-    acc = 0.0
-    for tau in range(gate, gate + t_fold):
-        acc += rates[tau % b]
-    acc += periods * scene.total_rate
-    return -math.expm1(-r_t) * math.exp(-acc)
 
 
 def detection_distribution(scene: SceneTransient, gate: int) -> np.ndarray:
     """Detection probabilities by scan offset: entry n is p(t = gate + n).
 
-    Sums to 1 - no_detection_probability (telescoping).
+    The pixel arms at ``gate`` and scans bins gate, gate+1, ... (indices
+    mod num_bins).  A detection in a later period k has probability
+    no_detection_probability**k times its entry here.  Sums to
+    1 - no_detection_probability (telescoping).
     """
     _validate_gate(gate, scene.num_bins)
     r = np.roll(scene.rates, -gate)
     survived = np.concatenate(([0.0], np.cumsum(r[:-1])))
     return -np.expm1(-r) * np.exp(-survived)
-
-
-def pileup_distribution(scene: SceneTransient) -> np.ndarray:
-    """Detection-time distribution for a gate at bin 0 (classic pile-up).
-
-    Early bins shadow later ones: entry t carries the factor
-    exp(-sum_{i<t} r[i]), which skews mass toward the start of the period
-    at high flux.
-    """
-    return detection_distribution(scene, 0)
 
 
 def folded_detection_distribution(scene: SceneTransient, gate: int) -> np.ndarray:
@@ -473,7 +435,7 @@ def peak_log_likelihood(stats: LawStatistics, columns: PeakColumns) -> np.ndarra
     return ll.T
 
 
-def timestamps_to_histogram(record: AcquisitionRecord, num_bins: int | None = None) -> DetectedHistogram:
+def timestamps_to_histogram(record: AcquisitionRecord) -> DetectedHistogram:
     """Fold a record into per-bin detection counts and armed-pass counts.
 
     Each cycle adds one pass to every bin scanned from its gate up to and
@@ -485,9 +447,6 @@ def timestamps_to_histogram(record: AcquisitionRecord, num_bins: int | None = No
     and every whole period any cycle scanned arms each bin once more, so
     the denominators are passed + counts + sum(elapsed_periods).
     """
-    b = int(num_bins) if num_bins is not None else record.num_bins
-    if b != record.num_bins:
-        raise ValueError("record and histogram have mismatched num_bins")
-    stats = law_statistics(b, record.gates, record.timestamps, record.detected)
+    stats = law_statistics(record.num_bins, record.gates, record.timestamps, record.detected)
     whole_periods = int(record.elapsed_periods.sum())
     return DetectedHistogram(counts=stats.counts, denominators=stats.passed + stats.counts + whole_periods)

@@ -293,6 +293,8 @@ def _take(section: dict, errors: list[str], path: str, key: str, kind, default=N
                 raise ValueError
             return int(val)
         if kind is float:
+            if not isinstance(val, (int, float)):  # a JSON number, not a string
+                raise ValueError
             number = float(val)
             if not math.isfinite(number):
                 errors.append(f"{path}.{key}: expected a finite number, got {val!r}")
@@ -308,9 +310,12 @@ def _float_list(section: dict, errors: list[str], path: str, key: str) -> tuple[
     raw = _take(section, errors, path, key, list)
     if raw is None:
         return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+        errors.append(f"{path}.{key}: expected a list of numbers")
+        return None
     try:
         out = tuple(float(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
+    except OverflowError:  # float(10**400) overflows
         errors.append(f"{path}.{key}: expected a list of numbers")
         return None
     if not out:
@@ -583,7 +588,6 @@ class RowSpec:
     y: int = -1
     prior_center_bin: float | None = None
     prior_sigma_bins: float | None = None
-    use_mismatch: bool = False
 
 
 _GROUP_FIELDS = ("policy", "ambient_flux", "sbr", "dead_time_ns", "budget_us")
@@ -719,7 +723,7 @@ def _row_prior(config: ExperimentConfig, spec: RowSpec, num_bins: int) -> np.nda
 
 
 def _row_scene(config: ExperimentConfig, spec: RowSpec, num_bins: int) -> SceneTransient:
-    if spec.use_mismatch:
+    if config.mismatch_kind is not None:
         return mismatch_transient(
             kind=config.mismatch_kind,
             num_bins=num_bins,
@@ -858,7 +862,6 @@ def build_sweep_specs(config: ExperimentConfig) -> list[RowSpec]:
                                 dead_time_ns=dead,
                                 budget_us=budget,
                                 max_cycles=config.max_cycles,
-                                use_mismatch=config.mismatch_kind is not None,
                             ))
                             idx += 1
     return specs
@@ -1123,22 +1126,6 @@ def normalization_check(n_configs: int = 50, seed: int = 2024) -> float:
     return worst
 
 
-def reward_consistency_check(
-    num_bins_list: tuple[int, ...] = (16, 64),
-    flux_pairs: tuple[tuple[float, float], ...] = ((0.05, 0.5), (0.2, 1.0), (1.0, 0.1)),
-) -> float:
-    """Max |closed-form reward - brute-force expectation| over all (depth, gate)."""
-    worst = 0.0
-    for b in num_bins_list:
-        for bkg, sig in flux_pairs:
-            for d in range(b):
-                for g in range(b):
-                    closed = reward(d, g, b, bkg, sig, method="closed")
-                    brute = reward(d, g, b, bkg, sig, method="brute")
-                    worst = max(worst, abs(closed - brute))
-    return worst
-
-
 def proposition_check(
     num_bins_list: tuple[int, ...] = (16, 64),
     flux_pairs: tuple[tuple[float, float], ...] = ((0.05, 0.5), (0.2, 1.0), (1.0, 0.1)),
@@ -1147,7 +1134,7 @@ def proposition_check(
     for b in num_bins_list:
         for bkg, sig in flux_pairs:
             for d in range(b):
-                vals = np.array([reward(d, g, b, bkg, sig, method="brute") for g in range(b)])
+                vals = np.array([reward(d, g, b, bkg, sig) for g in range(b)])
                 best = int(np.argmax(vals))
                 if best != d:
                     return False, f"B={b} fluxes=({bkg},{sig}) depth={d}: argmax gate {best}"

@@ -5,7 +5,7 @@ at depths drawn from the flux-marginalized posterior (minus an optional
 offset).  Gating at the sampled depth maximizes the expected reward
 -E[0-1 loss] for that hypothesis, because the gate position only
 attenuates the sampled bin through the rates scanned before it; an
-exhaustive check over all gates backs the closed form in the tests.
+exhaustive check over all gates backs this (``harness.proposition_check``).
 
 Every policy gives ``gates(start, count, rng)``, the gates of the next
 block of cycles, which ``run_acquisition`` simulates in one pass (see
@@ -35,9 +35,7 @@ from .core import (
     AcquisitionRecord,
     SceneTransient,
     detection_distribution,
-    detection_likelihood,
     law_statistics,
-    no_detection_probability,
 )
 from .estimators import (
     BackgroundEstimate,
@@ -258,35 +256,16 @@ class AdaptiveGatePolicy:
         self._buffer = []
 
 
-def reward(
-    sampled_depth: int,
-    gate: int,
-    num_bins: int,
-    bkg_flux: float,
-    signal_flux: float,
-    method: str = "closed",
-) -> float:
+def reward(sampled_depth: int, gate: int, num_bins: int, bkg_flux: float, signal_flux: float) -> float:
     """Expected reward -E[0-1 loss] of gating at ``gate`` for a depth hypothesis.
 
     Under the hypothesis the scene has one peak at ``sampled_depth``.  The
     MAP after a single detection is the detection bin, so the expected
-    reward is -(1 - p(detection folds onto the sampled bin)); a cycle with
-    no detection within the period counts as a full loss.  The closed form
-    evaluates one detection likelihood; "brute" sums the loss over every
-    possible outcome and must agree to float precision.
+    reward is -(1 - p(the first period's detection lands on the sampled
+    bin)); a cycle with no detection within the period counts as a full
+    loss.
     """
     if not 0 <= sampled_depth < num_bins:
         raise ValueError(f"depth {sampled_depth} outside [0, {num_bins})")
-    if not 0 <= gate < num_bins:
-        raise ValueError(f"gate {gate} outside [0, {num_bins})")
     scene = SceneTransient(num_bins=num_bins, ambient_flux=bkg_flux, peaks=((sampled_depth, signal_flux),))
-    if method == "closed":
-        t = gate + (sampled_depth - gate) % num_bins
-        return -(1.0 - detection_likelihood(scene, t, gate))
-    if method == "brute":
-        dist = detection_distribution(scene, gate)
-        hit = float(dist[(sampled_depth - gate) % num_bins])
-        loss = (float(dist.sum()) - hit) + no_detection_probability(scene)
-        return -loss
-    raise ValueError(f"unknown reward method {method!r}")
-
+    return -(1.0 - float(detection_distribution(scene, gate)[(sampled_depth - gate) % num_bins]))

@@ -9,8 +9,9 @@ detection within ``max_active_periods`` pulse periods is censored.
 
 The per-bin Bernoulli walk is exactly a discretized exponential clock, so
 a cycle draws one unit exponential and locates the detection bin in the
-cumulative rate profile; the tests check the resulting outcome law
-against ``detection_likelihood``.
+cumulative rate profile; the tests check the resulting outcome law, later
+periods included, against a per-bin product of survival and trigger
+probabilities, the law ``core.detection_distribution`` writes.
 
 ``run_acquisition`` runs every policy in blocks of cycles.  A policy
 gives the gates of a block, ``gates(start, count, rng)``: cycles start ..

@@ -126,23 +126,42 @@ def test_no_detection_probability_flat():
     assert sg.no_detection_probability(scene500) == pytest.approx(0.006737946999085467, rel=1e-12)
 
 
-def test_no_detection_probability_gate_independent():
-    scene = sg.SceneTransient(num_bins=8, ambient_flux=0.1, peaks=((3, 0.5),))
-    vals = {sg.no_detection_probability(scene, g) for g in range(8)}
-    assert len(vals) == 1  # a full period is scanned regardless of phase
-    assert vals.pop() == pytest.approx(math.exp(-1.3), rel=1e-12)
-
-
 def test_detection_likelihood_frozen_values():
     scene = sg.SceneTransient(num_bins=8, ambient_flux=0.1, peaks=((3, 0.5),))
-    assert sg.detection_likelihood(scene, 5, 0) == pytest.approx(0.035008357473362776, rel=1e-12)
+    assert sg.detection_distribution(scene, 0)[5] == pytest.approx(0.035008357473362776, rel=1e-12)
     flat = sg.SceneTransient(num_bins=8, ambient_flux=0.1)
     # detection at the armed bin itself: no survival factors at all
-    assert sg.detection_likelihood(flat, 2, 2) == pytest.approx(0.09516258196404048, rel=1e-12)
+    assert sg.detection_distribution(flat, 2)[0] == pytest.approx(0.09516258196404048, rel=1e-12)
+
+
+@st.composite
+def _scenes_and_gates(draw):
+    """A scene of 1 to 24 bins, some of them (or all) with zero rate, and any gate."""
+    b = draw(st.integers(1, 24))
+    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 3.0)), min_size=b, max_size=b))
+    return sg.SceneTransient.from_rates(np.array(rates)), draw(st.integers(0, b - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenes_and_gates())
+def test_detection_distribution_matches_scalar(scene_gate):
+    # The per-bin product oracle in conftest, written apart from src: entry
+    # n is the first detection at gate + n, and a detection k periods later
+    # has probability q**k times it.
+    scene, gate = scene_gate
+    b = scene.num_bins
+    dist = sg.detection_distribution(scene, gate)
+    q = sg.no_detection_probability(scene)
+    for k in range(3):
+        for n in range(b):
+            assert q**k * dist[n] == pytest.approx(
+                brute_detection_likelihood(scene.rates, gate + k * b + n, gate), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("num_bins", [5, 12])
 def test_detection_likelihood_matches_brute_force(num_bins, rng):
+    # Random peaked scenes over two periods after arming: the first
+    # detection at gate + t has probability q**(t // B) * dist[t % B].
     for _ in range(8):
         ambient = float(rng.uniform(1e-3, 0.4))
         peaks = tuple(
@@ -151,36 +170,23 @@ def test_detection_likelihood_matches_brute_force(num_bins, rng):
         )
         scene = sg.SceneTransient(num_bins=num_bins, ambient_flux=ambient, peaks=peaks)
         gate = int(rng.integers(0, num_bins))
-        for t in range(gate, gate + 2 * num_bins):
-            assert sg.detection_likelihood(scene, t, gate) == pytest.approx(
-                brute_detection_likelihood(scene.rates, t, gate), rel=1e-12
+        dist = sg.detection_distribution(scene, gate)
+        q = sg.no_detection_probability(scene)
+        for t in range(2 * num_bins):
+            assert q ** (t // num_bins) * dist[t % num_bins] == pytest.approx(
+                brute_detection_likelihood(scene.rates, gate + t, gate), rel=1e-12
             )
 
 
 def test_detection_likelihood_rotation_invariance():
     # Shifting the scene and the gate together scans the exact same rate
-    # sequence, so in-period probabilities must match to the last bit.
+    # sequence, so the distributions must match to the last bit.
     scene = sg.SceneTransient(num_bins=9, ambient_flux=0.07, peaks=((2, 0.8), (6, 0.3)))
     for shift in (1, 4, 8):
         shifted = scene.shifted(shift)
         for gate in (0, 3):
             g2 = (gate + shift) % 9
-            for offset in range(9):
-                assert sg.detection_likelihood(scene, gate + offset, gate) == sg.detection_likelihood(
-                    shifted, g2 + offset, g2
-                )
-            for offset in range(9, 14):  # later periods add a total-rate term, exact only to rounding
-                assert sg.detection_likelihood(scene, gate + offset, gate) == pytest.approx(
-                    sg.detection_likelihood(shifted, g2 + offset, g2), rel=1e-12
-                )
-
-
-def test_detection_distribution_matches_scalar():
-    scene = sg.SceneTransient(num_bins=11, ambient_flux=0.05, peaks=((7, 1.1),))
-    for gate in (0, 4, 10):
-        dist = sg.detection_distribution(scene, gate)
-        for k in range(11):
-            assert dist[k] == pytest.approx(sg.detection_likelihood(scene, gate + k, gate), rel=1e-12)
+            assert np.array_equal(sg.detection_distribution(scene, gate), sg.detection_distribution(shifted, g2))
 
 
 def test_detection_distribution_normalizes_with_censoring():
@@ -199,20 +205,15 @@ def test_detection_likelihood_later_periods_scale_by_survival():
     dist = sg.detection_distribution(scene, gate)
     for j in (1, 2, 3):
         for k in (0, 3, 5):
-            assert sg.detection_likelihood(scene, gate + k + j * 6, gate) == pytest.approx(
+            assert brute_detection_likelihood(scene.rates, gate + k + j * 6, gate) == pytest.approx(
                 (q**j) * dist[k], rel=1e-12
             )
-
-
-def test_pileup_distribution_is_gate_zero():
-    scene = sg.SceneTransient(num_bins=10, ambient_flux=0.2, peaks=((6, 0.8),))
-    assert np.array_equal(sg.pileup_distribution(scene), sg.detection_distribution(scene, 0))
 
 
 def test_pileup_skews_early():
     # high flux piles detections onto the bins right after arming
     scene = sg.SceneTransient(num_bins=10, ambient_flux=0.5)
-    dist = sg.pileup_distribution(scene)
+    dist = sg.detection_distribution(scene, 0)
     assert np.all(np.diff(dist) < 0)
 
 

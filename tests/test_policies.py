@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spadgate as sg
-from conftest import NumpyCounter, assert_marginal_is_the_stored_rows
+from conftest import NumpyCounter, assert_marginal_is_the_stored_rows, brute_detection_likelihood
 from spadgate import estimators, policies
 from spadgate.core import law_statistics
 from spadgate.estimators import _fold
@@ -246,26 +246,29 @@ def test_adaptive_min_cycles_default_covers_calibration():
 
 
 def test_reward_closed_matches_brute_small():
+    # The reward's one detection probability against the per-bin oracle.
     for b, bkg, phi in [(10, 0.05, 0.5), (10, 0.3, 1.2)]:
         for d in range(b):
+            rates = sg.SceneTransient(num_bins=b, ambient_flux=bkg, peaks=((d, phi),)).rates
             for g in range(b):
-                closed = sg.reward(d, g, b, bkg, phi, method="closed")
-                brute = sg.reward(d, g, b, bkg, phi, method="brute")
-                assert closed == pytest.approx(brute, abs=1e-12)
+                hit = brute_detection_likelihood(rates, g + (d - g) % b, g)
+                assert sg.reward(d, g, b, bkg, phi) == pytest.approx(-(1.0 - hit), abs=1e-12)
 
 
 def test_reward_is_negative_expected_loss():
+    # The loss is the probability of every other outcome of the period:
+    # a detection on another bin, or none at all.
     b, bkg, phi = 6, 0.1, 0.8
     d, g = 4, 1
     scene = sg.SceneTransient(num_bins=b, ambient_flux=bkg, peaks=((d, phi),))
-    hit = sg.detection_likelihood(scene, g + (d - g) % b, g)
-    assert sg.reward(d, g, b, bkg, phi) == pytest.approx(-(1.0 - hit), rel=1e-12)
+    misses = sum(brute_detection_likelihood(scene.rates, t, g) for t in range(g, g + b) if t % b != d)
+    assert sg.reward(d, g, b, bkg, phi) == pytest.approx(-(misses + sg.no_detection_probability(scene)), rel=1e-12)
 
 
 def test_optimal_gate_is_sampled_depth():
     b, bkg, phi = 10, 0.08, 0.6
     for d in range(b):
-        rewards = [sg.reward(d, g, b, bkg, phi, method="brute") for g in range(b)]
+        rewards = [sg.reward(d, g, b, bkg, phi) for g in range(b)]
         best = int(np.argmax(rewards))
         assert best == d
         ordered = sorted(rewards)
@@ -277,8 +280,6 @@ def test_reward_validation():
         sg.reward(10, 0, 10, 0.1, 0.5)
     with pytest.raises(ValueError):
         sg.reward(0, 10, 10, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        sg.reward(0, 0, 10, 0.1, 0.5, method="guess")
 
 
 # ---------------------------------------------------------------------------
