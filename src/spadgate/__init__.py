@@ -19,7 +19,6 @@ from .core import (
     depth_to_bin,
     derive_num_bins,
     detection_distribution,
-    folded_detection_distribution,
     no_detection_probability,
     sequence_log_likelihood,
     timestamps_to_histogram,
@@ -50,7 +49,6 @@ from .harness import (
     aggregate_rows,
     build_sweep_specs,
     compute_metrics,
-    load_results_csv,
     normalization_check,
     parse_config,
     proposition_check,
@@ -79,7 +77,6 @@ from .scene import (
     load_external_prior,
     load_flux_map,
     mismatch_transient,
-    pixel_transient,
     prior_params_to_bins,
     scan_order,
 )

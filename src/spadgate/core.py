@@ -76,23 +76,6 @@ class SpadConfig:
         if self.max_active_periods < 1:
             raise ValueError("max_active_periods must be at least 1")
 
-    @classmethod
-    def from_timing(
-        cls,
-        bin_resolution_ps: float = 100.0,
-        rep_rate_hz: float = 20e6,
-        dead_time_ns: float = 81.0,
-        max_active_periods: int = 16,
-    ) -> "SpadConfig":
-        """Derive ``num_bins`` from the bin width and repetition rate."""
-        return cls(
-            bin_resolution_ps=bin_resolution_ps,
-            rep_rate_hz=rep_rate_hz,
-            num_bins=derive_num_bins(bin_resolution_ps, rep_rate_hz),
-            dead_time_ns=dead_time_ns,
-            max_active_periods=max_active_periods,
-        )
-
     @property
     def dead_time_bins(self) -> int:
         """Dead time quantized up to whole bins (ceil, fuzz-tolerant), at least one.
@@ -104,11 +87,6 @@ class SpadConfig:
         raw = self.dead_time_ns * 1000.0 / self.bin_resolution_ps
         return max(1, int(math.ceil(raw - 1e-9)))
 
-    @property
-    def bin_size_m(self) -> float:
-        """Depth extent of one time bin (round trip folded out)."""
-        return bin_to_depth(1.0, self.bin_resolution_ps)
-
 
 @dataclass
 class SceneTransient:
@@ -118,7 +96,8 @@ class SceneTransient:
     ``flux`` photons/pulse at a single bin.  An optional exponential tail
     (amplitude, decay per bin), anchored just after the first peak, models
     multi-bounce returns: amp * exp(-decay * (i - d)) for i > d within the
-    period.  Treat instances as immutable; the dense rate array is cached.
+    period.  The rates must sum to a finite total over one period.  Treat
+    instances as immutable; the dense rate array is cached.
     """
 
     num_bins: int
@@ -144,6 +123,10 @@ class SceneTransient:
             if amp < 0 or decay <= 0:
                 raise ValueError("tail amplitude must be >= 0 and decay > 0")
             self.tail = (float(amp), float(decay))
+        with np.errstate(over="ignore"):
+            total = self.total_rate
+        if not math.isfinite(total):
+            raise ValueError(f"the rates sum to {total!r} over one period; the total must be finite")
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -176,10 +159,6 @@ class SceneTransient:
         # that folds whole periods agree to the last ulp.
         return float(self.scan_prefix[-1])
 
-    def rate(self, i: int) -> float:
-        """Rate at bin ``i`` (taken modulo the period)."""
-        return float(self.rates[i % self.num_bins])
-
     @classmethod
     def from_rates(cls, rates: np.ndarray) -> "SceneTransient":
         """Scene with an explicit per-bin rate array."""
@@ -190,10 +169,6 @@ class SceneTransient:
             raise ValueError("rates cannot be negative")
         peaks = tuple((int(i), float(v)) for i, v in enumerate(rates) if v > 0)
         return cls(num_bins=int(rates.size), ambient_flux=0.0, peaks=peaks)
-
-    def shifted(self, shift: int) -> "SceneTransient":
-        """Scene whose rate array is cyclically rotated by ``shift`` bins."""
-        return SceneTransient.from_rates(np.roll(self.rates, shift))
 
 
 @dataclass
@@ -276,11 +251,6 @@ class DetectedHistogram:
         return int(self.counts.size)
 
 
-def _validate_gate(gate: int, num_bins: int) -> None:
-    if not 0 <= gate < num_bins:
-        raise ValueError(f"gate {gate} outside [0, {num_bins})")
-
-
 def no_detection_probability(scene: SceneTransient) -> float:
     """Probability of surviving one full period armed, exp(-sum r), whatever the gate."""
     return math.exp(-scene.total_rate)
@@ -294,24 +264,11 @@ def detection_distribution(scene: SceneTransient, gate: int) -> np.ndarray:
     no_detection_probability**k times its entry here.  Sums to
     1 - no_detection_probability (telescoping).
     """
-    _validate_gate(gate, scene.num_bins)
+    if not 0 <= gate < scene.num_bins:
+        raise ValueError(f"gate {gate} outside [0, {scene.num_bins})")
     r = np.roll(scene.rates, -gate)
     survived = np.concatenate(([0.0], np.cumsum(r[:-1])))
     return -np.expm1(-r) * np.exp(-survived)
-
-
-def folded_detection_distribution(scene: SceneTransient, gate: int) -> np.ndarray:
-    """Distribution of the folded timestamp (t mod num_bins) given detection.
-
-    The pixel may scan across period boundaries; summing the geometric
-    series over periods renormalizes the one-period distribution by
-    1 - exp(-sum r), which is exact for periodic rates.
-    """
-    dist = detection_distribution(scene, gate)
-    q = no_detection_probability(scene)
-    if q >= 1.0:
-        raise ValueError("scene has zero total rate; detection never happens")
-    return np.roll(dist, gate) / (1.0 - q)
 
 
 def log1mexp(x: np.ndarray | float) -> np.ndarray | float:

@@ -30,9 +30,8 @@ mass; each cycle refills it with the "other" factors and then writes its
 window and hit rows, so an update is one contiguous multiply of the whole
 joint and one flux-axis sum, with no exp, log or normalizing pass over
 the joint.  The Thompson draw, the stop rule and the readouts read the
-installed row sums; the log mass and the depth log marginal are derived
-on demand.  A log-domain parabola fit around the chosen bin recovers
-sub-bin depth (temporal dithering).
+installed row sums.  A log-domain parabola fit around the chosen bin
+recovers sub-bin depth (temporal dithering).
 """
 
 from __future__ import annotations
@@ -53,11 +52,6 @@ class TransientEstimate:
 
     rates: np.ndarray
     saturated: np.ndarray
-
-    @property
-    def degenerate(self) -> bool:
-        """True when no bin carries a positive estimate."""
-        return not bool(np.any(self.rates > 0))
 
 
 def coates_transient(hist: DetectedHistogram) -> TransientEstimate:
@@ -80,7 +74,7 @@ def coates_transient(hist: DetectedHistogram) -> TransientEstimate:
 def coates_depth(est: TransientEstimate) -> int:
     """Argmax bin of the rate estimate; ties break to the lowest index.
 
-    A degenerate all-zero estimate returns bin 0 (check ``est.degenerate``).
+    An all-zero estimate returns bin 0.
     """
     return int(np.argmax(est.rates))
 
@@ -135,11 +129,9 @@ class DepthPosterior:
     less its own likelihood ratio, below that total.  Cells of zero prior
     mass stay 0 as well.
 
-    ``log_mass`` (normalized, logsumexp 0, -inf at cells of zero mass) and
-    ``depth_log_marginal()`` are read-only views derived from the mass on
-    demand, once per update.  ``degraded_cycles`` counts cycles whose
-    outcomes had zero probability under every cell of positive mass; their
-    update is skipped rather than aborting.
+    ``degraded_cycles`` counts cycles whose outcomes had zero probability
+    under every cell of positive mass; their update is skipped rather than
+    aborting.
 
     Each posterior keeps what it reads off the law for its background and
     grid (``_Factors``: the likelihood's column terms and the one-cycle
@@ -163,28 +155,8 @@ class DepthPosterior:
     def num_bins(self) -> int:
         return int(self.mass.shape[0])
 
-    @property
-    def log_mass(self) -> np.ndarray:
-        if self._log_mass is None:
-            self._log_mass = _read_only_log(self.mass, self.total)
-        return self._log_mass
-
-    def depth_log_marginal(self) -> np.ndarray:
-        """Flux-marginalized depth log mass (read-only), derived once per update."""
-        if self._marginal is None:
-            self._marginal = _read_only_log(self.rows, self.total)
-        return self._marginal
-
     def copy(self) -> "DepthPosterior":
         return DepthPosterior(self.mass, self.flux_grid.copy(), self.degraded_cycles)
-
-
-def _read_only_log(mass: np.ndarray, total: float) -> np.ndarray:
-    """log(mass / total), -inf where the mass is 0."""
-    with np.errstate(divide="ignore"):
-        out = np.log(mass) - math.log(total)
-    out.flags.writeable = False
-    return out
 
 
 def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
@@ -203,7 +175,6 @@ def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
         np.ldexp(mass, _HIGH - math.frexp(total)[1], out=mass)
         return _install(post, mass, cycles)
     post.mass, post.rows, post.total = mass, rows, total
-    post._log_mass = post._marginal = None
     return True
 
 
@@ -227,11 +198,6 @@ def posterior_init(num_bins: int, flux_grid: np.ndarray, prior: np.ndarray | Non
     if flux_grid.ndim != 1 or flux_grid.size < 1 or np.any(flux_grid < 0):
         raise ValueError("flux_grid must be a 1-d nonnegative array")
     return DepthPosterior(np.repeat(prior[:, None], flux_grid.size, axis=1), flux_grid)
-
-
-def _check_background(bkg_flux: float) -> None:
-    if bkg_flux < 0:
-        raise ValueError("bkg_flux cannot be negative")
 
 
 def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
@@ -268,7 +234,8 @@ def _factors(post: DepthPosterior, bkg_flux: float) -> _Factors:
     """The posterior's ``_Factors`` for ``bkg_flux``, rebuilt when the background or grid changed."""
     cache = post._factors  # the mass's shape is fixed, so the background and grid are the key
     if cache is None or cache.bkg_flux != bkg_flux or cache.flux_grid is not post.flux_grid:
-        _check_background(bkg_flux)
+        if bkg_flux < 0:
+            raise ValueError("bkg_flux cannot be negative")
         cache = post._factors = _Factors(bkg_flux, post.flux_grid, post.num_bins)
     return cache
 
@@ -424,30 +391,29 @@ class BackgroundEstimate(NamedTuple):
     detections: int
 
 
-def estimate_background(
-    record: AcquisitionRecord,
-    fallback_flux: float = 0.01,
-    trim_fraction: float = 0.05,
-    min_detections: int = 10,
-) -> BackgroundEstimate:
+_TRIM_FRACTION = 0.05
+_MIN_DETECTIONS = 10
+
+
+def estimate_background(record: AcquisitionRecord, fallback_flux: float = 0.01) -> BackgroundEstimate:
     """Ambient flux from a record.
 
     Coates-estimates the transient over the whole record, drops the top
-    ``trim_fraction`` of armed bins to exclude signal peaks, and averages
-    the rest.  Records with fewer than ``min_detections`` detections fall
+    ``_TRIM_FRACTION`` of armed bins to exclude signal peaks, and averages
+    the rest.  Records with fewer than ``_MIN_DETECTIONS`` detections fall
     back to ``fallback_flux`` with the low-confidence flag set; sparse
     calibration (armed passes per bin in the low single digits) biases the
     trimmed mean low because the trim removes most detection-bearing bins.
     """
     detections = int(np.count_nonzero(record.detected))
-    if detections < min_detections:
+    if detections < _MIN_DETECTIONS:
         return BackgroundEstimate(fallback_flux, True, detections)
     hist = timestamps_to_histogram(record)
     est = coates_transient(hist)
     observed = est.rates[hist.denominators > 0]
     if observed.size == 0:
         return BackgroundEstimate(fallback_flux, True, detections)
-    drop = math.ceil(trim_fraction * observed.size)
+    drop = math.ceil(_TRIM_FRACTION * observed.size)
     kept = np.sort(observed)[: observed.size - drop] if drop else np.sort(observed)
     if kept.size == 0 or kept.mean() <= 0:
         return BackgroundEstimate(fallback_flux, True, detections)

@@ -106,6 +106,9 @@ class PolicySpec:
 
 _DEFAULT_POLICIES = (PolicySpec(kind="adaptive"), PolicySpec(kind="free_running"))
 
+# The scene.mismatch keys each kind needs.
+_MISMATCH_NEEDS = {"two_peak": ("second_depth",), "corner_tail": ("tail_amplitude", "tail_decay")}
+
 # Range rules, named by the message they report; every value of a sweep axis
 # must keep its rule.
 _RULES = {
@@ -154,10 +157,10 @@ class ExperimentConfig:
     depth_bin: int | None = _key("scene")
     depth_m: float | None = _key("scene")
     mismatch_kind: str | None = _key("scene.mismatch", None, ("two_peak", "corner_tail"))
-    mismatch_second_depth: int | None = _key("scene.mismatch")
-    mismatch_second_flux: float | None = _key("scene.mismatch")
-    mismatch_tail_amplitude: float | None = _key("scene.mismatch")
-    mismatch_tail_decay: float | None = _key("scene.mismatch")
+    mismatch_second_depth: int | None = _key("scene.mismatch", None, "cannot be negative")
+    mismatch_second_flux: float | None = _key("scene.mismatch", None, "cannot be negative")
+    mismatch_tail_amplitude: float | None = _key("scene.mismatch", None, "cannot be negative")
+    mismatch_tail_decay: float | None = _key("scene.mismatch", None, "must be positive")
     depth_map: str | None = _key("scene")
     ambient_map: str | None = _key("scene")
     signal_map: str | None = _key("scene")
@@ -266,8 +269,6 @@ def _sections() -> dict[str, list[tuple[str, Any, type]]]:
 
 
 _SECTIONS = _sections()
-# The config schema as (section, JSON key, ExperimentConfig field, kind), read off the declarations.
-_SCHEMA = tuple((section, key, f.name, kind) for section, keys in _SECTIONS.items() for key, f, kind in keys)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -407,6 +408,11 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         depth = config.resolved_depth_bin() if math.isfinite(value) else value
         if not 0 <= depth < num_bins:
             errors.append(f"scene.{key} gives depth bin {depth}, outside [0, {num_bins})")
+    if config.mismatch_second_depth is not None and not config.mismatch_second_depth < num_bins:
+        errors.append(f"scene.mismatch.second_depth {config.mismatch_second_depth} outside [0, {num_bins})")
+    needs = _MISMATCH_NEEDS.get(config.mismatch_kind, ())
+    if missing := [f"scene.mismatch.{key}" for key in needs if getattr(config, f"mismatch_{key}") is None]:
+        errors.append(f"scene.mismatch.kind {config.mismatch_kind} needs {' and '.join(missing)}")
     errors.extend(f"policies[{i}].gate {p.gate} outside [0, {num_bins})"
                   for i, p in enumerate(config.policies) if p.kind == "fixed" and not 0 <= p.gate < num_bins)
     if num_bins > MAX_NUM_BINS:
@@ -421,9 +427,29 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
     if rows > MAX_CONFIG_ROWS:
         errors.append(f"{' x '.join(f'{key} {n}' for key, n in factors)} give {rows} rows, "
                       f"above the limit of {MAX_CONFIG_ROWS} rows per config")
+    if not errors and not scan_mode:
+        errors.extend(_scene_errors(config, num_bins))
     if errors:
         raise ConfigError("; ".join(errors))
     return config
+
+
+def _scene_errors(config: ExperimentConfig, num_bins: int) -> list[str]:
+    """Why the scene of the sweep point with the most light cannot be built, if it cannot.
+
+    Every rate grows with the ambient and signal fluxes, and so does their
+    rounded running sum, so that point has the largest total rate of the
+    sweep: if its total is finite, so is every point's.
+    """
+    ambient = max(config.sweep_ambient_flux or (config.ambient_flux,))
+    sbrs = config.sweep_sbr or (config.sbr,)
+    signal = config.signal_flux if sbrs == (None,) else ambient * max(sbrs)
+    try:
+        _row_scene(config, num_bins, ambient, signal, config.resolved_depth_bin())
+    except ValueError as exc:
+        where = "sweep" if config.sweep_ambient_flux or config.sweep_sbr else "scene"
+        return [f"{where}: ambient flux {ambient!r} and signal flux {signal!r}: {exc}"]
+    return []
 
 
 def _row_work_errors(config: ExperimentConfig, num_bins: int) -> list[str]:
@@ -569,7 +595,6 @@ class ResultRow:
 
 
 _ROW_FIELDS = [f.name for f in fields(ResultRow)]
-_ROW_TYPES = {f.name: f.type for f in fields(ResultRow)}
 
 
 @dataclass(frozen=True)
@@ -722,31 +747,27 @@ def _row_prior(config: ExperimentConfig, spec: RowSpec, num_bins: int) -> np.nda
     return flatness_prior(num_bins, spec.prior_center_bin, config.prior_sigma_bins, config.prior_floor_weight)
 
 
-def _row_scene(config: ExperimentConfig, spec: RowSpec, num_bins: int) -> SceneTransient:
+def _row_scene(config: ExperimentConfig, num_bins: int, ambient: float, signal: float, depth: int) -> SceneTransient:
     if config.mismatch_kind is not None:
         return mismatch_transient(
             kind=config.mismatch_kind,
             num_bins=num_bins,
-            ambient_flux=spec.ambient_flux,
-            depth=spec.true_depth_bin,
-            signal_flux=spec.signal_flux,
+            ambient_flux=ambient,
+            depth=depth,
+            signal_flux=signal,
             second_depth=config.mismatch_second_depth,
             second_flux=config.mismatch_second_flux,
             tail_amplitude=config.mismatch_tail_amplitude,
             tail_decay=config.mismatch_tail_decay,
         )
-    return SceneTransient(
-        num_bins=num_bins,
-        ambient_flux=spec.ambient_flux,
-        peaks=((spec.true_depth_bin, spec.signal_flux),),
-    )
+    return SceneTransient(num_bins=num_bins, ambient_flux=ambient, peaks=((depth, signal),))
 
 
 def run_pixel_experiment(config: ExperimentConfig, spec: RowSpec) -> ResultRow:
     """Acquire one pixel under one policy and estimate its depth."""
     num_bins = config.resolved_num_bins
     spad = config.spad_config(dead_time_ns=spec.dead_time_ns)
-    scene_t = _row_scene(config, spec, num_bins)
+    scene_t = _row_scene(config, num_bins, spec.ambient_flux, spec.signal_flux, spec.true_depth_bin)
     prior = _row_prior(config, spec, num_bins)
     policy = _build_policy(config, spec, num_bins, prior)
     rng = stream_rng(config.global_seed, spec.stream_index)
@@ -1083,23 +1104,6 @@ def write_aggregates_csv(path: str | Path, aggs: list[AggregateRow]) -> None:
 def write_map_csv(path: str | Path, grid: np.ndarray) -> None:
     """Plain data grid, one CSV row per scene row."""
     _write_csv(path, [f"col{i}" for i in range(grid.shape[1])], grid)
-
-
-def load_results_csv(path: str | Path) -> list[ResultRow]:
-    """Read back a results CSV, recovering the typed rows."""
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _ROW_FIELDS:
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        for rec in reader:
-            kwargs = {}
-            for name in _ROW_FIELDS:
-                t = _ROW_TYPES[name]
-                raw = rec[name]
-                kwargs[name] = int(raw) if t == "int" else float(raw) if t == "float" else raw
-            out.append(ResultRow(**kwargs))
-    return out
 
 
 # ---------------------------------------------------------------------------

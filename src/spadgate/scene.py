@@ -67,15 +67,6 @@ class SceneGrid:
         return cls(depth_bins=bins, ambient_flux=ambient_flux, signal_flux=signal_flux, num_bins=num_bins)
 
 
-def pixel_transient(grid: SceneGrid, x: int, y: int) -> SceneTransient:
-    """Single-peak transient for pixel (x, y) of a scene grid."""
-    return SceneTransient(
-        num_bins=grid.num_bins,
-        ambient_flux=float(grid.ambient_flux[y, x]),
-        peaks=((int(grid.depth_bins[y, x]), float(grid.signal_flux[y, x])),),
-    )
-
-
 def mismatch_transient(
     kind: str,
     num_bins: int,

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import bisect
+import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spadgate import AcquisitionRecord
+from spadgate import AcquisitionRecord, ResultRow
 from spadgate.core import LawStatistics, _count_times, law_statistics, log1mexp
 from spadgate.estimators import _factor_steps, _fold, _install, posterior_update
 from spadgate.policies import termination_value
@@ -27,10 +29,33 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
+def log_mass(post) -> np.ndarray:
+    """Normalized joint log mass of a posterior, -inf at cells of zero mass."""
+    with np.errstate(divide="ignore"):
+        return np.log(post.mass) - math.log(post.total)
+
+
+def depth_log_marginal(post) -> np.ndarray:
+    """Flux-marginalized depth log mass of a posterior, normalized."""
+    with np.errstate(divide="ignore"):
+        return np.log(post.rows) - math.log(post.total)
+
+
 def flux_log_marginal(post) -> np.ndarray:
     """Depth-marginalized flux log mass of a joint posterior, normalized."""
     with np.errstate(divide="ignore"):
         return np.log(post.mass.sum(axis=0)) - math.log(post.total)
+
+
+_CELL_TYPES = {"int": int, "float": float, "str": str}
+
+
+def load_results_csv(path) -> list[ResultRow]:
+    """Read back a results CSV as typed rows; its header must be the ResultRow fields."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == [f.name for f in fields(ResultRow)]
+        return [ResultRow(**{f.name: _CELL_TYPES[f.type](rec[f.name]) for f in fields(ResultRow)}) for rec in reader]
 
 
 def _window_counts(starts: np.ndarray, lengths: np.ndarray, num_bins: int) -> np.ndarray:
@@ -230,14 +255,12 @@ def make_record(
 
 def assert_marginal_is_the_stored_rows(post) -> None:
     """The installed rows are the mass's flux-axis sums, the total is in its
-    range, and the depth marginal is exactly log(rows) - log(total) and
-    agrees with the row logsumexp of the normalized log mass."""
+    range, and the depth marginal log(rows) - log(total) agrees with the row
+    logsumexp of the normalized log mass."""
     assert np.array_equal(post.rows, post.mass.sum(axis=1))
     assert 2.0**500 <= post.total <= 2.0**1000
-    marginal = post.depth_log_marginal()
-    with np.errstate(divide="ignore"):
-        assert np.array_equal(marginal, np.log(post.rows) - math.log(post.total))
-    exact = logsumexp(post.log_mass, axis=1)  # shifted row by row
+    marginal = depth_log_marginal(post)
+    exact = logsumexp(log_mass(post), axis=1)  # shifted row by row
     assert np.array_equal(marginal == -np.inf, exact == -np.inf)  # rows with no mass left
     near = exact > -np.inf
     assert np.allclose(marginal[near], exact[near], rtol=0.0, atol=1e-12)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import spadgate as sg
+from conftest import load_results_csv
 from spadgate import harness
 from spadgate.cli import main
 from spadgate.harness import RowSpec, _build_policy, _format_cell, run_pixel_experiment
@@ -125,6 +126,19 @@ def test_parse_config_type_errors_name_the_path():
          "scene.mismatch.kind required when scene.mismatch sets second_depth"),
         ("scene", "mismatch", {"second_flux": 0.05, "tail_decay": 3.0},
          "scene.mismatch.kind required when scene.mismatch sets second_flux, tail_decay"),
+        ("scene", "mismatch", {"kind": "corner_tail"},
+         "scene.mismatch.kind corner_tail needs scene.mismatch.tail_amplitude and scene.mismatch.tail_decay"),
+        ("scene", "mismatch", {"kind": "two_peak"}, "scene.mismatch.kind two_peak needs scene.mismatch.second_depth"),
+        ("scene", "mismatch", {"kind": "two_peak", "second_depth": 99},
+         "scene.mismatch.second_depth 99 outside [0, 40)"),
+        ("scene", "mismatch", {"kind": "two_peak", "second_depth": -2},
+         "scene.mismatch.second_depth cannot be negative"),
+        ("scene", "mismatch", {"kind": "two_peak", "second_depth": 3, "second_flux": -1.0},
+         "scene.mismatch.second_flux cannot be negative"),
+        ("scene", "mismatch", {"kind": "corner_tail", "tail_amplitude": -1.0, "tail_decay": 3.0},
+         "scene.mismatch.tail_amplitude cannot be negative"),
+        ("scene", "mismatch", {"kind": "corner_tail", "tail_amplitude": 0.4, "tail_decay": 0.0},
+         "scene.mismatch.tail_decay must be positive"),
     ]:
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw if section is None else raw.setdefault(section, {}))[key] = value
@@ -166,6 +180,28 @@ def test_parse_config_type_errors_name_the_path():
     raw["spad"]["num_bins"] = 40
     raw["scene"] = {"depth_bin": 39, "ambient_flux": 0.02, "signal_flux": 0.0}
     raw["policies"][0]["gate"] = 39
+    sg.parse_config(raw)
+
+
+def test_parse_config_rejects_a_scene_whose_rates_overflow_one_period():
+    # Each of these used to parse, then fail or compute with inf and NaN in every row.
+    overflow = "the rates sum to inf over one period; the total must be finite"
+    for scene, sweep, message in [
+        ({"ambient_flux": 1e308}, None, f"scene: ambient flux 1e+308 and signal flux inf: {overflow}"),
+        ({"mismatch": {"kind": "corner_tail", "tail_amplitude": 1e308, "tail_decay": 0.1}}, None,
+         f"scene: ambient flux 0.02 and signal flux 0.1: {overflow}"),
+        ({}, {"ambient_flux": [0.02, 1e307]}, f"sweep: ambient flux 1e+307 and signal flux 5e+307: {overflow}"),
+    ]:
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["spad"]["num_bins"] = 16
+        raw["background"] = {"mode": "estimated"}  # a known background this bright fails the flux grid first
+        raw["scene"].update(scene)
+        if sweep is not None:
+            raw["sweep"] = sweep
+        with pytest.raises(sg.ConfigError) as exc:
+            sg.parse_config(raw)
+        assert str(exc.value) == message
+    raw["sweep"] = {"ambient_flux": [0.02, 1e306]}  # the total stays finite
     sg.parse_config(raw)
 
 
@@ -339,9 +375,10 @@ def test_serialize_parse_round_trip():
 
 
 def test_config_schema_lists_every_field_once():
-    table = [field for _, _, field, _ in harness._SCHEMA]
-    assert sorted(table) == sorted(f.name for f in dataclasses.fields(sg.ExperimentConfig) if f.name != "policies")
-    assert len({(section, key) for section, key, _, _ in harness._SCHEMA}) == len(table)
+    table = [(section, key, f.name) for section, keys in harness._SECTIONS.items() for key, f, _ in keys]
+    assert sorted(name for _, _, name in table) == sorted(
+        f.name for f in dataclasses.fields(sg.ExperimentConfig) if f.name != "policies")
+    assert len({(section, key) for section, key, _ in table}) == len(table)
 
 
 def test_round_trip_with_every_field_set():
@@ -453,7 +490,8 @@ def test_every_declared_key_rejects_a_wrong_kind_and_a_broken_rule():
     assert sorted(breaking) == sorted(harness._RULES)
     rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(sg.ExperimentConfig) if f.metadata}
     sg.parse_config(SCHEMA_BASE)
-    for section, key, name, kind in harness._SCHEMA:
+    schema = [(section, key, f.name, kind) for section, keys in harness._SECTIONS.items() for key, f, kind in keys]
+    for section, key, name, kind in schema:
         path = f"{section}.{key}" if section else key
         rule = rules[name]
         cases = [wrong_kind[kind]]
@@ -464,6 +502,8 @@ def test_every_declared_key_rejects_a_wrong_kind_and_a_broken_rule():
             raw = json.loads(json.dumps(SCHEMA_BASE))
             if name == "signal_flux":
                 del raw["scene"]["sbr"]  # the two are exclusive
+            if section == "scene.mismatch" and key != "kind":  # a mismatch key needs a kind, and the kind its keys
+                raw["scene"]["mismatch"] = {"kind": "corner_tail", "tail_amplitude": 0.4, "tail_decay": 3.0}
             node = raw
             for part in filter(None, section.split(".")):
                 node = node.setdefault(part, {})
@@ -588,7 +628,7 @@ def test_adaptive_policy_uses_the_configured_flux_grid():
         policy.ensure_posterior()
         expected = sg.default_flux_grid(policy.bkg_flux, 4, 0.5, 20.0)
         assert np.array_equal(policy.posterior.flux_grid, expected)
-        assert policy.posterior.log_mass.shape == (40, 5)
+        assert policy.posterior.mass.shape == (40, 5)
 
 
 def test_run_sweep_rows_sorted_and_aggregated():
@@ -868,7 +908,7 @@ def test_csv_write_load_write_fixed_point(tmp_path):
     p1 = tmp_path / "rows.csv"
     p2 = tmp_path / "rows2.csv"
     sg.write_results_csv(p1, rows)
-    loaded = sg.load_results_csv(p1)
+    loaded = load_results_csv(p1)
     assert len(loaded) == len(rows)
     assert [r.policy for r in loaded] == [r.policy for r in rows]
     sg.write_results_csv(p2, loaded)
@@ -1044,7 +1084,7 @@ def test_cli_pixel_writes_results(tmp_path, capsys):
     assert main(["pixel", "--config", str(p), "--out", str(out_dir), "--seed", "3"]) == 0
     results = out_dir / "results.csv"
     assert results.exists() and (out_dir / "aggregates.csv").exists()
-    rows = sg.load_results_csv(results)
+    rows = load_results_csv(results)
     assert len(rows) == 4
     # the seed override reaches the random streams
     out2 = tmp_path / "out2"
@@ -1058,7 +1098,7 @@ def test_cli_pixel_ignores_sweep_axes(tmp_path):
     p = _write_cfg(tmp_path, raw)
     out_dir = tmp_path / "out"
     assert main(["pixel", "--config", str(p), "--out", str(out_dir)]) == 0
-    assert len(sg.load_results_csv(out_dir / "results.csv")) == 4
+    assert len(load_results_csv(out_dir / "results.csv")) == 4
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -1068,7 +1108,7 @@ def test_cli_sweep(tmp_path, capsys):
     p = _write_cfg(tmp_path, raw)
     out_dir = tmp_path / "out"
     assert main(["sweep", "--config", str(p), "--out", str(out_dir), "--threads", "2"]) == 0
-    rows = sg.load_results_csv(out_dir / "results.csv")
+    rows = load_results_csv(out_dir / "results.csv")
     assert len(rows) == 4
     assert (out_dir / "aggregates.csv").exists()
 

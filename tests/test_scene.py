@@ -45,17 +45,6 @@ def test_from_depth_map_bins_depths():
     assert sg.depth_to_bin(0.60, 100.0) == 40
 
 
-def test_pixel_transient_reads_the_grid():
-    grid = sg.SceneGrid(
-        depth_bins=[[3, 5]], ambient_flux=[[0.01, 0.02]], signal_flux=[[0.5, 0.7]], num_bins=8
-    )
-    tr = sg.pixel_transient(grid, x=1, y=0)
-    assert tr.num_bins == 8
-    assert tr.ambient_flux == 0.02
-    assert tr.peaks == ((5, 0.7),)
-    assert tr.rates[5] == pytest.approx(0.72)
-
-
 # ---------------------------------------------------------------------------
 # Model-mismatch transients
 
