@@ -49,11 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override experiment.global_seed")
-        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes (default 1)")
+        if threads:
+            p.add_argument("--threads", type=_positive_int, default=1, help="worker processes (default 1)")
         p.add_argument("--out", default=None, help="override experiment.out_dir")
 
     p = sub.add_parser("pixel", help="run one scene point")
@@ -69,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_scan_cmd)
 
     p = sub.add_parser("check", help="validate a config file")
-    add_common(p)
+    add_common(p, threads=False)
     p.set_defaults(func=_check_cmd)
 
     p = sub.add_parser("oracle", help="run the analytic self-checks")
-    add_common(p, needs_config=False)
+    p.add_argument("--seed", type=int, default=None, help="seed of the normalization check (default 2024)")
     p.set_defaults(func=_oracle_cmd)
     return parser
 

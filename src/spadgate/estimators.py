@@ -24,14 +24,15 @@ smallest float becomes 0 and stays 0, which with the total held that high
 drops only cells about 1000 nats or more below it.  One cycle gives each
 depth row one of three values (its detection bin, a bin of the window it
 passed over, any other bin; one value for a censored cycle), each a
-vector over the flux grid read off the same law once per posterior and
-background.  A posterior keeps a buffer shaped and laid out like its
-mass; each cycle refills it with the "other" factors and then writes its
-window and hit rows, so an update is one contiguous multiply of the whole
-joint and one flux-axis sum, with no exp, log or normalizing pass over
-the joint.  The Thompson draw, the stop rule and the readouts read the
-installed row sums.  A log-domain parabola fit around the chosen bin
-recovers sub-bin depth (temporal dithering).
+vector over the flux grid read off the same law once per posterior (a
+posterior holds its one background).  A posterior keeps a buffer shaped
+and laid out like its mass; each cycle refills it with the "other"
+factors and then writes its window and hit rows, so an update is one
+contiguous multiply of the whole joint and one flux-axis sum, with no
+exp, log or normalizing pass over the joint.  The Thompson draw, the
+stop rule and the readouts read the installed row sums.  A log-domain
+parabola fit around the chosen bin recovers sub-bin depth (temporal
+dithering).
 """
 
 from __future__ import annotations
@@ -133,30 +134,36 @@ class DepthPosterior:
     under every cell of positive mass; their update is skipped rather than
     aborting.
 
-    Each posterior keeps what it reads off the law for its background and
-    grid (``_Factors``: the likelihood's column terms and the one-cycle
-    factors) and a factor buffer of the mass's shape, which
-    ``posterior_update`` refills on every cycle; a copy starts without
-    either.
+    Every update reads the law under the posterior's one background
+    ``bkg_flux`` (not negative), through the column terms the constructor
+    reads off it (``columns``).  The first one-cycle update adds the
+    one-cycle row templates and factor steps (``_cycle_rows``) and a factor
+    buffer of the mass's shape, which ``posterior_update`` refills on
+    every cycle; a copy starts without them.
     """
 
-    def __init__(self, mass: np.ndarray, flux_grid: np.ndarray, degraded_cycles: int = 0):
+    def __init__(self, mass: np.ndarray, flux_grid: np.ndarray, bkg_flux: float, degraded_cycles: int = 0):
+        if bkg_flux < 0:
+            raise ValueError("bkg_flux cannot be negative")
         self.flux_grid = flux_grid
+        self.bkg_flux = bkg_flux
         self.degraded_cycles = degraded_cycles
-        self._factors: _Factors | None = None
-        self._buffer: np.ndarray | None = None
         mass = np.array(mass, dtype=float, order="F")
         if mass.ndim != 2 or mass.shape[1] != len(flux_grid):
             raise ValueError(f"mass of shape {mass.shape} is not (depth bins, {len(flux_grid)} flux values)")
         if not _install(self, mass, 0):
             raise ValueError("mass needs a finite positive cell")
+        self.columns = peak_columns(bkg_flux, flux_grid, mass.shape[0])
+        self._templates: tuple | None = None
+        self._steps: dict = {}
+        self._buffer: np.ndarray | None = None
 
     @property
     def num_bins(self) -> int:
         return int(self.mass.shape[0])
 
     def copy(self) -> "DepthPosterior":
-        return DepthPosterior(self.mass, self.flux_grid.copy(), self.degraded_cycles)
+        return DepthPosterior(self.mass, self.flux_grid.copy(), self.bkg_flux, self.degraded_cycles)
 
 
 def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
@@ -178,8 +185,9 @@ def _install(post: DepthPosterior, mass: np.ndarray, cycles: int) -> bool:
     return True
 
 
-def posterior_init(num_bins: int, flux_grid: np.ndarray, prior: np.ndarray | None = None) -> DepthPosterior:
-    """Posterior from a depth prior (uniform when None), flux axis uniform.
+def posterior_init(num_bins: int, flux_grid: np.ndarray, bkg_flux: float,
+                   prior: np.ndarray | None = None) -> DepthPosterior:
+    """Posterior under background ``bkg_flux`` from a depth prior (uniform when None), flux axis uniform.
 
     The joint over (depth, flux) starts as prior(depth) / K for the K
     values of ``flux_grid``, and updates marginalize nothing away.
@@ -197,7 +205,7 @@ def posterior_init(num_bins: int, flux_grid: np.ndarray, prior: np.ndarray | Non
     flux_grid = np.asarray(flux_grid, dtype=float)
     if flux_grid.ndim != 1 or flux_grid.size < 1 or np.any(flux_grid < 0):
         raise ValueError("flux_grid must be a 1-d nonnegative array")
-    return DepthPosterior(np.repeat(prior[:, None], flux_grid.size, axis=1), flux_grid)
+    return DepthPosterior(np.repeat(prior[:, None], flux_grid.size, axis=1), flux_grid, bkg_flux)
 
 
 def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
@@ -216,31 +224,7 @@ def _factor_steps(a: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-class _Factors:
-    """What a posterior reads off the law for one background and flux grid:
-    ``peak_log_likelihood``'s column terms, and, built on first use, the
-    one-cycle row templates and the factor steps of each combination
-    (``_cycle_rows``)."""
-
-    def __init__(self, bkg_flux: float, flux_grid: np.ndarray, num_bins: int):
-        self.bkg_flux = bkg_flux
-        self.flux_grid = flux_grid
-        self.columns = peak_columns(bkg_flux, flux_grid, num_bins)
-        self.rows: tuple | None = None
-        self.steps: dict = {}
-
-
-def _factors(post: DepthPosterior, bkg_flux: float) -> _Factors:
-    """The posterior's ``_Factors`` for ``bkg_flux``, rebuilt when the background or grid changed."""
-    cache = post._factors  # the mass's shape is fixed, so the background and grid are the key
-    if cache is None or cache.bkg_flux != bkg_flux or cache.flux_grid is not post.flux_grid:
-        if bkg_flux < 0:
-            raise ValueError("bkg_flux cannot be negative")
-        cache = post._factors = _Factors(bkg_flux, post.flux_grid, post.num_bins)
-    return cache
-
-
-def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float) -> DepthPosterior:
+def _fold(post: DepthPosterior, stats: LawStatistics) -> DepthPosterior:
     """Bayes update by cycle outcomes summarized as ``stats``, in place.
 
     Every (depth, flux) cell is multiplied by exp(like - c), its law
@@ -251,7 +235,7 @@ def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float) -> DepthP
     positive mass, the posterior is left unchanged and all of them count
     in ``degraded_cycles``.
     """
-    like = peak_log_likelihood(stats, _factors(post, bkg_flux).columns)
+    like = peak_log_likelihood(stats, post.columns)
     cycles = stats.detected + stats.censored
     c = like.max()
     if not math.isfinite(c):  # no cell can give these outcomes
@@ -266,32 +250,31 @@ def _fold(post: DepthPosterior, stats: LawStatistics, bkg_flux: float) -> DepthP
     return post
 
 
-def _cycle_rows(post: DepthPosterior, bkg_flux: float, combo: tuple | None) -> list | None:
+def _cycle_rows(post: DepthPosterior, combo: tuple | None) -> list | None:
     """One cycle's likelihood factors by depth row type.
 
     A row's log likelihood takes one of four values (its detection bin, a
     bin of the window the cycle passed over, any other bin; one value for a
-    censored cycle), each read off the law on one representative row once
-    per posterior and background: O(K) work, whatever B.  ``combo`` is
-    (window present, other present) for a detection, None for a censored
-    cycle.  Returns, built once per combination, its steps: one per step
-    of ``_factor_steps``, each the factors (window, hit, other) and
-    whether all are positive.
-    c is the largest log likelihood over the row types present and a
-    factor is exp(value - c), what ``_fold`` multiplies by for such a
-    cycle, to the bit.  None if no cell can give the combination.
+    censored cycle), each read off the law under the posterior's
+    background on one representative row, once per posterior: O(K) work,
+    whatever B.  ``combo`` is (window present, other present) for a
+    detection, None for a censored cycle.  Returns, built once per
+    combination, its steps: one per step of ``_factor_steps``, each the
+    factors (window, hit, other) and whether all are positive.  c is the
+    largest log likelihood over the row types present and a factor is
+    exp(value - c), what ``_fold`` multiplies by for such a cycle, to the
+    bit.  None if no cell can give the combination.
     """
-    cache = _factors(post, bkg_flux)
-    if cache.rows is None:
+    if post._templates is None:
         # One row of each type: a detected cycle's statistics at its hit, at
         # a bin of its window and at any other bin, then a censored cycle's.
         # The period's total rate still counts all B bins.
-        detected = peak_log_likelihood(LawStatistics(np.array([1, 0, 0]), np.array([0, 1, 0]), 1, 0), cache.columns)
-        censored = peak_log_likelihood(LawStatistics(np.zeros(1, np.int64), np.zeros(1, np.int64), 0, 1), cache.columns)
-        cache.rows = (*detected, censored[0])
-    steps = cache.steps
+        detected = peak_log_likelihood(LawStatistics(np.array([1, 0, 0]), np.array([0, 1, 0]), 1, 0), post.columns)
+        censored = peak_log_likelihood(LawStatistics(np.zeros(1, np.int64), np.zeros(1, np.int64), 0, 1), post.columns)
+        post._templates = (*detected, censored[0])
+    steps = post._steps
     if combo not in steps:
-        hit, window, other, censored = cache.rows
+        hit, window, other, censored = post._templates
         if combo is None:
             kinds = (censored, censored, censored)
         else:  # an absent row type is never read
@@ -311,8 +294,8 @@ def _put_rows(buf: np.ndarray, start: int, count: int, value: np.ndarray) -> Non
         buf[:end - buf.shape[0]] = value
 
 
-def posterior_update(post: DepthPosterior, timestamp: int | None, gate: int, bkg_flux: float) -> DepthPosterior:
-    """Bayes update for one cycle outcome, in place; returns ``post``.
+def posterior_update(post: DepthPosterior, timestamp: int | None, gate: int) -> DepthPosterior:
+    """Bayes update for one cycle outcome under the posterior's background, in place; returns ``post``.
 
     ``timestamp`` is the folded detection bin, or None for a censored
     cycle.  The one-cycle case of ``posterior_from_record``, to the bit:
@@ -337,7 +320,7 @@ def posterior_update(post: DepthPosterior, timestamp: int | None, gate: int, bkg
         combo = (window > 0, window < b - 1)
     else:
         raise ValueError(f"timestamp {timestamp} outside [0, {b})")
-    steps = _cycle_rows(post, bkg_flux, combo)
+    steps = _cycle_rows(post, combo)
     if steps is None:
         post.degraded_cycles += 1
         return post
@@ -366,11 +349,11 @@ def posterior_from_record(
     Cycle order does not matter.  A record impossible under every cell
     leaves the prior and counts all its cycles as degraded.
     """
-    post = posterior_init(record.num_bins, flux_grid, prior)
+    post = posterior_init(record.num_bins, flux_grid, bkg_flux, prior)
     if len(record) == 0:  # renormalizing the bare prior would move its last bits
         return post
     stats = law_statistics(record.num_bins, record.gates, record.timestamps, record.detected)
-    return _fold(post, stats, bkg_flux)
+    return _fold(post, stats)
 
 
 def map_depth(post: DepthPosterior) -> int:

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -106,8 +106,9 @@ class PolicySpec:
 
 _DEFAULT_POLICIES = (PolicySpec(kind="adaptive"), PolicySpec(kind="free_running"))
 
-# The scene.mismatch keys each kind needs.
-_MISMATCH_NEEDS = {"two_peak": ("second_depth",), "corner_tail": ("tail_amplitude", "tail_decay")}
+# The scene.mismatch keys each kind reads, each with whether the kind needs it.
+_MISMATCH_KEYS = {"two_peak": {"second_depth": True, "second_flux": False},
+                  "corner_tail": {"tail_amplitude": True, "tail_decay": True}}
 
 # Range rules, named by the message they report; every value of a sweep axis
 # must keep its rule.
@@ -410,9 +411,13 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
             errors.append(f"scene.{key} gives depth bin {depth}, outside [0, {num_bins})")
     if config.mismatch_second_depth is not None and not config.mismatch_second_depth < num_bins:
         errors.append(f"scene.mismatch.second_depth {config.mismatch_second_depth} outside [0, {num_bins})")
-    needs = _MISMATCH_NEEDS.get(config.mismatch_kind, ())
-    if missing := [f"scene.mismatch.{key}" for key in needs if getattr(config, f"mismatch_{key}") is None]:
+    reads = _MISMATCH_KEYS.get(config.mismatch_kind, {})
+    if missing := [f"scene.mismatch.{key}" for key, needed in reads.items()
+                   if needed and getattr(config, f"mismatch_{key}") is None]:
         errors.append(f"scene.mismatch.kind {config.mismatch_kind} needs {' and '.join(missing)}")
+    if unread := [f"scene.mismatch.{key}" for key, f, _ in _SECTIONS["scene.mismatch"]
+                  if key != "kind" and key not in reads and getattr(config, f.name) is not None]:
+        errors.append(f"scene.mismatch.kind {config.mismatch_kind} does not read {' or '.join(unread)}")
     errors.extend(f"policies[{i}].gate {p.gate} outside [0, {num_bins})"
                   for i, p in enumerate(config.policies) if p.kind == "fixed" and not 0 <= p.gate < num_bins)
     if num_bins > MAX_NUM_BINS:
@@ -428,14 +433,17 @@ def parse_config(source: str | Path | dict) -> ExperimentConfig:
         errors.append(f"{' x '.join(f'{key} {n}' for key, n in factors)} give {rows} rows, "
                       f"above the limit of {MAX_CONFIG_ROWS} rows per config")
     if not errors and not scan_mode:
-        errors.extend(_scene_errors(config, num_bins))
+        errors.extend(_scene_errors(config, num_bins, config.resolved_depth_bin()))
+    elif not errors and config.ambient_map is None and config.signal_map is None:
+        # Every pixel of such a scan takes these fluxes; a corner_tail sums highest from depth bin 0.
+        errors.extend(_scene_errors(replace(config, sweep_ambient_flux=None, sweep_sbr=None), num_bins, 0))
     if errors:
         raise ConfigError("; ".join(errors))
     return config
 
 
-def _scene_errors(config: ExperimentConfig, num_bins: int) -> list[str]:
-    """Why the scene of the sweep point with the most light cannot be built, if it cannot.
+def _scene_errors(config: ExperimentConfig, num_bins: int, depth: int) -> list[str]:
+    """Why the scene of the sweep point with the most light, peaked at ``depth``, cannot be built, if it cannot.
 
     Every rate grows with the ambient and signal fluxes, and so does their
     rounded running sum, so that point has the largest total rate of the
@@ -445,7 +453,7 @@ def _scene_errors(config: ExperimentConfig, num_bins: int) -> list[str]:
     sbrs = config.sweep_sbr or (config.sbr,)
     signal = config.signal_flux if sbrs == (None,) else ambient * max(sbrs)
     try:
-        _row_scene(config, num_bins, ambient, signal, config.resolved_depth_bin())
+        _row_scene(config, num_bins, ambient, signal, depth)
     except ValueError as exc:
         where = "sweep" if config.sweep_ambient_flux or config.sweep_sbr else "scene"
         return [f"{where}: ambient flux {ambient!r} and signal flux {signal!r}: {exc}"]
@@ -1010,7 +1018,8 @@ def run_scene_scan(
     elif config.signal_flux is not None:
         signal = config.signal_flux
     else:
-        signal = np.broadcast_to(np.asarray(ambient, dtype=float), depth_m.shape) * config.sbr
+        with np.errstate(over="ignore"):  # an inf flux fails its pixel's rows
+            signal = np.broadcast_to(np.asarray(ambient, dtype=float), depth_m.shape) * config.sbr
     grid = SceneGrid.from_depth_map(depth_m, config.bin_resolution_ps, num_bins, ambient, signal)
     external = None
     if config.prior_kind == "external":

@@ -163,7 +163,6 @@ class AdaptiveGatePolicy:
         self.background_fallback = float(background_fallback)
         self.cycle_index = 0
         self.posterior: DepthPosterior | None = None
-        self.bkg_flux: float | None = None
         self.background_estimate: BackgroundEstimate | None = None
         self._buffer: list[tuple[np.ndarray, ...]] = []  # calibration blocks' record columns
         if self.calibration_cycles == 0:
@@ -203,7 +202,7 @@ class AdaptiveGatePolicy:
             return n
         if self.exposure is None and n > 1:  # a one-cycle block takes observe: the fold's bits, faster
             self.cycle_index += n
-            _fold(self.posterior, law_statistics(self.num_bins, gates, timestamps, detected), self.bkg_flux)
+            _fold(self.posterior, law_statistics(self.num_bins, gates, timestamps, detected))
             return n
         for taken, (gate, timestamp) in enumerate(zip(gates.tolist(), timestamps.tolist()), 1):
             self.observe(gate, timestamp)
@@ -214,7 +213,7 @@ class AdaptiveGatePolicy:
     def observe(self, gate: int, timestamp: int) -> None:
         """Fold one cycle after calibration; ``timestamp`` -1 is a censored cycle."""
         self.cycle_index += 1
-        posterior_update(self.posterior, timestamp if timestamp >= 0 else None, gate, self.bkg_flux)
+        posterior_update(self.posterior, timestamp if timestamp >= 0 else None, gate)
 
     def next_gate(self, rng: np.random.Generator) -> int:
         """The next cycle's gate, as a block of one.
@@ -246,13 +245,12 @@ class AdaptiveGatePolicy:
         columns = [np.concatenate(c) for c in zip(*self._buffer)] if self._buffer else [()] * 5
         record = AcquisitionRecord(self.num_bins, *columns, exposure_bins=int(np.sum(columns[4])))
         if self.known_bkg is not None:
-            self.bkg_flux = float(self.known_bkg)
+            bkg = float(self.known_bkg)
         else:
-            est = estimate_background(record, fallback_flux=self.background_fallback)
-            self.background_estimate = est
-            self.bkg_flux = est.value
-        grid = default_flux_grid(self.bkg_flux, *self.flux_grid_spec)
-        self.posterior = posterior_from_record(record, self.bkg_flux, grid, self.prior)
+            self.background_estimate = estimate_background(record, fallback_flux=self.background_fallback)
+            bkg = self.background_estimate.value
+        grid = default_flux_grid(bkg, *self.flux_grid_spec)
+        self.posterior = posterior_from_record(record, bkg, grid, self.prior)
         self._buffer = []
 
 

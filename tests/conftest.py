@@ -180,8 +180,7 @@ def reference_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
             block.append(sample_cycle(scene, config, state, (depth - policy.gate_offset) % b))
             if control is not None:
                 timestamp = block[-1].timestamp
-                posterior_update(policy.posterior, timestamp if timestamp >= 0 else None, block[-1].gate,
-                                 policy.bkg_flux)
+                posterior_update(policy.posterior, timestamp if timestamp >= 0 else None, block[-1].gate)
                 policy.cycle_index += 1
                 if stopped():
                     break
@@ -190,11 +189,11 @@ def reference_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
             policy.cycle_index += len(block)
             stats = law_statistics(b, [o.gate for o in block], [o.timestamp for o in block],
                                    [o.detected for o in block])
-            _fold(policy.posterior, stats, policy.bkg_flux)
+            _fold(policy.posterior, stats)
     return outcomes_record(b, outcomes)
 
 
-def full_period_cycle_rows(post, bkg_flux: float) -> tuple:
+def full_period_cycle_rows(post) -> tuple:
     """Reference for the row templates of ``estimators._cycle_rows``: (hit, window, other, censored).
 
     Reads each row type off the law evaluated over all B depth rows, on
@@ -207,7 +206,7 @@ def full_period_cycle_rows(post, bkg_flux: float) -> tuple:
 
     def law(gate: int, timestamp: int) -> np.ndarray:
         stats = reference_law_statistics(b, [gate], [timestamp], [timestamp >= 0])
-        return reference_peak_log_likelihood(stats, bkg_flux, post.flux_grid)
+        return reference_peak_log_likelihood(stats, post.bkg_flux, post.flux_grid)
 
     at_gate, wrapped = law(0, 0), law(b - 1, 0)
     return at_gate[0], wrapped[-1], at_gate[-1], law(0, -1)[0]
@@ -266,12 +265,12 @@ def assert_marginal_is_the_stored_rows(post) -> None:
     assert np.allclose(marginal[near], exact[near], rtol=0.0, atol=1e-12)
 
 
-def reference_fold(post, stats, bkg_flux: float):
+def reference_fold(post, stats):
     """Reference for ``estimators._fold``: the row-major likelihood of
     ``reference_peak_log_likelihood``, minus its largest cell, applied in the
     steps of ``_factor_steps`` (one step unless it spans more than 700 nats),
     each product written to a new array and installed."""
-    like = reference_peak_log_likelihood(stats, bkg_flux, post.flux_grid)
+    like = reference_peak_log_likelihood(stats, post.bkg_flux, post.flux_grid)
     cycles = stats.detected + stats.censored
     c = like.max()
     if not math.isfinite(c):

@@ -115,26 +115,34 @@ def test_default_flux_grid_names_an_out_of_range_background():
 
 def test_posterior_init_uniform_and_prior():
     known = np.array([0.6])  # a known signal flux is a one-value grid
-    post = sg.posterior_init(5, known)
+    post = sg.posterior_init(5, known, 0.1)
     assert log_mass(post).shape == (5, 1)
     assert np.allclose(np.exp(log_mass(post)), 0.2, rtol=1e-14)
     prior = np.array([0.5, 0.5, 0.0, 0.0])
-    post2 = sg.posterior_init(4, known, prior=prior)
+    post2 = sg.posterior_init(4, known, 0.1, prior=prior)
     mass = np.exp(log_mass(post2)[:, 0])
     assert mass[0] == pytest.approx(0.5, rel=1e-14)
     assert mass[2] == 0.0
     with pytest.raises(ValueError):
-        sg.posterior_init(4, known, prior=np.zeros(4))
+        sg.posterior_init(4, known, 0.1, prior=np.zeros(4))
     with pytest.raises(ValueError):
-        sg.posterior_init(4, known, prior=np.ones(3))
+        sg.posterior_init(4, known, 0.1, prior=np.ones(3))
     with pytest.raises(ValueError, match="not \\(depth bins, 2 flux values\\)"):
-        sg.DepthPosterior(np.ones(4), np.array([0.0, 0.6]))
+        sg.DepthPosterior(np.ones(4), np.array([0.0, 0.6]), 0.1)
     with pytest.raises(ValueError, match="not \\(depth bins, 2 flux values\\)"):
-        sg.DepthPosterior(np.ones((4, 3)), np.array([0.0, 0.6]))
+        sg.DepthPosterior(np.ones((4, 3)), np.array([0.0, 0.6]), 0.1)
+
+
+def test_a_posterior_rejects_a_negative_background_when_built():
+    with pytest.raises(ValueError, match="bkg_flux cannot be negative"):
+        sg.posterior_init(4, np.array([0.5]), -0.1)
+    with pytest.raises(ValueError, match="bkg_flux cannot be negative"):
+        sg.DepthPosterior(np.ones((4, 1)), np.array([0.5]), -0.1)
+    assert sg.posterior_init(4, np.array([0.5]), 0.0).bkg_flux == 0.0  # no background is allowed
 
 
 def test_posterior_init_joint_shape():
-    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.5, 1.0]))
+    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.5, 1.0]), bkg_flux=0.1)
     assert log_mass(post).shape == (6, 3)
     assert logsumexp(log_mass(post)) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(np.exp(depth_log_marginal(post)), 1 / 6, rtol=1e-12)
@@ -144,8 +152,8 @@ def test_posterior_init_joint_shape():
 def test_posterior_update_frozen_ratio():
     # One detection at the armed bin, two depth hypotheses: the armed-bin
     # hypothesis has trigger rate bkg+signal, the other just bkg.
-    post = sg.posterior_init(2, np.array([1.0]))
-    sg.posterior_update(post, 0, 0, 0.1)
+    post = sg.posterior_init(2, np.array([1.0]), 0.1)
+    sg.posterior_update(post, 0, 0)
     mass = np.exp(log_mass(post)[:, 0])
     assert mass[0] / mass[1] == pytest.approx(7.010412102458628, rel=1e-12)
 
@@ -174,9 +182,9 @@ def test_posterior_update_matches_brute_enumeration():
     num_bins, bkg = 6, 0.15
     grid = np.array([0.0, 0.4, 1.1])
     outcomes = [(0, 3), (2, None), (4, 4), (5, 0), (1, None)]
-    post = sg.posterior_init(num_bins, flux_grid=grid)
+    post = sg.posterior_init(num_bins, flux_grid=grid, bkg_flux=bkg)
     for gate, ts in outcomes:
-        sg.posterior_update(post, ts, gate, bkg)
+        sg.posterior_update(post, ts, gate)
     expected = _brute_posterior(num_bins, grid, bkg, outcomes)
     assert np.allclose(np.exp(log_mass(post)), expected, atol=1e-12)
 
@@ -186,9 +194,9 @@ def test_posterior_update_with_informative_prior():
     grid = np.array([0.3, 0.9])
     prior = np.array([0.1, 0.4, 0.3, 0.15, 0.05])
     outcomes = [(1, 2), (3, 3)]
-    post = sg.posterior_init(num_bins, prior=prior, flux_grid=grid)
+    post = sg.posterior_init(num_bins, prior=prior, flux_grid=grid, bkg_flux=bkg)
     for gate, ts in outcomes:
-        sg.posterior_update(post, ts, gate, bkg)
+        sg.posterior_update(post, ts, gate)
     expected = _brute_posterior(num_bins, grid, bkg, outcomes, prior=prior)
     assert np.allclose(np.exp(log_mass(post)), expected, atol=1e-12)
 
@@ -196,10 +204,10 @@ def test_posterior_update_with_informative_prior():
 def test_censored_update_preserves_depth_marginal_from_uniform():
     # From a factorized state the censored likelihood is depth-independent,
     # so only the flux marginal moves.
-    post = sg.posterior_init(8, flux_grid=np.array([0.0, 0.5, 2.0]))
+    post = sg.posterior_init(8, flux_grid=np.array([0.0, 0.5, 2.0]), bkg_flux=0.1)
     before_depth = np.exp(depth_log_marginal(post))
     before_flux = np.exp(flux_log_marginal(post))
-    sg.posterior_update(post, None, 3, 0.1)
+    sg.posterior_update(post, None, 3)
     after_depth = np.exp(depth_log_marginal(post))
     after_flux = np.exp(flux_log_marginal(post))
     assert np.allclose(after_depth, before_depth, atol=1e-14)
@@ -210,17 +218,17 @@ def test_censored_update_preserves_depth_marginal_from_uniform():
 def test_zero_flux_slice_stays_flat():
     # The signal-free hypothesis has no depth dependence; its slice of the
     # joint must stay exactly flat through arbitrary updates.
-    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.7]))
+    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.7]), bkg_flux=0.12)
     for gate, ts in [(0, 2), (3, None), (4, 4), (1, 0)]:
-        sg.posterior_update(post, ts, gate, 0.12)
+        sg.posterior_update(post, ts, gate)
     slice0 = log_mass(post)[:, 0]
     assert np.ptp(slice0) < 1e-12
 
 
 def test_impossible_observation_degrades_not_crashes():
-    post = sg.posterior_init(4, np.array([0.0]))
+    post = sg.posterior_init(4, np.array([0.0]), 0.0)
     before = log_mass(post)
-    sg.posterior_update(post, 2, 0, 0.0)  # zero rate everywhere: p=0
+    sg.posterior_update(post, 2, 0)  # zero rate everywhere: p=0
     assert post.degraded_cycles == 1
     assert np.array_equal(log_mass(post), before)
 
@@ -243,9 +251,9 @@ def test_posterior_from_record_matches_brute(rng):
         ]
         expected = _brute_posterior(num_bins, grid, bkg, outcomes)
         assert np.allclose(np.exp(log_mass(post)), expected, atol=1e-10)
-        folded = sg.posterior_init(num_bins, flux_grid=grid)
+        folded = sg.posterior_init(num_bins, flux_grid=grid, bkg_flux=bkg)
         for gate, ts in outcomes:
-            sg.posterior_update(folded, ts, gate, bkg)
+            sg.posterior_update(folded, ts, gate)
         assert np.allclose(log_mass(post), log_mass(folded), rtol=0.0, atol=1e-10)
 
 
@@ -284,7 +292,7 @@ def test_impossible_record_keeps_prior_and_counts_every_cycle():
     record = make_record(4, [(0, 1), (0, 2), (3, None)])
     post = sg.posterior_from_record(record, 0.0, np.array([0.5]))
     assert post.degraded_cycles == 3
-    assert np.array_equal(log_mass(post), log_mass(sg.posterior_init(4, np.array([0.5]))))
+    assert np.array_equal(log_mass(post), log_mass(sg.posterior_init(4, np.array([0.5]), 0.0)))
 
 
 @st.composite
@@ -292,13 +300,13 @@ def _one_cycle_cases(draw):
     """A posterior state and 2 to 12 cycles to fold into it one at a time.
 
     Flux values of hundreds of nats give cycles whose factors span more
-    than 700 nats (several steps).  Before a cycle the background may
-    change, to 0 too, where an outcome can be impossible under every cell
-    of positive mass; and the posterior may be copied, the copy updated by
-    another cycle in between.
+    than 700 nats (several steps).  The background may be 0, where an
+    outcome can be impossible under every cell of positive mass; and
+    before a cycle the posterior may be copied, the copy updated by another
+    cycle in between.
     """
     b = draw(st.one_of(st.integers(1, 3), st.integers(1, 600)))
-    bkg = draw(st.floats(1e-6, 2.0))
+    bkg = draw(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
     flux = st.one_of(st.floats(0.0, 50.0), st.floats(700.0, 3000.0))
     if draw(st.booleans()):
         grid = np.array(draw(st.lists(flux, min_size=1, max_size=20)))
@@ -325,12 +333,9 @@ def _one_cycle_cases(draw):
         return gate, draw(st.integers(0, b - 1))
 
     cycles = []
-    cycle_bkg = bkg
     for _ in range(draw(st.integers(2, 12))):
-        if draw(st.integers(0, 3)) == 0:
-            cycle_bkg = draw(st.one_of(st.just(0.0), st.floats(1e-6, 2.0)))
         twin = cycle() if draw(st.integers(0, 3)) == 0 else None
-        cycles.append((*cycle(), cycle_bkg, twin))
+        cycles.append((*cycle(), twin))
     return b, bkg, grid, prior, history, cycles
 
 
@@ -345,32 +350,30 @@ _log_uniform_background = st.floats(-300.0, math.log10(3.0)).map(lambda e: 10.0*
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     b=st.one_of(st.integers(1, 3), st.integers(1, 600)),
-    backgrounds=st.lists(_log_uniform_background, min_size=1, max_size=3),
+    bkg=st.one_of(st.just(0.0), _log_uniform_background),
     grid=st.lists(st.floats(0.0, 100.0), min_size=0, max_size=19),
     signal=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 100.0)),
     cycles=st.lists(st.tuples(st.integers(0, 599), st.one_of(st.none(), st.integers(0, 599))), max_size=3),
 )
-def test_cycle_rows_match_the_full_period_templates(b, backgrounds, grid, signal, cycles):
+def test_cycle_rows_match_the_full_period_templates(b, bkg, grid, signal, cycles):
     # A grid with the zero column (1 to 20 values), or a known signal flux
-    # (a one-value grid); each later background rebuilds the cache
-    # mid-life, after a few updates.
+    # (a one-value grid); the templates are read after a few updates, or
+    # built by the check itself when there were none.
     grid = np.array([0.0, *grid]) if signal is None else np.array([signal])
-    post = sg.posterior_init(b, grid)
-    for bkg in backgrounds:
-        for gate, t in cycles:
-            sg.posterior_update(post, None if t is None else t % b, gate % b, bkg)
-        _cycle_rows(post, bkg, None)
-        assert post._factors.bkg_flux == bkg
-        rows, reference = post._factors.rows, full_period_cycle_rows(post, bkg)
-        read = (0, 3) if b == 1 else (0, 1, 2, 3)  # at one bin only the hit and censored rows are read
-        for i in read:
-            assert _same_bits(rows[i], reference[i]), i
+    post = sg.posterior_init(b, grid, bkg)
+    for gate, t in cycles:
+        sg.posterior_update(post, None if t is None else t % b, gate % b)
+    _cycle_rows(post, None)
+    rows, reference = post._templates, full_period_cycle_rows(post)
+    read = (0, 3) if b == 1 else (0, 1, 2, 3)  # at one bin only the hit and censored rows are read
+    for i in read:
+        assert _same_bits(rows[i], reference[i]), i
 
 
-def _update_both(post, ref, gate, t, bkg):
+def _update_both(post, ref, gate, t):
     """``posterior_update`` on ``post`` and the one-cycle fold on ``ref``; they must agree to the bit."""
-    sg.posterior_update(post, t, gate, bkg)
-    _fold(ref, law_statistics(post.num_bins, [gate], [-1 if t is None else t], [t is not None]), bkg)
+    sg.posterior_update(post, t, gate)
+    _fold(ref, law_statistics(post.num_bins, [gate], [-1 if t is None else t], [t is not None]))
     assert np.array_equal(post.mass, ref.mass)
     assert np.array_equal(post.rows, ref.rows) and post.total == ref.total
     assert post.degraded_cycles == ref.degraded_cycles
@@ -382,20 +385,18 @@ def test_posterior_update_is_the_one_cycle_fold_to_the_bit(case):
     b, bkg, grid, prior, history, cycles = case
     post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid)
     ref = post.copy()
-    for gate, t, cycle_bkg, twin in cycles:  # later cycles read the cached rows and refill the kept buffer
+    for gate, t, twin in cycles:  # later cycles read the kept templates and refill the kept buffer
         if twin is not None:  # the copy keeps a buffer of its own
-            _update_both(post.copy(), ref.copy(), *twin, cycle_bkg)
-        _update_both(post, ref, gate, t, cycle_bkg)
+            _update_both(post.copy(), ref.copy(), *twin)
+        _update_both(post, ref, gate, t)
 
 
 def test_posterior_update_validation():
-    post = sg.posterior_init(4, np.array([0.5]))
+    post = sg.posterior_init(4, np.array([0.5]), 0.1)
     with pytest.raises(ValueError):
-        sg.posterior_update(post, 4, 0, 0.1)
+        sg.posterior_update(post, 4, 0)
     with pytest.raises(ValueError):
-        sg.posterior_update(post, 1, 4, 0.1)
-    with pytest.raises(ValueError, match="bkg_flux cannot be negative"):
-        sg.posterior_update(post, 1, 0, -0.1)
+        sg.posterior_update(post, 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +405,20 @@ def test_posterior_update_validation():
 
 def test_joint_mass_stays_flux_major():
     grid = np.array([0.0, 0.3, 1.0])
-    post = sg.posterior_init(7, flux_grid=grid)
+    post = sg.posterior_init(7, flux_grid=grid, bkg_flux=0.1)
     assert post.mass.flags.f_contiguous
-    sg.posterior_update(post, 3, 1, 0.1)  # detected
+    sg.posterior_update(post, 3, 1)  # detected
     assert post.mass.flags.f_contiguous
-    sg.posterior_update(post, None, 5, 0.1)  # censored
+    sg.posterior_update(post, None, 5)  # censored
     assert post.mass.flags.f_contiguous
     record = make_record(7, [(0, 2), (4, None), (6, 1)])
     assert sg.posterior_from_record(record, 0.1, flux_grid=grid).mass.flags.f_contiguous
     twin = post.copy()
     assert twin.mass.flags.f_contiguous
-    sg.posterior_update(twin, 0, 6, 0.1)
+    sg.posterior_update(twin, 0, 6)
     assert twin.mass.flags.f_contiguous
     assert not twin.mass.flags.c_contiguous  # (7, 3): the flags tell the layouts apart
-    assert sg.DepthPosterior(np.ones((7, 3)), grid).mass.flags.f_contiguous  # built from a C-ordered array
+    assert sg.DepthPosterior(np.ones((7, 3)), grid, 0.1).mass.flags.f_contiguous  # built from a C-ordered array
 
 
 @st.composite
@@ -446,7 +447,7 @@ def test_cached_depth_marginal_matches_the_row_logsumexp(case):
     post = sg.posterior_from_record(history, bkg, prior=prior, flux_grid=grid)
     assert_marginal_is_the_stored_rows(post)
     for gate, t in cycles:
-        sg.posterior_update(post, t, gate, bkg)
+        sg.posterior_update(post, t, gate)
         assert_marginal_is_the_stored_rows(post)
 
 
@@ -500,9 +501,9 @@ def test_long_records_match_the_log_domain_reference(case):
     bkg, grid, prior, record = case
     reference = _log_domain_marginal(record, bkg, grid, prior)
     _assert_matches_the_log_domain(sg.posterior_from_record(record, bkg, prior=prior, flux_grid=grid), reference)
-    post = sg.posterior_init(record.num_bins, prior=prior, flux_grid=grid)
+    post = sg.posterior_init(record.num_bins, prior=prior, flux_grid=grid, bkg_flux=bkg)
     for gate, t, detected in zip(record.gates, record.timestamps, record.detected):
-        sg.posterior_update(post, int(t) if detected else None, int(gate), bkg)
+        sg.posterior_update(post, int(t) if detected else None, int(gate))
     _assert_matches_the_log_domain(post, reference)
 
 
@@ -530,10 +531,10 @@ def test_rescales_keep_a_concentrating_posterior_exact():
     censored = rng.random(n) < 0.1
     record = make_record(b, [(int(g), None if c else int(t))
                              for g, t, c in zip(rng.integers(b, size=n), stamps, censored)])
-    post = sg.posterior_init(b, flux_grid=grid)
+    post = sg.posterior_init(b, flux_grid=grid, bkg_flux=bkg)
     totals = []
     for gate, t, detected in zip(record.gates, record.timestamps, record.detected):
-        sg.posterior_update(post, int(t) if detected else None, int(gate), bkg)
+        sg.posterior_update(post, int(t) if detected else None, int(gate))
         totals.append(post.total)
     totals = np.array(totals)
     assert np.all((2.0**500 <= totals) & (totals <= 2.0**1000))
@@ -554,10 +555,10 @@ def _random_stats(rng, b: int, n: int, peak_share: float = 0.5, censored_share: 
     return law_statistics(b, rng.integers(b, size=n), np.where(censored, -1, stamps), ~censored)
 
 
-def _fold_both(post, ref, stats, bkg):
+def _fold_both(post, ref, stats):
     """``_fold`` on ``post`` and the reference fold on ``ref``; they must agree to the bit."""
-    _fold(post, stats, bkg)
-    reference_fold(ref, stats, bkg)
+    _fold(post, stats)
+    reference_fold(ref, stats)
     assert _same_bits(post.mass, ref.mass) and post.mass.flags.f_contiguous
     assert _same_bits(post.rows, ref.rows) and post.total == ref.total
     assert post.degraded_cycles == ref.degraded_cycles
@@ -585,10 +586,10 @@ def _fold_cases(draw):
 @given(_fold_cases())
 def test_fold_is_the_reference_fold_to_the_bit(case):
     b, bkg, grid, prior, blocks = case
-    post = sg.posterior_init(b, grid, prior)
+    post = sg.posterior_init(b, grid, bkg, prior)
     ref = post.copy()
     for stats in blocks:
-        _fold_both(post, ref, stats, bkg)
+        _fold_both(post, ref, stats)
 
 
 @pytest.mark.parametrize("n, peak_share, bkg, steps", [
@@ -600,9 +601,9 @@ def test_both_fold_paths_are_the_reference_fold(monkeypatch, n, peak_share, bkg,
     calls = []
     monkeypatch.setattr(estimators, "_factor_steps", lambda a: calls.append(a.shape) or _factor_steps(a))
     b = 500
-    post = sg.posterior_init(b, sg.default_flux_grid(0.02), sg.flatness_prior(b, prev_depth=270.0))
+    post = sg.posterior_init(b, sg.default_flux_grid(0.02), bkg, sg.flatness_prior(b, prev_depth=270.0))
     ref = post.copy()
-    _fold_both(post, ref, _random_stats(np.random.default_rng(11), b, n, peak_share), bkg)
+    _fold_both(post, ref, _random_stats(np.random.default_rng(11), b, n, peak_share))
     assert post.degraded_cycles == 0
     assert calls == ([(b, 17)] if steps else [])
 
@@ -611,25 +612,23 @@ def test_a_finite_fold_makes_one_exp_and_reads_the_columns_once(monkeypatch):
     # A fold within 700 nats takes one exp over the joint, in place, one
     # multiply of the mass and one flux-axis sum; it never takes the steps
     # (and their boolean masks).  The column terms are computed once per
-    # posterior and background, not once per fold.
+    # posterior, when it is built, not once per fold.
     numpy = NumpyCounter()
     monkeypatch.setattr(estimators, "np", numpy)
     steps, columns = [], []
     monkeypatch.setattr(estimators, "_factor_steps", lambda a: steps.append(a) or _factor_steps(a))
     monkeypatch.setattr(estimators, "peak_columns", lambda *args: columns.append(args) or peak_columns(*args))
     b, bkg = 50, 0.05
-    post = sg.posterior_init(b, sg.default_flux_grid(bkg))
+    post = sg.posterior_init(b, sg.default_flux_grid(bkg), bkg)
+    assert len(columns) == 1
     rng = np.random.default_rng(12)
     for _ in range(4):
         numpy.calls.clear()
-        _fold(post, _random_stats(rng, b, 16), bkg)
+        _fold(post, _random_stats(rng, b, 16))
         assert numpy.calls == ["exp", f"multiply {post.mass.shape}", "flux-axis sum"]
     assert steps == [] and len(columns) == 1
-    sg.posterior_update(post, 3, 1, bkg)  # the one-cycle templates read the same columns
+    sg.posterior_update(post, 3, 1)  # the one-cycle templates read the same columns
     assert len(columns) == 1
-    steps.clear()  # the templates' own steps, O(K)
-    _fold(post, _random_stats(rng, b, 16), 2 * bkg)  # a new background: new columns
-    assert steps == [] and len(columns) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +636,16 @@ def test_a_finite_fold_makes_one_exp_and_reads_the_columns_once(monkeypatch):
 
 
 def test_map_depth_and_entropy():
-    post = sg.posterior_init(500, np.array([0.5]))
+    post = sg.posterior_init(500, np.array([0.5]), 0.1)
     assert sg.posterior_entropy(post) == pytest.approx(6.214608098422191, rel=1e-12)
     assert sg.map_depth(post) == 0  # uniform ties break low
-    sharp = sg.posterior_init(4, np.array([0.5]), prior=np.array([0.0, 0.0, 1.0, 0.0]))
+    sharp = sg.posterior_init(4, np.array([0.5]), 0.1, prior=np.array([0.0, 0.0, 1.0, 0.0]))
     assert sg.map_depth(sharp) == 2
     assert sg.posterior_entropy(sharp) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_of_joint_uses_depth_marginal():
-    post = sg.posterior_init(4, flux_grid=np.array([0.1, 1.0]))
+    post = sg.posterior_init(4, flux_grid=np.array([0.1, 1.0]), bkg_flux=0.1)
     assert sg.posterior_entropy(post) == pytest.approx(math.log(4), rel=1e-12)
 
 

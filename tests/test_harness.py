@@ -139,6 +139,12 @@ def test_parse_config_type_errors_name_the_path():
          "scene.mismatch.tail_amplitude cannot be negative"),
         ("scene", "mismatch", {"kind": "corner_tail", "tail_amplitude": 0.4, "tail_decay": 0.0},
          "scene.mismatch.tail_decay must be positive"),
+        # A key the kind does not read would leave the rows without what it asks for.
+        ("scene", "mismatch", {"kind": "two_peak", "second_depth": 9, "tail_amplitude": 0.5, "tail_decay": 3.0},
+         "scene.mismatch.kind two_peak does not read scene.mismatch.tail_amplitude or scene.mismatch.tail_decay"),
+        ("scene", "mismatch", {"kind": "corner_tail", "tail_amplitude": 0.4, "tail_decay": 3.0, "second_depth": 9,
+                               "second_flux": 0.05},
+         "scene.mismatch.kind corner_tail does not read scene.mismatch.second_depth or scene.mismatch.second_flux"),
     ]:
         raw = json.loads(json.dumps(BASE_CONFIG))
         (raw if section is None else raw.setdefault(section, {}))[key] = value
@@ -203,6 +209,36 @@ def test_parse_config_rejects_a_scene_whose_rates_overflow_one_period():
         assert str(exc.value) == message
     raw["sweep"] = {"ambient_flux": [0.02, 1e306]}  # the total stays finite
     sg.parse_config(raw)
+
+
+@pytest.mark.parametrize("scene, message", [
+    ({"ambient_flux": 1e308, "signal_flux": 0.1}, "scene: ambient flux 1e+308 and signal flux 0.1"),
+    ({"ambient_flux": 1e308, "sbr": 2.0}, "scene: ambient flux 1e+308 and signal flux inf"),
+])
+def test_parse_config_rejects_a_scan_whose_scalar_fluxes_overflow_one_period(scene, message):
+    # Each used to parse, then fail its one row (and the sbr product warned of an overflow).
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["spad"]["num_bins"] = 16
+    raw["background"] = {"mode": "estimated"}
+    raw["scene"] = {"depth_map": "depth.txt", **scene}
+    with pytest.raises(sg.ConfigError) as exc:
+        sg.parse_config(raw)
+    assert str(exc.value) == f"{message}: the rates sum to inf over one period; the total must be finite"
+
+
+def test_a_scan_pixel_whose_mapped_flux_overflows_fails_its_rows_without_a_warning(tmp_path):
+    (tmp_path / "depth.txt").write_text("2 1\n0.15 0.075\n", encoding="utf-8")
+    (tmp_path / "ambient.txt").write_text("2 1\n1e308 0.02\n", encoding="utf-8")
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["spad"]["num_bins"] = 16
+    raw["experiment"]["seeds"] = 1
+    raw["background"] = {"mode": "estimated"}
+    raw["policies"] = [{"kind": "uniform"}]
+    raw["scene"] = {"depth_map": str(tmp_path / "depth.txt"), "ambient_map": str(tmp_path / "ambient.txt"), "sbr": 2.0}
+    rows, _, failures = sg.run_scene_scan(sg.parse_config(raw))  # a RuntimeWarning fails the suite
+    assert [(r.x, r.y) for r in rows] == [(1, 0)]
+    assert [(f.stream_index, f.error) for f in failures] == [
+        (0, "ValueError: the rates sum to inf over one period; the total must be finite")]
 
 
 def test_parse_config_duplicate_policy_names():
@@ -386,8 +422,7 @@ def test_round_trip_with_every_field_set():
         experiment_id="full", out_dir="out", seeds=3, global_seed=9,
         bin_resolution_ps=50.0, rep_rate_hz=25e6, num_bins=600, dead_time_ns=40.0, max_active_periods=4,
         ambient_flux=0.03, sbr=3.0, depth_bin=120, depth_m=2.5,
-        mismatch_kind="corner_tail", mismatch_second_depth=300, mismatch_second_flux=0.02,
-        mismatch_tail_amplitude=0.4, mismatch_tail_decay=12.0,
+        mismatch_kind="corner_tail", mismatch_tail_amplitude=0.4, mismatch_tail_decay=12.0,
         depth_map="depth.txt", ambient_map="ambient.txt", signal_map="signal.txt",
         policies=(sg.PolicySpec(name="fixed9", kind="fixed", estimator="map", gate=9, gate_offset=2),),
         budget_us=50.0, max_cycles=900,
@@ -398,8 +433,11 @@ def test_round_trip_with_every_field_set():
         sweep_ambient_flux=(0.01, 0.05), sweep_sbr=(1.0, 4.0), sweep_dead_time_ns=(20.0, 81.0),
         sweep_budget_us=(25.0, 75.0),
     )
-    # sbr and signal_flux are exclusive, so the second config sets the other
-    with_signal = dataclasses.replace(full, sbr=None, signal_flux=0.09)
+    # sbr and signal_flux are exclusive, and each mismatch kind reads only its
+    # own keys, so the second config sets the others
+    with_signal = dataclasses.replace(full, sbr=None, signal_flux=0.09, mismatch_kind="two_peak",
+                                      mismatch_second_depth=300, mismatch_second_flux=0.02,
+                                      mismatch_tail_amplitude=None, mismatch_tail_decay=None)
     default = sg.ExperimentConfig()
     left_at_default = [f.name for f in dataclasses.fields(full)
                        if getattr(default, f.name) == getattr(full, f.name) == getattr(with_signal, f.name)]
@@ -626,7 +664,7 @@ def test_adaptive_policy_uses_the_configured_flux_grid():
         spec = next(s for s in sg.build_sweep_specs(cfg) if s.policy.kind == "adaptive")
         policy = _build_policy(cfg, spec, cfg.resolved_num_bins, None)
         policy.ensure_posterior()
-        expected = sg.default_flux_grid(policy.bkg_flux, 4, 0.5, 20.0)
+        expected = sg.default_flux_grid(policy.posterior.bkg_flux, 4, 0.5, 20.0)
         assert np.array_equal(policy.posterior.flux_grid, expected)
         assert policy.posterior.mass.shape == (40, 5)
 
@@ -1153,6 +1191,17 @@ def test_cli_oracle(capsys):
     assert main(["oracle"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--threads", "2"], ["oracle", "--out", "o"], ["oracle", "--config", "c.json"],
+    ["check", "--config", "c.json", "--threads", "2"],
+])
+def test_cli_refuses_a_flag_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["estimated", "known"])

@@ -26,11 +26,11 @@ def _block(gates, timestamps):
 
 
 def test_termination_value_uniform_and_sharp():
-    post = sg.posterior_init(4, np.array([0.5]))
+    post = sg.posterior_init(4, np.array([0.5]), 0.1)
     assert sg.termination_value(post) == pytest.approx(0.75, rel=1e-12)
     assert sg.termination_value(post, "entropy") == pytest.approx(math.log(4), rel=1e-12)
-    sharp = sg.posterior_init(4, np.array([0.5]), prior=np.array([0.0, 1.0, 0.0, 0.0]))
-    sharp_joint = sg.posterior_init(4, np.array([0.0, 0.5]), prior=np.array([0.0, 1.0, 0.0, 0.0]))
+    sharp = sg.posterior_init(4, np.array([0.5]), 0.1, prior=np.array([0.0, 1.0, 0.0, 0.0]))
+    sharp_joint = sg.posterior_init(4, np.array([0.0, 0.5]), 0.1, prior=np.array([0.0, 1.0, 0.0, 0.0]))
     for point in (sharp, sharp_joint):
         for metric in ("termination", "entropy"):
             # +0.0 exactly: a -0.0 would print as "-0" in results.csv
@@ -58,10 +58,10 @@ def test_should_stop_respects_min_cycles():
 
     for metric in ("termination", "entropy"):
         control = sg.ExposureControl(epsilon=0.25, metric=metric)
-        sharp = sg.posterior_init(4, np.array([0.5]), prior=np.array([0.0, 1.0, 0.0, 0.0]))
+        sharp = sg.posterior_init(4, np.array([0.5]), 0.1, prior=np.array([0.0, 1.0, 0.0, 0.0]))
         assert not should_stop(control, sharp, cycle_index=9, min_cycles=10)
         assert should_stop(control, sharp, cycle_index=10, min_cycles=10)
-        flat = sg.posterior_init(4, np.array([0.5]))
+        flat = sg.posterior_init(4, np.array([0.5]), 0.1)
         assert not should_stop(control, flat, cycle_index=50, min_cycles=10)
 
 
@@ -119,7 +119,7 @@ def test_adaptive_known_background_skips_calibration():
     pol = sg.AdaptiveGatePolicy(num_bins=8, bkg_flux=0.1)
     assert pol.posterior is not None
     assert pol.calibration_cycles == 0
-    assert pol.bkg_flux == 0.1
+    assert pol.posterior.bkg_flux == 0.1
 
 
 def test_adaptive_calibration_gates_spread_evenly():
@@ -143,13 +143,13 @@ def test_adaptive_finalizes_after_calibration_and_replays_buffer():
     assert pol.posterior is None
     assert pol.observe_block(*_block(gates[1:], timestamps[1:])) == 3
     assert pol.posterior is not None
-    assert pol.bkg_flux is not None
+    assert pol.posterior.bkg_flux is not None
     # replay must equal a batch posterior over the same outcomes
     import conftest
 
     record = conftest.make_record(num_bins, list(zip(gates.tolist(), timestamps)))
     batch = sg.posterior_from_record(
-        record, pol.bkg_flux, prior=prior, flux_grid=pol.posterior.flux_grid
+        record, pol.posterior.bkg_flux, prior=prior, flux_grid=pol.posterior.flux_grid
     )
     assert np.allclose(log_mass(pol.posterior), log_mass(batch), atol=1e-12)
 
@@ -162,7 +162,7 @@ def test_adaptive_ensure_posterior_with_partial_buffer():
     assert pol.posterior is not None
     # 2 censored cycles cannot clear the detection floor: fallback applies
     assert pol.background_estimate.low_confidence
-    assert pol.bkg_flux == 0.03
+    assert pol.posterior.bkg_flux == 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_adaptive_ensure_posterior_with_partial_buffer():
 def _sharpen(pol, depth):
     mass = np.zeros(pol.posterior.mass.shape)
     mass[depth] = 1.0
-    pol.posterior = sg.DepthPosterior(mass, pol.posterior.flux_grid)
+    pol.posterior = sg.DepthPosterior(mass, pol.posterior.flux_grid, pol.posterior.bkg_flux)
 
 
 def test_thompson_gate_tracks_sampled_depth():
@@ -287,11 +287,11 @@ def test_reward_validation():
 # The per-cycle fast path: one-cycle rows and the cached depth marginal
 
 
-def _general_update(post, timestamp, gate, bkg_flux):
+def _general_update(post, timestamp, gate):
     """posterior_update written as the general fold of one-cycle statistics."""
     detected = timestamp is not None
     stats = law_statistics(post.num_bins, [gate], [timestamp if detected else -1], [detected])
-    return _fold(post, stats, bkg_flux)
+    return _fold(post, stats)
 
 
 def test_thompson_draws_match_the_general_fold(monkeypatch):
@@ -316,21 +316,21 @@ def test_thompson_draws_match_the_general_fold(monkeypatch):
 def test_a_point_mass_posterior_is_read_by_every_readout():
     mass = np.zeros((5, 2))
     mass[3] = 0.5
-    post = sg.DepthPosterior(mass, np.array([0.2, 1.0]))
+    post = sg.DepthPosterior(mass, np.array([0.2, 1.0]), 0.1)
     assert sg.map_depth(post) == 3
     assert sg.termination_value(post) == 0.0
     assert_marginal_is_the_stored_rows(post)
-    sg.posterior_update(post, 1, 0, 0.1)
+    sg.posterior_update(post, 1, 0)
     assert_marginal_is_the_stored_rows(post)
 
 
 def test_copy_does_not_serve_a_stale_marginal():
-    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.5]))
-    sg.posterior_update(post, 2, 0, 0.1)
+    post = sg.posterior_init(6, flux_grid=np.array([0.0, 0.5]), bkg_flux=0.1)
+    sg.posterior_update(post, 2, 0)
     before = depth_log_marginal(post)
     twin = post.copy()
     assert twin.mass is not post.mass and twin.rows is not post.rows
-    sg.posterior_update(twin, 4, 4, 0.1)
+    sg.posterior_update(twin, 4, 4)
     assert_marginal_is_the_stored_rows(twin)
     assert not np.array_equal(depth_log_marginal(twin), before)
     assert np.array_equal(depth_log_marginal(post), before)
@@ -441,7 +441,7 @@ def test_a_stop_rule_keeps_the_calibration_block(seed):
     for field in ("gates", "timestamps", "detected", "elapsed_periods", "cycle_durations"):
         first = [getattr(rec, field)[:40] for rec in records]
         assert np.array_equal(*first), field
-    assert block.bkg_flux == stopping.bkg_flux
+    assert block.posterior.bkg_flux == stopping.posterior.bkg_flux
     assert block.background_estimate == stopping.background_estimate
 
 
@@ -454,7 +454,7 @@ def test_block_posterior_is_the_posterior_of_its_record(seed, known):
     pol = sg.AdaptiveGatePolicy(num_bins=500, prior=prior, bkg_flux=0.02 if known else None,
                                 calibration_cycles=0 if known else 40)
     rec = sg.run_acquisition(_PAPER_SCENE, _PAPER_SPAD, pol, budget_bins=_PAPER_BUDGET, seed=seed)
-    batch = sg.posterior_from_record(rec, pol.bkg_flux, pol.posterior.flux_grid, prior)
+    batch = sg.posterior_from_record(rec, pol.posterior.bkg_flux, pol.posterior.flux_grid, prior)
     assert len(rec) > 900
     assert sg.map_depth(pol.posterior) == sg.map_depth(batch)
     assert np.allclose(pol.posterior.mass / pol.posterior.total, batch.mass / batch.total, rtol=1e-9, atol=1e-300)
