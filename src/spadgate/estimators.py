@@ -135,14 +135,16 @@ class DepthPosterior:
     aborting.
 
     Every update reads the law under the posterior's one background
-    ``bkg_flux`` (not negative), through the column terms the constructor
-    reads off it (``columns``).  The first one-cycle update adds the
-    one-cycle row templates and factor steps (``_cycle_rows``) and a factor
-    buffer of the mass's shape, which ``posterior_update`` refills on
-    every cycle; a copy starts without them.
+    ``bkg_flux`` (finite, not negative), through the column terms the
+    constructor reads off it (``columns``).  The first one-cycle update
+    adds the one-cycle row templates and factor steps (``_cycle_rows``) and
+    a factor buffer of the mass's shape, which ``posterior_update`` refills
+    on every cycle; a copy starts without them.
     """
 
     def __init__(self, mass: np.ndarray, flux_grid: np.ndarray, bkg_flux: float, degraded_cycles: int = 0):
+        if not math.isfinite(bkg_flux):
+            raise ValueError(f"bkg_flux must be finite, got {bkg_flux!r}")
         if bkg_flux < 0:
             raise ValueError("bkg_flux cannot be negative")
         self.flux_grid = flux_grid
@@ -403,41 +405,23 @@ def estimate_background(record: AcquisitionRecord, fallback_flux: float = 0.01) 
     return BackgroundEstimate(float(kept.mean()), False, detections)
 
 
-def dither_depth(est: TransientEstimate, depth: int, window: int = 3) -> float:
+def dither_depth(est: TransientEstimate, depth: int) -> float:
     """Sub-bin depth from a log-domain parabola around ``depth``.
 
-    Fits log rate over the ``window`` bins centered on the estimate
-    (clipped at the period edges) and returns the parabola vertex, clamped
-    to the window.  Degenerate fits (fewer than 3 positive-rate points,
-    flat window, or upward curvature) return ``depth`` unchanged.
+    Returns the vertex of the parabola through the log rates of ``depth``
+    and its two neighbours, clamped to one bin either side.  An edge bin,
+    a neighbour of zero rate, a flat window or upward curvature returns
+    ``depth`` unchanged.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd count >= 3")
     b = est.rates.size
     if not 0 <= depth < b:
         raise ValueError(f"depth {depth} outside [0, {b})")
-    half = window // 2
-    lo = max(depth - half, 0)
-    hi = min(depth + half, b - 1)
-    bins = np.arange(lo, hi + 1)
-    vals = est.rates[bins]
-    keep = vals > 0
-    if keep.sum() < 3:
+    vals = est.rates[max(depth - 1, 0):depth + 2]
+    if vals.size < 3 or not np.all(vals > 0):
         return float(depth)
-    x = (bins[keep] - depth).astype(float)
-    y = np.log(vals[keep])
-    if np.ptp(y) == 0.0:
+    y = np.log(vals)
+    denom = y[0] - 2.0 * y[1] + y[2]
+    if denom >= 0.0:
         return float(depth)
-    if x.size == 3:
-        # Closed-form vertex of the parabola through three points.
-        denom = y[0] - 2.0 * y[1] + y[2]
-        if denom >= 0.0 or x[1] - x[0] != 1.0 or x[2] - x[1] != 1.0:
-            return float(depth)
-        offset = x[1] + (y[0] - y[2]) / (2.0 * denom)
-    else:
-        a, bcoef, _ = np.polyfit(x, y, 2)
-        if a >= 0.0:
-            return float(depth)
-        offset = -bcoef / (2.0 * a)
-    offset = min(max(offset, x[0]), x[-1])
-    return float(depth + offset)
+    offset = (y[0] - y[2]) / (2.0 * denom)
+    return float(depth + min(max(offset, -1.0), 1.0))

@@ -89,7 +89,6 @@ class PolicySpec:
     kind: str = "adaptive"  # fixed | uniform | free_running | adaptive
     estimator: str | None = None  # map | coates
     gate: int | None = None
-    gate_offset: int = 0
 
     def __post_init__(self) -> None:
         if self.name is None:
@@ -117,23 +116,22 @@ _RULES = {
     "must be at least 1": lambda v: v >= 1,
     "cannot be negative": lambda v: v >= 0,
     "must lie in [0, 1]": lambda v: 0 <= v <= 1,
-    "must be an odd count >= 3": lambda v: v >= 3 and v % 2 == 1,
 }
 
 
 def _key(section: str, default: Any = None, rule: str | tuple[str, ...] | None = None, *,
-         key: str = "", scale: float | None = None, null: bool = False) -> Any:
+         key: str = "", null: bool = False) -> Any:
     """Declare an ExperimentConfig field: where it sits in the JSON config and what it must hold.
 
     The field is read from JSON key ``key`` of ``section`` ("" is the top
     level, "scene.mismatch" a subsection); ``key`` defaults to the field's
     name less a ``<section>_`` prefix.  ``rule`` is a _RULES name, or the
-    tuple of allowed values.  The JSON value times ``scale`` is the field's
-    value.  A ``null`` field reads and writes JSON null as None (a null
-    budget means cycle-capped only); any other field reads null as its
-    default, and the canonical form leaves it out when it is None.
+    tuple of allowed values.  A ``null`` field reads and writes JSON null
+    as None (a null budget means cycle-capped only); any other field reads
+    null as its default, and the canonical form leaves it out when it is
+    None.
     """
-    return field(default=default, metadata={"section": section, "key": key, "rule": rule, "scale": scale, "null": null})
+    return field(default=default, metadata={"section": section, "key": key, "rule": rule, "null": null})
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ class ExperimentConfig:
     seeds: int = _key("experiment", 1, "must be at least 1")
     global_seed: int = _key("experiment", 0, "cannot be negative")
     bin_resolution_ps: float = _key("spad", 100.0, "must be positive")
-    rep_rate_hz: float = _key("spad", 20e6, "must be positive", key="rep_rate_mhz", scale=1e6)
+    rep_rate_mhz: float = _key("spad", 20.0, "must be positive")
     num_bins: int | None = _key("spad", None, "must be at least 1")
     dead_time_ns: float = _key("spad", 81.0, "cannot be negative")
     max_active_periods: int = _key("spad", 16, "must be at least 1")
@@ -177,7 +175,6 @@ class ExperimentConfig:
     flux_grid_size: int = _key("estimator", 16, "must be at least 1")
     flux_grid_lo: float = _key("estimator", 0.1, "must be positive")
     flux_grid_hi: float = _key("estimator", 100.0, "must be positive")
-    dither_window: int = _key("estimator", 3, "must be an odd count >= 3")
     prior_kind: str = _key("prior", "uniform", ("uniform", "flatness", "external"))
     prior_sigma_bins: float = _key("prior", 10.0, "must be positive")
     prior_floor_weight: float = _key("prior", 0.1, "must lie in [0, 1]")
@@ -191,12 +188,12 @@ class ExperimentConfig:
     def resolved_num_bins(self) -> int:
         if self.num_bins is not None:
             return self.num_bins
-        return derive_num_bins(self.bin_resolution_ps, self.rep_rate_hz)
+        return derive_num_bins(self.bin_resolution_ps, self.rep_rate_mhz * 1e6)
 
     def spad_config(self, dead_time_ns: float | None = None) -> SpadConfig:
         return SpadConfig(
             bin_resolution_ps=self.bin_resolution_ps,
-            rep_rate_hz=self.rep_rate_hz,
+            rep_rate_hz=self.rep_rate_mhz * 1e6,
             num_bins=self.resolved_num_bins,
             dead_time_ns=self.dead_time_ns if dead_time_ns is None else dead_time_ns,
             max_active_periods=self.max_active_periods,
@@ -225,8 +222,6 @@ class ExperimentConfig:
                     continue
                 if kind is tuple:
                     value = list(value)
-                elif f.metadata["scale"]:
-                    value /= f.metadata["scale"]
                 node = d
                 for name in filter(None, section.split(".")):
                     node = node.setdefault(name, {})
@@ -514,13 +509,10 @@ def _take_section(parent: dict, path: str, errors: list[str], kwargs: dict) -> N
             section = {}
     where = path or "config"
     for key, f, kind in _SECTIONS[path]:
-        scale = f.metadata["scale"]
         if kind is tuple:
             value = _float_list(section, errors, where, key)
         elif f.metadata["null"] and section.get(key, 0) is None:
             value = section.pop(key)  # an explicit null stays None: a null budget means cycle-capped only
-        elif scale:
-            value = _take(section, errors, where, key, kind, f.default / scale) * scale
         else:
             value = _take(section, errors, where, key, kind, f.default)
         rule = f.metadata["rule"]
@@ -730,7 +722,6 @@ def _build_policy(config: ExperimentConfig, spec: RowSpec, num_bins: int, prior:
         prior=prior,
         bkg_flux=known,
         calibration_cycles=n_cal,
-        gate_offset=p.gate_offset,
         exposure=exposure,
         background_fallback=config.background_fallback,
         flux_grid_spec=(config.flux_grid_size, config.flux_grid_lo, config.flux_grid_hi),
@@ -812,7 +803,7 @@ def run_pixel_experiment(config: ExperimentConfig, spec: RowSpec) -> ResultRow:
         term = termination_value(post, config.exposure_metric)
         entropy = posterior_entropy(post)
 
-    sub_bin = dither_depth(coates_est, est_bin, config.dither_window)
+    sub_bin = dither_depth(coates_est, est_bin)
     est_m = bin_to_depth(sub_bin, config.bin_resolution_ps)
     true_m = bin_to_depth(spec.true_depth_bin, config.bin_resolution_ps)
     sbr = spec.signal_flux / spec.ambient_flux if spec.ambient_flux > 0 else float("nan")

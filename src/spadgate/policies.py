@@ -1,11 +1,11 @@
 """Gating policies: fixed, uniform cycling, free running, and adaptive.
 
 The adaptive policy is Thompson sampling on the depth posterior: it gates
-at depths drawn from the flux-marginalized posterior (minus an optional
-offset).  Gating at the sampled depth maximizes the expected reward
--E[0-1 loss] for that hypothesis, because the gate position only
-attenuates the sampled bin through the rates scanned before it; an
-exhaustive check over all gates backs this (``harness.proposition_check``).
+at depths drawn from the flux-marginalized posterior.  Gating at the
+sampled depth maximizes the expected reward -E[0-1 loss] for that
+hypothesis, because the gate position only attenuates the sampled bin
+through the rates scanned before it; an exhaustive check over all gates
+backs this (``harness.proposition_check``).
 
 Every policy gives ``gates(start, count, rng)``, the gates of the next
 block of cycles, which ``run_acquisition`` simulates in one pass (see
@@ -123,8 +123,8 @@ class AdaptiveGatePolicy:
     The posterior's flux grid is ``default_flux_grid(background,
     *flux_grid_spec)``, spec (size, lo, hi).
     Every later cycle samples a depth from the posterior marginal and
-    gates at (depth - gate_offset) mod B.  ``calibration_cycles`` is the
-    policy's own count: the record of its run does not mark them.
+    gates at it.  ``calibration_cycles`` is the policy's own count: the
+    record of its run does not mark them.
 
     The policy runs in blocks (``gates`` and ``observe_block``): the
     calibration is one block, and each later block is up to max(1, cycles
@@ -140,7 +140,6 @@ class AdaptiveGatePolicy:
         prior: np.ndarray | None = None,
         bkg_flux: float | None = None,
         calibration_cycles: int = 0,
-        gate_offset: int = 0,
         exposure: ExposureControl | None = None,
         background_fallback: float = 0.01,
         flux_grid_spec: tuple[int, float, float] = (16, 0.1, 100.0),
@@ -154,7 +153,6 @@ class AdaptiveGatePolicy:
         self.known_bkg = bkg_flux
         self.flux_grid_spec = flux_grid_spec
         self.calibration_cycles = int(calibration_cycles)
-        self.gate_offset = int(gate_offset) % int(num_bins)
         self.exposure = exposure
         if exposure is not None and exposure.min_cycles is not None:
             self.min_cycles = exposure.min_cycles
@@ -183,7 +181,7 @@ class AdaptiveGatePolicy:
         if self.should_stop():
             return np.zeros(0, dtype=np.int64)
         n = min(count, max(1, start // FEEDBACK_DIVISOR))
-        return (self.sample_depth(rng, n) - self.gate_offset) % b
+        return self.sample_depth(rng, n)
 
     def observe_block(self, gates, timestamps, detected, periods, durations) -> int:
         """Take in a block's outcomes and return how many cycles were taken.
@@ -219,7 +217,7 @@ class AdaptiveGatePolicy:
         """The next cycle's gate, as a block of one.
 
         Kept because ``bench/tracing.py`` patches it by name; it goes with
-        ROADMAP item 1's change to the benchmark.
+        ROADMAP item 16's change to the benchmark.
         """
         return int(self.gates(self.cycle_index, 1, rng)[0])
 

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from spadgate import AcquisitionRecord, ResultRow
-from spadgate.core import LawStatistics, _count_times, law_statistics, log1mexp
-from spadgate.estimators import _factor_steps, _fold, _install, posterior_update
+from spadgate.core import LawStatistics, SceneTransient, SpadConfig, _count_times, law_statistics, log1mexp
+from spadgate.estimators import (_factor_steps, _fold, _install, default_flux_grid, map_depth, posterior_from_record,
+                                 posterior_update)
 from spadgate.policies import termination_value
-from spadgate.spadsim import BLOCK_CYCLES, FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, SimState, sample_cycle, stream_rng
+from spadgate.spadsim import (BLOCK_CYCLES, FEEDBACK_DIVISOR, FREE_RUN, CycleOutcome, SimState, run_acquisition,
+                              sample_cycle, stream_rng)
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -177,7 +179,7 @@ def reference_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
         for depth in depths:
             if room() == 0:
                 break
-            block.append(sample_cycle(scene, config, state, (depth - policy.gate_offset) % b))
+            block.append(sample_cycle(scene, config, state, depth))
             if control is not None:
                 timestamp = block[-1].timestamp
                 posterior_update(policy.posterior, timestamp if timestamp >= 0 else None, block[-1].gate)
@@ -191,6 +193,37 @@ def reference_acquisition(scene, config, policy, budget_bins=None, max_cycles=No
                                    [o.detected for o in block])
             _fold(policy.posterior, stats)
     return outcomes_record(b, outcomes)
+
+
+def calibration_draw(make_policy, seed: int, stream: int, num_bins: int = 16, bkg_flux: float = 0.02,
+                     cycles: int = 20) -> tuple[float, float]:
+    """One draw of a simulation-based calibration check: (stated error, observed 0-1 loss).
+
+    The scene is drawn from the posterior's own prior: the true depth
+    uniformly over the bins, the signal flux uniformly from its flux grid
+    (``default_flux_grid`` of the known background, 0 included).  One row
+    of ``cycles`` cycles runs under ``make_policy(num_bins, bkg_flux)``, on
+    100 ps bins with the default dead time and cap.  An adaptive policy's
+    own posterior is read; any other row is read through
+    ``posterior_from_record`` under a uniform prior.  The stated error is
+    1 - max p, the posterior's probability that its MAP bin is wrong, and
+    the observed loss is whether it is.  When the law is the simulator's
+    exact law, their means over draws agree for every policy, since the
+    gates depend only on past outcomes (Cook, Gelman & Rubin, JCGS 2006;
+    Talts et al., arXiv 1804.06788).
+    """
+    rng = stream_rng(seed, stream)
+    grid = default_flux_grid(bkg_flux)
+    depth = int(rng.integers(num_bins))
+    flux = float(grid[rng.integers(grid.size)])
+    scene = SceneTransient(num_bins=num_bins, ambient_flux=bkg_flux, peaks=((depth, flux),))
+    policy = make_policy(num_bins, bkg_flux)
+    record = run_acquisition(scene, SpadConfig(num_bins=num_bins), policy, max_cycles=cycles, seed=rng)
+    if hasattr(policy, "posterior"):
+        post = policy.posterior
+    else:
+        post = posterior_from_record(record, bkg_flux, grid, None)
+    return termination_value(post), float(map_depth(post) != depth)
 
 
 def full_period_cycle_rows(post) -> tuple:

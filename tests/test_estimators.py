@@ -1,6 +1,7 @@
 """Pile-up correction, depth posteriors, background and sub-bin estimation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ def test_a_posterior_rejects_a_negative_background_when_built():
     with pytest.raises(ValueError, match="bkg_flux cannot be negative"):
         sg.DepthPosterior(np.ones((4, 1)), np.array([0.5]), -0.1)
     assert sg.posterior_init(4, np.array([0.5]), 0.0).bkg_flux == 0.0  # no background is allowed
+
+
+@pytest.mark.parametrize("bkg", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_posterior_rejects_a_non_finite_background_when_built(bkg):
+    # Built, a NaN background would make every update a degraded cycle and
+    # an infinite one would still move the rows, both without a word.
+    message = re.escape(f"bkg_flux must be finite, got {bkg!r}")
+    with pytest.raises(ValueError, match=message):
+        sg.posterior_init(4, np.array([0.5]), bkg)
+    with pytest.raises(ValueError, match=message):
+        sg.DepthPosterior(np.ones((4, 1)), np.array([0.5]), bkg)
+    with pytest.raises(ValueError, match=message):
+        sg.posterior_from_record(make_record(4, [(0, 1)]), bkg, np.array([0.5]), None)
 
 
 def test_posterior_init_joint_shape():
@@ -686,7 +700,6 @@ def test_dither_depth_recovers_gaussian_center():
     rates = np.exp(1.0 - 0.5 * (x - 2.3) ** 2)
     est = sg.TransientEstimate(rates=rates, saturated=np.zeros(5, bool))
     assert sg.dither_depth(est, 2) == pytest.approx(2.3, abs=1e-12)
-    assert sg.dither_depth(est, 2, window=5) == pytest.approx(2.3, abs=1e-9)
 
 
 def test_dither_depth_symmetric_peak_stays_centered():
@@ -703,16 +716,9 @@ def test_dither_depth_degenerate_and_clamped():
 
 
 def test_dither_depth_wraps_at_period_edges():
-    # peak at bin 0: the window wraps around the period boundary
+    # An edge bin has one neighbour in the period, so it is not refined:
+    # the parabola needs a bin on each side.
     rates = np.array([2.0, 1.5, 0.1, 0.1, 1.0])
     est = sg.TransientEstimate(rates=rates, saturated=np.zeros(5, bool))
-    val = sg.dither_depth(est, 0)
-    assert 0.0 <= val < 1.0  # pulled toward bin 1, never past the window
-
-
-def test_dither_depth_window_validation():
-    est = sg.TransientEstimate(rates=np.ones(5), saturated=np.zeros(5, bool))
-    with pytest.raises(ValueError):
-        sg.dither_depth(est, 2, window=2)
-    with pytest.raises(ValueError):
-        sg.dither_depth(est, 2, window=4)
+    assert sg.dither_depth(est, 0) == 0.0
+    assert sg.dither_depth(est, 4) == 4.0

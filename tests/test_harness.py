@@ -66,6 +66,16 @@ def test_parse_config_reports_unknown_keys_together():
     assert "spad.bogus" in msg and "scene.extra" in msg
 
 
+def test_removed_keys_are_unknown_keys():
+    # Keys the program no longer reads are refused by name, not ignored.
+    for section, value, message in [
+        ("policies", [{"kind": "adaptive", "gate_offset": 0}], "unknown key policies[0].gate_offset"),
+        ("estimator", {"dither_window": 3}, "unknown key estimator.dither_window"),
+    ]:
+        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+            _config(**{section: value})
+
+
 def test_parse_config_requires_a_depth_and_a_signal():
     raw = json.loads(json.dumps(BASE_CONFIG))
     del raw["scene"]["depth_bin"]
@@ -98,9 +108,6 @@ def test_parse_config_type_errors_name_the_path():
         ("sweep", "sbr", [2.0, True], "sweep.sbr: expected a list of numbers"),
         ("sweep", "budget_us", ["10"], "sweep.budget_us: expected a list of numbers"),
         # Values of the right type that would fail every row (or mean nothing).
-        ("estimator", "dither_window", 2, "estimator.dither_window must be an odd count >= 3"),
-        ("estimator", "dither_window", 4, "estimator.dither_window must be an odd count >= 3"),
-        ("estimator", "dither_window", 1, "estimator.dither_window must be an odd count >= 3"),
         ("estimator", "flux_grid_size", 0, "estimator.flux_grid_size must be at least 1"),
         ("estimator", "flux_grid_lo", 0.0, "estimator.flux_grid_lo must be positive"),
         ("estimator", "flux_grid_hi", -1.0, "estimator.flux_grid_hi must be positive"),
@@ -175,7 +182,7 @@ def test_parse_config_type_errors_name_the_path():
             sg.parse_config(raw)
         assert str(exc.value) == message
     raw = json.loads(json.dumps(BASE_CONFIG))
-    raw["estimator"] = {"dither_window": 5, "flux_grid_size": 1}
+    raw["estimator"] = {"flux_grid_size": 1}
     raw["exposure"] = {"min_cycles": 0}
     raw["spad"].update(num_bins=1, max_active_periods=1, dead_time_ns=0.0)
     raw["scene"] = {"depth_bin": 0, "ambient_flux": 0.0, "sbr": 0.0}
@@ -399,13 +406,13 @@ def test_serialize_parse_round_trip():
         "spad": {"bin_resolution_ps": 100.0, "rep_rate_mhz": 20.0, "num_bins": 40, "dead_time_ns": 20.0,
                  "max_active_periods": 16},
         "scene": {"depth_bin": 11, "ambient_flux": 0.02, "sbr": 5.0},
-        "policies": [{"name": "fixed0", "kind": "fixed", "estimator": "coates", "gate": 0, "gate_offset": 0},
-                     {"name": "adaptive", "kind": "adaptive", "estimator": "map", "gate_offset": 0}],
+        "policies": [{"name": "fixed0", "kind": "fixed", "estimator": "coates", "gate": 0},
+                     {"name": "adaptive", "kind": "adaptive", "estimator": "map"}],
         "budget_us": 20.0,
         "max_cycles": None,
         "exposure": {"enabled": False, "epsilon": 0.25, "metric": "termination", "min_cycles": None},
         "background": {"mode": "known", "fallback_flux": 0.01},
-        "estimator": {"flux_grid_size": 16, "flux_grid_lo": 0.1, "flux_grid_hi": 100.0, "dither_window": 3},
+        "estimator": {"flux_grid_size": 16, "flux_grid_lo": 0.1, "flux_grid_hi": 100.0},
         "prior": {"kind": "uniform", "sigma_bins": 10.0, "floor_weight": 0.1},
     }
 
@@ -420,15 +427,15 @@ def test_config_schema_lists_every_field_once():
 def test_round_trip_with_every_field_set():
     full = sg.ExperimentConfig(
         experiment_id="full", out_dir="out", seeds=3, global_seed=9,
-        bin_resolution_ps=50.0, rep_rate_hz=25e6, num_bins=600, dead_time_ns=40.0, max_active_periods=4,
+        bin_resolution_ps=50.0, rep_rate_mhz=25.0, num_bins=600, dead_time_ns=40.0, max_active_periods=4,
         ambient_flux=0.03, sbr=3.0, depth_bin=120, depth_m=2.5,
         mismatch_kind="corner_tail", mismatch_tail_amplitude=0.4, mismatch_tail_decay=12.0,
         depth_map="depth.txt", ambient_map="ambient.txt", signal_map="signal.txt",
-        policies=(sg.PolicySpec(name="fixed9", kind="fixed", estimator="map", gate=9, gate_offset=2),),
+        policies=(sg.PolicySpec(name="fixed9", kind="fixed", estimator="map", gate=9),),
         budget_us=50.0, max_cycles=900,
         exposure_enabled=True, exposure_epsilon=0.1, exposure_metric="entropy", exposure_min_cycles=25,
         background_mode="known", background_fallback=0.02,
-        flux_grid_size=8, flux_grid_lo=0.2, flux_grid_hi=50.0, dither_window=5,
+        flux_grid_size=8, flux_grid_lo=0.2, flux_grid_hi=50.0,
         prior_kind="external", prior_sigma_bins=4.0, prior_floor_weight=0.3, prior_path="prior.txt",
         sweep_ambient_flux=(0.01, 0.05), sweep_sbr=(1.0, 4.0), sweep_dead_time_ns=(20.0, 81.0),
         sweep_budget_us=(25.0, 75.0),
@@ -474,7 +481,7 @@ def test_config_error_text_and_order_are_pinned():
         "config.budget_us: expected float, got 'soon'; exposure.enabled: expected bool, got 'yes'; "
         "exposure.epsilon must be positive; exposure.metric must be termination or entropy, got 'variance'; "
         "exposure.min_cycles cannot be negative; estimator.flux_grid_size must be at least 1; "
-        "estimator.flux_grid_lo must be positive; estimator.dither_window must be an odd count >= 3; "
+        "estimator.flux_grid_lo must be positive; unknown key estimator.dither_window; "
         "sweep.sbr: empty sweep axis; sweep.budget_us: expected a list of numbers; unknown key sweep.speed; "
         "unknown section extra_section; "
         "scene needs depth_bin, depth_m or depth_map; scene needs ambient_flux; "
@@ -524,7 +531,7 @@ def test_every_declared_key_rejects_a_wrong_kind_and_a_broken_rule():
     # The cases come from the field declarations, so a key added later is covered too.
     wrong_kind = {str: 5, int: 2.5, float: "x", bool: "yes", tuple: "x"}
     breaking = {"must be positive": 0, "must be at least 1": 0, "cannot be negative": -1,
-                "must lie in [0, 1]": 2, "must be an odd count >= 3": 4}
+                "must lie in [0, 1]": 2}
     assert sorted(breaking) == sorted(harness._RULES)
     rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(sg.ExperimentConfig) if f.metadata}
     sg.parse_config(SCHEMA_BASE)

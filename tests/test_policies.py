@@ -182,9 +182,6 @@ def test_thompson_gate_tracks_sampled_depth():
     assert pol.gates(0, 1, rng).tolist() == [9]
     assert pol.gates(40, 4096, rng).tolist() == [9] * 10  # 40 // FEEDBACK_DIVISOR draws
     assert pol.next_gate(rng) == 9  # the one-gate form the bench tracer times
-    offset_pol = sg.AdaptiveGatePolicy(num_bins=12, bkg_flux=0.1, gate_offset=3)
-    _sharpen(offset_pol, 2)
-    assert offset_pol.gates(0, 1, rng).tolist() == [(2 - 3) % 12]
 
 
 def test_sample_depth_consumes_exactly_one_uniform():

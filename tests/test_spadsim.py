@@ -523,11 +523,10 @@ def test_triggered_blocks_in_period_take_no_np_divmod(monkeypatch, kind):
     calibration=st.one_of(st.none(), st.integers(1, 40)),
     exposure=st.one_of(st.none(), st.tuples(st.floats(0.05, 0.9), st.sampled_from(["termination", "entropy"]),
                                             st.one_of(st.none(), st.integers(0, 60)))),
-    gate_offset=st.integers(0, 59),
     seed=st.integers(0, 2**16),
 )
 def test_adaptive_blocks_match_the_per_cycle_reference(
-        b, ambient, peak, dead_bins, cap, budget, max_cycles, calibration, exposure, gate_offset, seed):
+        b, ambient, peak, dead_bins, cap, budget, max_cycles, calibration, exposure, seed):
     # Adaptive acquisitions, background known (no calibration) or estimated
     # from calibration cycles, with exposure control (a block taken cycle by
     # cycle, and cut at the stop) and without (a block folded at once),
@@ -545,7 +544,7 @@ def test_adaptive_blocks_match_the_per_cycle_reference(
     def policy():
         known = None if calibration is not None else (ambient if ambient > 0 else 0.01)
         policies.append(sg.AdaptiveGatePolicy(num_bins=b, bkg_flux=known, calibration_cycles=calibration or 0,
-                                              gate_offset=gate_offset, exposure=control))
+                                              exposure=control))
         return policies[-1]
 
     _assert_matches_the_reference(scene, spad, policy, budget, max_cycles, seed)
