@@ -88,6 +88,58 @@ class SpadConfig:
         return max(1, int(math.ceil(raw - 1e-9)))
 
 
+# Buckets per scan interval of a ScanBuckets table, and the most steps a
+# search may take from a key's bucket.  A scene whose rates are uneven
+# enough to put more lower ends in one bucket gets no table.
+BUCKETS_PER_BIN = 2
+MAX_BUCKET_STEPS = 4
+
+
+class ScanBuckets(NamedTuple):
+    """A scan's bin lookup in a few steps: for 0 <= x < total rate, the
+    largest j with ``scan_prefix[j] <= x`` (``np.searchsorted`` side right,
+    minus one).
+
+    Only bins with a non-empty interval [prefix[j], prefix[j + 1]) can
+    hold a key; ``bins`` lists them, ``lower`` and ``upper`` their ends.
+    A key's bucket is ``int(x * scale)``, with ``scale`` =
+    BUCKETS_PER_BIN * len(bins) / total.  Rounded multiplication and
+    truncation never decrease, so an interval whose lower end falls in an
+    earlier bucket starts below the key, and one whose lower end falls in
+    a later bucket starts above it.  ``first[u]`` is the last interval
+    whose lower end falls before bucket u (0 if none), and ``steps``
+    advances, each past one more lower end, reach any key's interval from
+    there.  The search still checks every result.
+    """
+
+    scale: float
+    first: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    bins: np.ndarray
+    steps: int
+
+    @classmethod
+    def build(cls, prefix: np.ndarray) -> "ScanBuckets | None":
+        """The table of ``prefix``, or None when its scale is not finite or
+        some bucket holds more than MAX_BUCKET_STEPS lower ends."""
+        bins = np.flatnonzero(prefix[1:] > prefix[:-1])
+        total = float(prefix[-1])
+        if not bins.size:
+            return None
+        scale = BUCKETS_PER_BIN * bins.size / total
+        if not math.isfinite(scale):  # a subnormal total
+            return None
+        lower = prefix[bins]
+        starts = (lower * scale).astype(np.int64)  # each lower end's bucket
+        buckets = np.arange(int(total * scale) + 1)  # every key's bucket is at most the total's
+        first = np.maximum(starts.searchsorted(buckets, "left") - 1, 0)
+        steps = int((starts.searchsorted(buckets, "right") - 1 - first).max())
+        if steps > MAX_BUCKET_STEPS:
+            return None
+        return cls(scale, first, lower, prefix[bins + 1], bins, steps)
+
+
 @dataclass
 class SceneTransient:
     """Per-pulse photon rates r[i] seen by one pixel.
@@ -158,6 +210,13 @@ class SceneTransient:
         # Taken from scan_prefix so samplers that walk the prefix and code
         # that folds whole periods agree to the last ulp.
         return float(self.scan_prefix[-1])
+
+    @cached_property
+    def scan_buckets(self) -> "ScanBuckets | None":
+        """Bucket table over ``scan_prefix`` for long blocks of scans, or
+        None where a few steps from a bucket cannot reach every bin (see
+        ``ScanBuckets``)."""
+        return ScanBuckets.build(self.scan_prefix)
 
     @classmethod
     def from_rates(cls, rates: np.ndarray) -> "SceneTransient":

@@ -900,28 +900,43 @@ def run_sweep(
 
 
 def _map_rows(config: ExperimentConfig, specs: list[RowSpec], threads: int) -> list[ResultRow | RowFailure]:
-    """Run rows in order: serially, or on ``min(threads, len(specs))`` worker processes.
+    """Run rows, serially or on ``min(threads, len(specs))`` worker processes,
+    and return them in spec order.
 
-    The workers start at the first parallel call and are kept for every
-    later call that needs as many, so a sweep does not pay for a fork per
-    call.  Kept workers run this package as it was when they started:
-    monkeypatching after that point does not reach them.  They exit with
-    their parent, even when it is killed.  A pool that breaks (a worker
-    died, or starting one failed) is dropped, never reused; rows are pure,
-    so after a worker died between calls they run once more on fresh
-    workers and give the same rows.
+    Workers are handed the costliest kinds of row first (``_ROW_COST``),
+    in spec order within a kind, so that the last rows to finish are short
+    ones.  The workers start at the first parallel call and are kept for
+    every later call that needs as many, so a sweep does not pay for a
+    fork per call.  Kept workers run this package as it was when they
+    started: monkeypatching after that point does not reach them.  They
+    exit with their parent, even when it is killed.  A pool that breaks (a
+    worker died, or starting one failed) is dropped, never reused; rows
+    are pure, so after a worker died between calls they run once more on
+    fresh workers and give the same rows.
     """
     args = [(config, s) for s in specs]
     if threads <= 1 or len(specs) <= 1:
         return [_run_row_safe(a) for a in args]
     from concurrent.futures.process import BrokenProcessPool  # serial runs never pay for its import
 
+    order = sorted(range(len(specs)), key=lambda i: _ROW_COST[specs[i].policy.kind])
+    args = [args[i] for i in order]
     workers = min(threads, len(args))  # a forked pool starts every worker at its first submit
     chunk = max(1, len(args) // (workers * 8))
     try:
-        return _pool_map(workers, args, chunk)
+        done = _pool_map(workers, args, chunk)
     except BrokenProcessPool:
-        return _pool_map(workers, args, chunk)
+        done = _pool_map(workers, args, chunk)
+    results = [None] * len(done)
+    for i, row in zip(order, done):
+        results[i] = row
+    return results
+
+
+# Policy kinds by the cost of their rows, costliest first: an adaptive row
+# reads its posterior as it runs, a free-running row scans one cycle at a
+# time, and gate schedules scan whole blocks at once.
+_ROW_COST = {"adaptive": 0, "free_running": 1, "fixed": 2, "uniform": 2}
 
 
 # The worker pool kept across parallel calls, as (worker count, executor).

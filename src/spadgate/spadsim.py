@@ -29,13 +29,16 @@ most the cycle cap's remainder, and at most as many cycles as could still
 start if each took the shortest possible time (the dead time after a
 detection in its arm bin, or a censored scan, whichever is shorter).  A
 block draws its unit exponentials in one call, after whatever ``gates``
-drew.  Triggered gates then locate every detection with one
-``searchsorted`` over the block, and the ready times are a cumulative sum,
-because the phase a triggered cycle leaves the pixel in depends only on
-its own gate and draw.  Free running re-arms at that phase, so
-``_free_run_offsets`` walks the phase recurrence one cycle at a time, in
-one loop with the scalar scan inlined, and keeps only the offsets; the arm
-phases are then one cumulative sum of the cycles' active times.
+drew.  Triggered gates then locate every detection in one vectorised
+search over the block (``_scan_bins``: a bucket table for blocks of at
+least ``BUCKET_SEARCH_MIN`` draws, ``np.searchsorted`` for shorter ones),
+and the ready times are a cumulative sum, because the phase a triggered
+cycle leaves the pixel in depends only on its own gate and draw.  Free
+running re-arms at that phase, so ``_free_run_detections`` walks the
+phase recurrence one cycle at a time, in one loop with the scalar scan
+inlined, carrying only the arm phase (through a table of the phase each
+detection bin re-arms at); the arm phases are then rebuilt from the
+detections in numpy.
 
 Both scans skip the period ``divmod`` for a draw that lands in the period
 it armed in (``prefix[phase] + e < total_rate``): there it would return
@@ -84,6 +87,10 @@ FREE_RUN = _FreeRunDirective()
 # cycles than the rest of the budget can start at the shortest cycle
 # possible, so a short acquisition draws only what it can use.
 BLOCK_CYCLES = 4096
+# The fewest keys a block search sends through the scene's bucket table
+# (``_scan_bins``); a shorter block bisects.  Set at the measured
+# crossover of the two searches (README, "Simulation speed").
+BUCKET_SEARCH_MIN = 1024
 # A block of a policy that learns from its outcomes holds at most
 # 1 / FEEDBACK_DIVISOR of the cycles run before it (at least one), so a
 # run of T cycles reads its posterior O(log T) times.
@@ -141,7 +148,7 @@ def _scan_exponential(
     The offset is the largest n with cumsum(rates scanned) <= e; bins with
     zero rate are skipped for free.  Exactly matches a per-bin Bernoulli
     walk in distribution.  ``_locate_block`` is the same scan over arrays,
-    and ``_free_run_offsets`` has an inlined copy: a change here goes there.
+    and ``_free_run_detections`` has an inlined copy: a change here goes there.
     Both add an exact shortcut that this reference does not take: a draw
     that lands in its arming period skips the ``divmod``.
     """
@@ -169,28 +176,49 @@ def _locate_block(
 
     Returns the offsets and a censored mask; censored offsets are
     meaningless.  Same float operations as the scalar scan, element by
-    element, so the same offsets.  A block whose draws all land in their
-    arming periods has k = 0 throughout, so it skips the ``divmod``, its
-    round-up fix and the censoring test.
+    element, and ``_scan_bins`` finds the same bins as its bisection, so
+    the same offsets.  A block whose draws all land in their arming
+    periods has k = 0 throughout, so it skips the ``divmod``, its round-up
+    fix and the censoring test.
     """
     b = scene.num_bins
     total = scene.total_rate
     if total <= 0.0:
         return np.zeros_like(gates), np.ones(gates.shape, dtype=bool)
-    prefix = scene.scan_prefix
-    x = prefix[gates] + e
+    x = scene.scan_prefix[gates] + e
     if (x < total).all():  # every draw lands in the period it armed in: divmod would give (0.0, x)
-        offsets = np.searchsorted(prefix, x, side="right") - 1 - gates
+        offsets = _scan_bins(scene, x) - gates
         return offsets, np.zeros(offsets.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny total overflows k; clipped below
         k, x = np.divmod(x, total)
     up = x >= total
     k[up] += 1.0
     x[up] = 0.0
-    j = np.searchsorted(prefix, x, side="right") - 1
+    j = _scan_bins(scene, x)
     k = np.minimum(k, max_periods + 1).astype(np.int64)  # censored anyway; keeps the cast finite
     offsets = k * b + j - gates
     return offsets, offsets >= max_periods * b
+
+
+def _scan_bins(scene: SceneTransient, x: np.ndarray) -> np.ndarray:
+    """The bin of each key 0 <= x < total rate: the largest j with
+    ``scan_prefix[j] <= x``.
+
+    A block of at least BUCKET_SEARCH_MIN keys goes through the scene's
+    bucket table (``core.ScanBuckets``): a start from each key's bucket,
+    then the table's few steps, all vectorised.  Every result is checked
+    against ``prefix[j] <= x < prefix[j + 1]``; a block that fails the
+    check, a shorter block and a scene without a table use
+    ``np.searchsorted``, which gives the same bins.
+    """
+    table = scene.scan_buckets if x.size >= BUCKET_SEARCH_MIN else None
+    if table is not None:
+        i = table.first[(x * table.scale).astype(np.int64)]
+        for _ in range(table.steps):
+            i += table.upper[i] <= x
+        if ((table.lower[i] <= x) & (x < table.upper[i])).all():
+            return table.bins[i]
+    return np.searchsorted(scene.scan_prefix, x, side="right") - 1
 
 
 def sample_cycle(
@@ -287,8 +315,13 @@ def run_acquisition(
         saved = rng.bit_generator.state
         e = rng.exponential(size=n)
         if free:
-            offsets = np.array(_free_run_offsets(scene, e.tolist(), ready, dead, cap, last_start), dtype=np.int64)
-            censored = offsets < 0
+            found = np.array(_free_run_detections(scene, e.tolist(), ready % b, dead, cap, last_start - ready),
+                             dtype=np.int64)
+            censored = found < 0
+            # Each cycle arms where the one before left the pixel (the first, at the ready phase).
+            left = np.where(censored, -1 - found, (found + dead) % b)
+            gates = np.concatenate(([ready % b], left[:-1]))
+            offsets = found - gates
         else:
             offsets, censored = _locate_block(scene, gates, e, cap)
         # Bins from arming to ready; a censored cycle leaves the pixel at its
@@ -297,8 +330,6 @@ def run_acquisition(
         active = offsets + dead
         if some_censored:
             active[censored] = cap * b
-        if free:  # each cycle arms where the last one left the pixel
-            gates = (ready + active.cumsum() - active) % b
         # A cycle waits from where the one before left the pixel (the first,
         # from the ready time) to its gate.
         durations = np.empty_like(active)
@@ -330,51 +361,66 @@ def run_acquisition(
     return AcquisitionRecord(b, *columns, exposure_bins=ready)
 
 
-def _free_run_offsets(
-    scene: SceneTransient, e: list[float], ready: int, dead: int, cap: int, last_start: int
+def _free_run_detections(
+    scene: SceneTransient, e: list[float], phase: int, dead: int, cap: int, room: int
 ) -> list[int]:
-    """Scan offsets (-1 if censored) of consecutive free-running cycles.
+    """Where consecutive free-running cycles detect: k * num_bins plus the
+    detection bin, counted from the start of the period the cycle armed
+    in, or ``-1 - arm phase`` for a censored cycle.
 
-    Free running arms where the last cycle left the pixel, so only this
-    phase recurrence is sequential; the caller rebuilds the arm phases
-    from the offsets.  The loop is ``_scan_exponential`` inlined, with the
-    scene constants hoisted: the same float operations in the same order,
-    except that a draw landing in its arming period skips the ``divmod``,
-    which would give k = 0 and leave it unchanged.
-    Stops early at the first cycle that would start after ``last_start``.
+    The first cycle arms at ``phase``.  A detection in bin j re-arms the
+    pixel at ``(j + dead) % num_bins``, and a censored cycle leaves it at
+    its own arm phase, so the loop carries only the last detection bin and
+    the scan prefix at the phase it re-arms at, both read from tables over
+    the bins; ``run_acquisition`` rebuilds the arm phases from the result.
+    The loop is ``_scan_exponential`` inlined, with the scene constants
+    hoisted: the same float operations in the same order, except that a
+    draw landing in its arming period skips the ``divmod``, which would
+    give k = 0 and leave it unchanged.
+
+    Only the draws that leave their arming period count the bins their
+    cycles spend.  Once those exceed ``room`` no further cycle can start,
+    and the loop stops; ``run_acquisition`` cuts the cycles that start
+    after the budget all the same.
     """
     b = scene.num_bins
     span = cap * b
     total = scene.total_rate
     if total <= 0.0:  # every cycle censored; the phase never moves
-        return [-1] * min(len(e), (last_start - ready) // span + 1)
+        return [-1 - phase] * min(len(e), room // span + 1)
     prefix = scene.scan_prefix_list
-    offsets = []
-    append = offsets.append
+    leave = (np.arange(b) + dead) % b  # the phase a detection in bin j re-arms at
+    start_after = scene.scan_prefix[leave].tolist()
+    leave = leave.tolist()
+    found = []
+    append = found.append
+    j = (phase - dead) % b  # a detection here would have left the pixel at phase
+    start = prefix[phase]
+    spent = 0
     for draw in e:
-        if ready > last_start:
-            break
-        phase = ready % b
-        x = prefix[phase] + draw
+        x = start + draw
         if x < total:  # lands in the period it armed in: divmod would give (0.0, x), never censored
-            offset = bisect_right(prefix, x) - 1 - phase
-            append(offset)
-            ready += offset + dead
+            j = bisect_right(prefix, x) - 1
+            append(j)
+            start = start_after[j]
             continue
         k, x = divmod(x, total)
         if x >= total:  # float remainder can round up to the divisor
             k += 1.0
             x = 0.0
-        if k > cap:  # censored whatever the bin; a tiny total makes k inf
-            append(-1)
-            ready += span
-            continue
-        offset = int(k) * b + bisect_right(prefix, x) - 1 - phase
-        if offset >= span:
-            append(-1)
-            ready += span
-        else:
-            append(offset)
-            ready += offset + dead
-    return offsets
-
+        if k <= cap:  # else censored whatever the bin; a tiny total makes k inf
+            i = bisect_right(prefix, x) - 1
+            at = int(k) * b + i
+            offset = at - leave[j]
+            if offset < span:
+                append(at)
+                j, start = i, start_after[i]
+                spent += offset + dead
+                if spent > room:
+                    break
+                continue
+        append(-1 - leave[j])
+        spent += span
+        if spent > room:
+            break
+    return found

@@ -78,3 +78,29 @@ def test_summary_says_when_the_digest_sets_differ(capsys):
 def test_a_metric_at_zero_on_the_parent_is_worse_on_any_rise():
     assert bench_pairs.verdict((0.0, 0.0, 0.0), 0.01, "lower", 0.2) == (float("inf"), "worse than bound")
     assert bench_pairs.verdict((0.0, 0.0, 1.0), 0.0, "lower", 0.2) == (0.0, "unresolved")
+
+
+def test_a_gain_needs_nine_of_ten_pairs_and_a_gap_wider_than_the_parent_spread(capsys):
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]  # quartiles 98.75-101.25
+    faster = [v + 5.0 for v in parent]
+    summary = bench_pairs.summarize("w", _pairs({"cycles_per_s": parent}, {"cycles_per_s": faster}), METRICS)
+    assert summary["cycles_per_s"]["gain"] == "gain"
+    assert "gain     within bound" in capsys.readouterr().out
+    # Eight wins and two ties: ties count for neither side.
+    tied = faster[:8] + parent[8:]
+    summary = bench_pairs.summarize("w", _pairs({"cycles_per_s": parent}, {"cycles_per_s": tied}), METRICS)
+    assert summary["cycles_per_s"]["wins"] == {"parent": 0, "change": 8, "tie": 2}
+    assert summary["cycles_per_s"]["gain"] == "no gain"
+    # Ten wins, but a median gap of 2 inside the parent's spread of 2.5.
+    close = [v + 2.0 for v in parent]
+    summary = bench_pairs.summarize("w", _pairs({"cycles_per_s": parent}, {"cycles_per_s": close}), METRICS)
+    assert summary["cycles_per_s"]["wins"]["change"] == 10 and summary["cycles_per_s"]["gain"] == "no gain"
+
+
+def test_a_gain_on_a_lower_is_better_metric_is_a_fall():
+    parent = (49.0, 50.0, 51.0)
+    assert bench_pairs.gain(parent, 47.0, "lower", 10, 10) == "gain"
+    assert bench_pairs.gain(parent, 53.0, "lower", 10, 10) == "no gain"  # worse, whatever the wins say
+    assert bench_pairs.gain(parent, 47.0, "lower", 9, 10) == "gain"
+    assert bench_pairs.gain(parent, 47.0, "lower", 8, 10) == "no gain"
+    assert bench_pairs.gain(parent, 53.0, "higher", 18, 20) == "gain"

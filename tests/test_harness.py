@@ -882,21 +882,35 @@ def test_a_forked_child_starts_its_own_pool():
     assert done.returncode == 0 and done.stdout.split() == ["0"], done.stderr
 
 
-def test_sweep_thread_invariance(tmp_path):
+def test_sweep_thread_invariance(tmp_path, monkeypatch):
+    # The costliest policy comes last.  Its rows at ambient 0 fail, and so
+    # do free running + MAP's: a known background of 0 cannot scale the
+    # flux grid.
     raw = json.loads(json.dumps(BASE_CONFIG))
-    raw["sweep"] = {"sbr": [2.0, 5.0]}
+    raw["policies"] = [{"name": "fixed0", "kind": "fixed", "gate": 0}, {"name": "uniform", "kind": "uniform"},
+                       {"name": "free", "kind": "free_running"},
+                       {"name": "adaptive", "kind": "adaptive"}]
+    raw["sweep"] = {"sbr": [2.0, 5.0], "ambient_flux": [0.0, 0.02]}
     cfg = sg.parse_config(raw)
-    rows1, aggs1, _ = sg.run_sweep(cfg, threads=1)
-    rows4, aggs4, _ = sg.run_sweep(cfg, threads=4)
+    submitted = []
+    pool_map = harness._pool_map
+    monkeypatch.setattr(harness, "_pool_map", lambda workers, args, chunk: (
+        submitted.extend(spec.policy.name for _, spec in args) or pool_map(workers, args, chunk)))
+    rows1, aggs1, failures1 = sg.run_sweep(cfg, threads=1)
+    rows2, aggs2, failures2 = sg.run_sweep(cfg, threads=2)
+    # Workers get the costliest kinds first; the rows come back in spec order.
+    assert submitted == ["adaptive"] * 8 + ["free"] * 8 + ["fixed0"] * 8 + ["uniform"] * 8
+    assert [f.policy for f in failures1] == ["free"] * 4 + ["adaptive"] * 4
+    assert failures1 == failures2
     # nan fields defeat dataclass equality, so compare the serialized form
-    p1, p4 = tmp_path / "r1.csv", tmp_path / "r4.csv"
+    p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     sg.write_results_csv(p1, rows1)
-    sg.write_results_csv(p4, rows4)
-    assert p1.read_bytes() == p4.read_bytes()
-    a1, a4 = tmp_path / "a1.csv", tmp_path / "a4.csv"
+    sg.write_results_csv(p2, rows2)
+    assert p1.read_bytes() == p2.read_bytes()
+    a1, a2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
     sg.write_aggregates_csv(a1, aggs1)
-    sg.write_aggregates_csv(a4, aggs4)
-    assert a1.read_bytes() == a4.read_bytes()
+    sg.write_aggregates_csv(a2, aggs2)
+    assert a1.read_bytes() == a2.read_bytes()
 
 
 def test_block_rows_are_thread_invariant(tmp_path, monkeypatch):

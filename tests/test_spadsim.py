@@ -291,7 +291,7 @@ def test_open_loop_record_with_every_cycle_censored(kind, ambient):
 def _count_block_draws(monkeypatch) -> list[int]:
     """Record the number of draws each open-loop block hands to its scan."""
     handed = []
-    locate, free_run = spadsim._locate_block, spadsim._free_run_offsets
+    locate, free_run = spadsim._locate_block, spadsim._free_run_detections
 
     def counted_locate(scene, gates, e, cap):
         handed.append(len(e))
@@ -302,7 +302,7 @@ def _count_block_draws(monkeypatch) -> list[int]:
         return free_run(scene, e, *args)
 
     monkeypatch.setattr(spadsim, "_locate_block", counted_locate)
-    monkeypatch.setattr(spadsim, "_free_run_offsets", counted_free_run)
+    monkeypatch.setattr(spadsim, "_free_run_detections", counted_free_run)
     return handed
 
 
@@ -408,6 +408,101 @@ def test_free_running_matches_the_per_cycle_loop_at_sweep_scale(name):
     assert rec.detected.any()
 
 
+def _count_searchsorted(monkeypatch) -> list[int]:
+    """Record the number of keys of each ``np.searchsorted`` call."""
+    sizes = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(spadsim.np, "searchsorted", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_SCENES))
+@pytest.mark.parametrize("kind", ["fixed", "uniform"])
+def test_gate_schedules_match_the_per_cycle_loop_at_sweep_scale(monkeypatch, kind, name):
+    # Blocks of BUCKET_SEARCH_MIN draws or more find their bins through the
+    # scene's bucket table, never through a bisection.
+    scene = _SWEEP_SCENES[name]
+    sizes = _count_searchsorted(monkeypatch)
+    rec = _assert_matches_the_reference(
+        scene, _SWEEP_SPAD, lambda: _OPEN_LOOP[kind](500, 270), 20_000_000, None, seed=41)
+    assert len(rec) > spadsim.BLOCK_CYCLES and len(rec) % spadsim.BLOCK_CYCLES  # ends inside a later block
+    assert rec.detected.any()
+    assert scene.scan_buckets is not None
+    assert all(size < spadsim.BUCKET_SEARCH_MIN for size in sizes)
+
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 600),
+    decades=st.tuples(st.integers(-12, 3), st.integers(-12, 3)),
+    zero_runs=st.integers(0, 4),
+    total=st.sampled_from([None, 0.5, 1.0, 3.0, 1e3, 1e6]),  # times the smallest normal float
+    n=st.sampled_from([1, 2, 500, spadsim.BUCKET_SEARCH_MIN - 1, spadsim.BUCKET_SEARCH_MIN,
+                       spadsim.BUCKET_SEARCH_MIN + 1, 4096]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_search_gives_the_bisection_bins(b, decades, zero_runs, total, n, seed):
+    # Rates log-uniform between two decades of 1e-12 .. 1e3, with runs of
+    # zeros, or scaled to a total near the smallest normal float.  Keys are
+    # uniform, or prefix entries, or bucket edges and their neighbours.
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(decades)
+    rates = 10.0 ** rng.uniform(lo, hi + 1, b)
+    for _ in range(zero_runs):
+        start = rng.integers(b)
+        rates[start:start + rng.integers(1, b + 1)] = 0.0
+    if total is not None:
+        rates *= total * _SMALLEST_NORMAL / max(rates.sum(), 1e-300)
+    if not rates.sum() > 0.0:
+        return
+    scene = sg.SceneTransient.from_rates(rates)
+    prefix, table = scene.scan_prefix, scene.scan_buckets
+    keys = [rng.uniform(0.0, scene.total_rate, n), prefix]
+    if table is not None:
+        edges = np.arange(len(table.first)) / table.scale
+        keys += [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+    keys = np.concatenate(keys)
+    keys = keys[(keys >= 0.0) & (keys < scene.total_rate)]
+    x = rng.choice(keys, n)
+    expect = np.searchsorted(prefix, x, side="right") - 1
+    searched = []
+    searchsorted = np.searchsorted
+    spadsim.np.searchsorted = lambda *args, **kwargs: searched.append(1) or searchsorted(*args, **kwargs)
+    try:
+        got = spadsim._scan_bins(scene, x)
+    finally:
+        spadsim.np.searchsorted = searchsorted
+    assert np.array_equal(got, expect)
+    # A block long enough for the table, on a scene that has one, is never bisected.
+    assert searched == ([] if table is not None and n >= spadsim.BUCKET_SEARCH_MIN else [1])
+
+
+def test_scenes_without_a_bucket_table():
+    assert sg.SceneTransient(num_bins=8, ambient_flux=0.0, peaks=((3, 1e-320),)).scan_buckets is None  # subnormal
+    # Rates from 1e-12 to 1e3 put hundreds of lower ends in the first buckets.
+    assert sg.SceneTransient.from_rates(10.0 ** np.linspace(-12, 3, 400)).scan_buckets is None
+    uniform = sg.SceneTransient(num_bins=500, ambient_flux=0.02).scan_buckets
+    assert uniform.steps == 1 and len(uniform.first) == 2 * 500 + 1
+
+
+def test_a_wrong_bucket_table_still_gives_the_bisection_bins():
+    # The search checks every bin the table finds, so a table whose starts
+    # are one bucket late falls back on the bisection.
+    scene = sg.SceneTransient(num_bins=500, ambient_flux=0.02, peaks=((275, 0.04),))
+    table = scene.scan_buckets
+    scene.scan_buckets = table._replace(first=np.append(table.first[1:], table.first[-1]))
+    x = np.random.default_rng(5).uniform(0.0, scene.total_rate, 4096)
+    assert np.array_equal(spadsim._scan_bins(scene, x), np.searchsorted(scene.scan_prefix, x, side="right") - 1)
+
+
 def test_free_running_does_not_call_the_scalar_scan(monkeypatch):
     calls = []
     scan = spadsim._scan_exponential
@@ -445,10 +540,11 @@ def test_free_running_draws_on_the_period_end_match_the_scalar_scan(cap, dead):
     expect, ready, on_the_end = [], 0, 0
     for draw in draws:  # the scalar scan, cycle by cycle
         on_the_end += prefix[ready % b] + draw == total
-        expect.append(_scan_offset(scene, ready % b, draw, cap))
-        ready += cap * b if expect[-1] < 0 else expect[-1] + dead
+        offset = _scan_offset(scene, ready % b, draw, cap)
+        expect.append(-1 - ready % b if offset < 0 else ready % b + offset)
+        ready += cap * b if offset < 0 else offset + dead
     assert on_the_end >= 10 and 0.0 in draws
-    assert spadsim._free_run_offsets(scene, draws, 0, dead, cap, sys.maxsize) == expect
+    assert spadsim._free_run_detections(scene, draws, 0, dead, cap, sys.maxsize) == expect
 
 
 @pytest.mark.parametrize("cap", [1, 3])

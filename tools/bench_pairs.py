@@ -16,8 +16,11 @@ pairs each side won, the direction of "better" read from the change
 tree's BENCHMARK.json, and each side's median largest process.  Each
 metric also gets a verdict against its BENCHMARK.json ``bound``: worse
 than the bound, within it, or unresolved when the parent's quartile
-spread is wider than the bound.  One line says whether both sides gave
-the same set of digests.
+spread is wider than the bound.  Beside it each metric gets a gain
+verdict: "gain" when the change won at least nine tenths of the pairs
+(ties count for neither side) and its median is better than the
+parent's by more than the parent's quartile spread, else "no gain".
+One line says whether both sides gave the same set of digests.
 
 Standard library only.  Run nothing else heavy alongside: the runs are
 timed on the host they share.
@@ -147,16 +150,26 @@ def verdict(parent: tuple[float, float, float], change_median: float, better: st
     return worse_by, "worse than bound" if worse_by > bound else "within bound"
 
 
+def gain(parent: tuple[float, float, float], change_median: float, better: str, change_wins: int,
+         pairs: int) -> str:
+    """"gain" when the change won at least 9 of every 10 pairs run and its
+    median is better than the parent's by more than the parent's quartile
+    spread (q3 - q1); else "no gain"."""
+    q1, median, q3 = parent
+    better_by = (change_median - median) if better == "higher" else (median - change_median)
+    return "gain" if 10 * change_wins >= 9 * pairs and better_by > q3 - q1 else "no gain"
+
+
 def summarize(workload: str, pairs: list[dict], spec: dict[str, dict]) -> dict:
-    """Per metric: each side's quartiles, the pairs each side won and the
-    verdict against the metric's bound; then whether both sides gave the
-    same digests.  ``spec`` maps each metric to its BENCHMARK.json entry
-    (``better`` and ``bound``)."""
+    """Per metric: each side's quartiles, the pairs each side won, the
+    verdict against the metric's bound and the gain verdict; then whether
+    both sides gave the same digests.  ``spec`` maps each metric to its
+    BENCHMARK.json entry (``better`` and ``bound``)."""
     names = [n for n in spec if any(_metric(p["parent"], n) is not None for p in pairs)]
     summary = {}
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':18s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
-          f"{'change/parent':>13s}  wins parent/change/tie  verdict (worse by, bound)")
+          f"{'change/parent':>13s}  wins parent/change/tie  gain     verdict (worse by, bound)")
     for name in names:
         values = {s: [_metric(p[s], name) for p in pairs] for s in SIDES}
         if any(v is None for s in SIDES for v in values[s]):
@@ -171,10 +184,11 @@ def summarize(workload: str, pairs: list[dict], spec: dict[str, dict]) -> dict:
         stats = {s: _quartiles(values[s]) for s in SIDES}
         ratio = stats["change"][1] / stats["parent"][1] if stats["parent"][1] else float("nan")
         worse_by, call = verdict(stats["parent"], stats["change"][1], better, bound)
+        claim = gain(stats["parent"], stats["change"][1], better, wins["change"], len(pairs))
         shown = {s: f"{stats[s][1]:.6g} [{stats[s][0]:.6g}, {stats[s][2]:.6g}]" for s in SIDES}
-        won = f"{wins['parent']}/{wins['change']}/{wins['tie']}"
-        print(f"  {name:18s} {shown['parent']:>34s} {shown['change']:>34s} {ratio:13.4f}  {won:22s}  "
-              f"{call} ({worse_by:+.2%}, {bound:.0%})")
+        tally = f"{wins['parent']}/{wins['change']}/{wins['tie']}"
+        print(f"  {name:18s} {shown['parent']:>34s} {shown['change']:>34s} {ratio:13.4f}  {tally:22s}  "
+              f"{claim:7s}  {call} ({worse_by:+.2%}, {bound:.0%})")
         summary[name] = {
             **{s: {"q1": stats[s][0], "median": stats[s][1], "q3": stats[s][2]} for s in SIDES},
             "change_over_parent": ratio,
@@ -182,6 +196,7 @@ def summarize(workload: str, pairs: list[dict], spec: dict[str, dict]) -> dict:
             "bound": bound,
             "worse_by": worse_by,
             "verdict": call,
+            "gain": claim,
         }
     rss = {s: statistics.median(p[s]["largest_process_rss_mb"] for p in pairs) for s in SIDES}
     print(f"  largest process RSS, median: parent {rss['parent']:.2f} MB, change {rss['change']:.2f} MB")
