@@ -29,23 +29,27 @@ most the cycle cap's remainder, and at most as many cycles as could still
 start if each took the shortest possible time (the dead time after a
 detection in its arm bin, or a censored scan, whichever is shorter).  A
 block draws its unit exponentials in one call, after whatever ``gates``
-drew.  Triggered gates then locate every detection in one vectorised
-search over the block (``_scan_bins``: a bucket table for blocks of at
-least ``BUCKET_SEARCH_MIN`` draws, ``np.searchsorted`` for shorter ones),
-and the ready times are a cumulative sum, because the phase a triggered
-cycle leaves the pixel in depends only on its own gate and draw.  Free
-running re-arms at that phase, so ``_free_run_detections`` walks the
+drew.  A triggered block of fewer than ``SHORT_BLOCK`` draws is scanned
+cycle by cycle with the scalar scan ``_scan_exponential``
+(``_scan_short_block``), since numpy's fixed cost per call outweighs so
+few cycles.  A longer one locates every detection in one vectorised
+search over the block (``_scan_bins``: ``np.searchsorted``, or a bucket
+table for blocks of at least ``BUCKET_SEARCH_MIN`` draws), and the ready
+times are a cumulative sum, because the phase a triggered cycle leaves
+the pixel in depends only on its own gate and draw.  Free running
+re-arms at that phase, so ``_free_run_detections`` walks the
 phase recurrence one cycle at a time, in one loop with the scalar scan
 inlined, carrying only the arm phase (through a table of the phase each
 detection bin re-arms at); the arm phases are then rebuilt from the
 detections in numpy.
 
-Both scans skip the period ``divmod`` for a draw that lands in the period
-it armed in (``prefix[phase] + e < total_rate``): there it would return
-exactly ``(0.0, prefix[phase] + e)``, and the scan can be neither censored
-nor longer than a period.  The free-running loop takes that shortcut draw
-by draw; a triggered block takes it when all its draws qualify, and runs
-one ``divmod`` over the block otherwise.
+``_locate_block`` and ``_free_run_detections`` skip the period ``divmod``
+for a draw that lands in the period it armed in (``prefix[phase] + e <
+total_rate``): there it would return exactly ``(0.0, prefix[phase] + e)``,
+and the scan can be neither censored nor longer than a period.  The
+free-running loop takes that shortcut draw by draw; a long triggered
+block takes it when all its draws qualify, and runs one ``divmod`` over
+the block otherwise.  The scalar scan always divides.
 
 Draw order: a block draws what ``gates`` draws (n uniforms for a block of
 Thompson draws, nothing for a schedule) and then n unit exponentials.  A
@@ -91,6 +95,11 @@ BLOCK_CYCLES = 4096
 # (``_scan_bins``); a shorter block bisects.  Set at the measured
 # crossover of the two searches (README, "Simulation speed").
 BUCKET_SEARCH_MIN = 1024
+# A triggered block of fewer draws is scanned cycle by cycle, through
+# ``_scan_exponential`` (``_scan_short_block``); a longer one goes to the
+# vectorised search.  Set at the measured crossover of the two paths
+# (README, "Simulation speed").
+SHORT_BLOCK = 22
 # A block of a policy that learns from its outcomes holds at most
 # 1 / FEEDBACK_DIVISOR of the cycles run before it (at least one), so a
 # run of T cycles reads its posterior O(log T) times.
@@ -147,10 +156,11 @@ def _scan_exponential(
 
     The offset is the largest n with cumsum(rates scanned) <= e; bins with
     zero rate are skipped for free.  Exactly matches a per-bin Bernoulli
-    walk in distribution.  ``_locate_block`` is the same scan over arrays,
-    and ``_free_run_detections`` has an inlined copy: a change here goes there.
-    Both add an exact shortcut that this reference does not take: a draw
-    that lands in its arming period skips the ``divmod``.
+    walk in distribution.  It scans the cycles of a short triggered block
+    (``_scan_short_block``).  ``_locate_block`` is the same scan over
+    arrays, and ``_free_run_detections`` has an inlined copy: a change here
+    goes there.  Both add an exact shortcut that this scan does not take: a
+    draw that lands in its arming period skips the ``divmod``.
     """
     b = scene.num_bins
     total = scene.total_rate
@@ -314,40 +324,11 @@ def run_acquisition(
                 break
         saved = rng.bit_generator.state
         e = rng.exponential(size=n)
-        if free:
-            found = np.array(_free_run_detections(scene, e.tolist(), ready % b, dead, cap, last_start - ready),
-                             dtype=np.int64)
-            censored = found < 0
-            # Each cycle arms where the one before left the pixel (the first, at the ready phase).
-            left = np.where(censored, -1 - found, (found + dead) % b)
-            gates = np.concatenate(([ready % b], left[:-1]))
-            offsets = found - gates
+        if not free and n < SHORT_BLOCK:
+            kept, ends = _scan_short_block(scene, gates, e, ready, last_start, dead, cap)
         else:
-            offsets, censored = _locate_block(scene, gates, e, cap)
-        # Bins from arming to ready; a censored cycle leaves the pixel at its
-        # arm phase, a detected one dead time past the detection.
-        some_censored = censored.any()
-        active = offsets + dead
-        if some_censored:
-            active[censored] = cap * b
-        # A cycle waits from where the one before left the pixel (the first,
-        # from the ready time) to its gate.
-        durations = np.empty_like(active)
-        durations[0] = gates[0] - ready
-        np.subtract(gates[1:], gates[:-1], out=durations[1:])
-        durations[1:] -= active[:-1]
-        durations %= b
-        durations += active
-        ends = durations.cumsum()
-        ends += ready
-        # Cycles start at ready, then at each end; the first starts by the loop's test.
-        m = 1 + int(ends[:-1].searchsorted(last_start, "right"))
-        gates, offsets, censored = gates[:m], offsets[:m], censored[:m]
-        stamps, periods = (gates + offsets) % b, offsets // b
-        if some_censored:
-            stamps[censored] = -1
-            periods[censored] = cap
-        kept = (gates, stamps, ~censored, periods, durations[:m])
+            kept, ends = _scan_block(scene, gates, e, ready, last_start, dead, cap)
+        m = len(kept[0])
         if observe is not None:
             m = observe(*kept)
             kept = tuple(column[:m] for column in kept)
@@ -359,6 +340,89 @@ def run_acquisition(
         ready = int(ends[m - 1])
     columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 5
     return AcquisitionRecord(b, *columns, exposure_bins=ready)
+
+
+def _scan_short_block(scene: SceneTransient, gates: np.ndarray, e: np.ndarray, ready: int, last_start: int,
+                      dead: int, cap: int) -> tuple[tuple, list[int]]:
+    """A triggered block cycle by cycle: the record columns of the cycles
+    that start, and each one's end.
+
+    Each cycle arms at its gate's next occurrence from where the one
+    before left the pixel, scans with ``_scan_exponential``, and ends dead
+    time past its detection or ``cap`` periods after arming; a cycle
+    starts only while its start is at most ``last_start``, and the first
+    always starts.  The same integers as ``_scan_block``.
+    """
+    b = scene.num_bins
+    span = cap * b
+    stamps, detected, periods, durations, ends = [], [], [], [], []
+    t = ready
+    for gate, draw in zip(gates.tolist(), e.tolist()):
+        if ends and t > last_start:
+            break
+        arm = t + (gate - t) % b
+        offset = _scan_exponential(scene, gate, draw, cap)
+        if offset is None:
+            end = arm + span
+            stamps.append(-1)
+            periods.append(cap)
+        else:
+            end = arm + offset + dead
+            stamps.append((gate + offset) % b)
+            periods.append(offset // b)
+        detected.append(offset is not None)
+        durations.append(end - t)
+        ends.append(end)
+        t = end
+    columns = (gates[:len(ends)], np.array(stamps, dtype=np.int64), np.array(detected, dtype=bool),
+               np.array(periods, dtype=np.int64), np.array(durations, dtype=np.int64))
+    return columns, ends
+
+
+def _scan_block(scene: SceneTransient, gates, e: np.ndarray, ready: int, last_start: int, dead: int,
+                cap: int) -> tuple[tuple, np.ndarray]:
+    """A block in numpy: the record columns of the cycles that start, and
+    the end of each cycle drawn.
+
+    Free running (``gates`` is FREE_RUN) walks ``_free_run_detections``;
+    triggered gates locate every detection in one ``_locate_block``
+    search.  The ends are a cumulative sum.
+    """
+    b = scene.num_bins
+    if gates is FREE_RUN:
+        found = np.array(_free_run_detections(scene, e.tolist(), ready % b, dead, cap, last_start - ready),
+                         dtype=np.int64)
+        censored = found < 0
+        # Each cycle arms where the one before left the pixel (the first, at the ready phase).
+        left = np.where(censored, -1 - found, (found + dead) % b)
+        gates = np.concatenate(([ready % b], left[:-1]))
+        offsets = found - gates
+    else:
+        offsets, censored = _locate_block(scene, gates, e, cap)
+    # Bins from arming to ready; a censored cycle leaves the pixel at its
+    # arm phase, a detected one dead time past the detection.
+    some_censored = censored.any()
+    active = offsets + dead
+    if some_censored:
+        active[censored] = cap * b
+    # A cycle waits from where the one before left the pixel (the first,
+    # from the ready time) to its gate.
+    durations = np.empty_like(active)
+    durations[0] = gates[0] - ready
+    np.subtract(gates[1:], gates[:-1], out=durations[1:])
+    durations[1:] -= active[:-1]
+    durations %= b
+    durations += active
+    ends = durations.cumsum()
+    ends += ready
+    # Cycles start at ready, then at each end; the first starts by the loop's test.
+    m = 1 + int(ends[:-1].searchsorted(last_start, "right"))
+    gates, offsets, censored = gates[:m], offsets[:m], censored[:m]
+    stamps, periods = (gates + offsets) % b, offsets // b
+    if some_censored:
+        stamps[censored] = -1
+        periods[censored] = cap
+    return (gates, stamps, ~censored, periods, durations[:m]), ends
 
 
 def _free_run_detections(

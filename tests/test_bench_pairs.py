@@ -18,9 +18,10 @@ METRICS = {
 }
 
 
-def _run(metrics: dict, digest: str = "digest a", failed: int = 0) -> dict:
+def _run(metrics: dict, digest: str = "digest a", failed: int = 0, attempted: int = 100) -> dict:
     return {"digest": digest, "largest_process_rss_mb": 40.0,
-            "result": {"failed": failed, "metrics": {k: {"value": v} for k, v in metrics.items()}}}
+            "result": {"attempted": attempted, "failed": failed,
+                       "metrics": {k: {"value": v} for k, v in metrics.items()}}}
 
 
 def _pairs(parent: dict, change: dict, parent_digests=None, change_digests=None) -> list[dict]:
@@ -104,3 +105,37 @@ def test_a_gain_on_a_lower_is_better_metric_is_a_fall():
     assert bench_pairs.gain(parent, 47.0, "lower", 9, 10) == "gain"
     assert bench_pairs.gain(parent, 47.0, "lower", 8, 10) == "no gain"
     assert bench_pairs.gain(parent, 53.0, "higher", 18, 20) == "gain"
+
+
+def test_failed_rows_are_compared_as_a_share_of_the_attempted_rows(capsys):
+    # A faster change attempts more rows and fails more of them, at the same share.
+    values = {"cycles_per_s": [100.0, 100.0, 100.0]}
+    pairs = _pairs(values, values)
+    for pair, (failed, attempted) in zip(pairs, [(4, 108), (8, 216), (4, 108)]):
+        pair["parent"]["result"].update(failed=failed, attempted=attempted)
+    for pair, (failed, attempted) in zip(pairs, [(8, 216), (12, 324), (8, 216)]):
+        pair["change"]["result"].update(failed=failed, attempted=attempted)
+    share = bench_pairs.summarize("w", pairs, METRICS)["failed_share"]
+    assert share["parent"]["per_run"] == share["change"]["per_run"] == [4 / 108] * 3
+    assert share["parent"]["median"] == share["change"]["median"] == 4 / 108
+    assert not share["higher_on_change"]
+    out = capsys.readouterr().out
+    assert "failed share per run [0.0370, 0.0370, 0.0370]" in out
+    assert "failed share, median: parent 0.0370, change 0.0370\n" in out
+    # One more failed row in two of the change's runs raises its median share.
+    for pair in pairs[:2]:
+        pair["change"]["result"]["failed"] += 1
+    share = bench_pairs.summarize("w", pairs, METRICS)["failed_share"]
+    assert share["change"]["median"] == 13 / 324 and share["higher_on_change"]
+    assert "HIGHER on the change side" in capsys.readouterr().out
+
+
+def test_a_run_without_a_result_has_no_failed_share():
+    values = {"cycles_per_s": [100.0, 100.0]}
+    pairs = _pairs(values, values)
+    pairs[1]["change"]["result"] = None
+    pairs[1]["change"]["stderr_tail"] = "Traceback"
+    assert bench_pairs.failed_share(pairs[1]["change"]) is None
+    share = bench_pairs.summarize("w", pairs, METRICS)["failed_share"]
+    assert share["change"] == {"per_run": [0.0, None], "median": None}
+    assert not share["higher_on_change"]

@@ -503,19 +503,151 @@ def test_a_wrong_bucket_table_still_gives_the_bisection_bins():
     assert np.array_equal(spadsim._scan_bins(scene, x), np.searchsorted(scene.scan_prefix, x, side="right") - 1)
 
 
-def test_free_running_does_not_call_the_scalar_scan(monkeypatch):
+def _count_scalar_scans(monkeypatch) -> list[tuple]:
+    """Record every call of ``_scan_exponential``."""
     calls = []
     scan = spadsim._scan_exponential
     monkeypatch.setattr(spadsim, "_scan_exponential", lambda *args: calls.append(args) or scan(*args))
-    scene = _SWEEP_SCENES["ambient 0.02"]
+    return calls
+
+
+def _block_schedule(rec, spad, budget=None, max_cycles=None, calibration=0) -> list[tuple[int, int]]:
+    """(cycles drawn, cycles kept) of each block of an adaptive row, replayed
+    from its record: the calibration block, then max(1, cycles run //
+    FEEDBACK_DIVISOR) Thompson draws, each block capped by ``BLOCK_CYCLES``,
+    the cycle cap and the cycles the budget could still start."""
+    b, dead = rec.num_bins, spad.dead_time_bins
+    shortest = min(dead, spad.max_active_periods * b)
+    last_start = sys.maxsize if budget is None else budget - 1 - dead
+    ends = np.cumsum(rec.cycle_durations).tolist()
+    schedule, done = [], 0
+    while done < len(rec):
+        ready = ends[done - 1] if done else 0
+        n = min(spadsim.BLOCK_CYCLES, (last_start - ready) // shortest + 1)
+        if max_cycles is not None:
+            n = min(n, max_cycles - done)
+        n = min(n, calibration - done if done < calibration else max(1, done // spadsim.FEEDBACK_DIVISOR))
+        schedule.append((n, min(n, len(rec) - done)))
+        done += schedule[-1][1]
+    return schedule
+
+
+def test_only_short_triggered_blocks_call_the_scalar_scan(monkeypatch):
+    calls = _count_scalar_scans(monkeypatch)
+    scene, short = _SWEEP_SCENES["ambient 0.02"], spadsim.SHORT_BLOCK
     rec = sg.run_acquisition(scene, _SWEEP_SPAD, sg.FreeRunningPolicy(), budget_bins=200_000, seed=5)
     assert len(rec) > 100 and calls == []
+    # A budget row scans each cycle it keeps: every cycle that starts.
     rec = sg.run_acquisition(scene, _SWEEP_SPAD, sg.AdaptiveGatePolicy(500, bkg_flux=0.02), budget_bins=200_000,
                              seed=5)
-    assert len(rec) > 100 and calls == []  # an adaptive row runs in blocks too
+    schedule = _block_schedule(rec, _SWEEP_SPAD, budget=200_000)
+    assert len(rec) > 100 and any(n >= short for n, _ in schedule)
+    assert len(calls) == sum(kept for n, kept in schedule if n < short) > 0
+    # A row with a stop rule and no budget scans its whole last block, the
+    # cycles after the stop included.
+    calls.clear()
     stopping = sg.AdaptiveGatePolicy(500, bkg_flux=0.02, exposure=sg.ExposureControl(epsilon=0.25))
     rec = sg.run_acquisition(scene, _SWEEP_SPAD, stopping, max_cycles=300, seed=5)
-    assert len(rec) > 100 and calls == []  # and so does one with a stop rule
+    schedule = _block_schedule(rec, _SWEEP_SPAD, max_cycles=300)
+    assert len(rec) > 100 and any(n >= short for n, _ in schedule)
+    assert len(calls) == sum(n for n, _ in schedule if n < short) > 0
+    # Calibration of 4 * SHORT_BLOCK cycles, then blocks of SHORT_BLOCK and
+    # 5 * SHORT_BLOCK // 4 draws: none is short.
+    calls.clear()
+    n_cal, max_cycles = 4 * short, 5 * short + 5 * short // 4
+    estimated = sg.AdaptiveGatePolicy(500, calibration_cycles=n_cal)
+    rec = sg.run_acquisition(scene, _SWEEP_SPAD, estimated, max_cycles=max_cycles, seed=5)
+    assert _block_schedule(rec, _SWEEP_SPAD, max_cycles=max_cycles, calibration=n_cal) == [
+        (n_cal, n_cal), (short, short), (5 * short // 4, 5 * short // 4)]
+    assert calls == []
+
+
+def _assert_adaptive_matches_the_reference(scene, spad, budget, max_cycles, seed=3, **policy_args):
+    """``_assert_matches_the_reference`` for an adaptive policy, and the two
+    posteriors' masses agree to the bit as well."""
+    policies = []
+
+    def policy():
+        policies.append(sg.AdaptiveGatePolicy(num_bins=scene.num_bins, **policy_args))
+        return policies[-1]
+
+    rec = _assert_matches_the_reference(scene, spad, policy, budget, max_cycles, seed)
+    for pol in policies:
+        pol.ensure_posterior()  # a run that ended inside calibration folds what it has
+    run_post, cycle_post = (pol.posterior for pol in policies)
+    assert run_post.mass.tobytes() == cycle_post.mass.tobytes()
+    assert run_post.degraded_cycles == cycle_post.degraded_cycles
+    return rec
+
+
+_PEAKED_100 = sg.SceneTransient(num_bins=100, ambient_flux=0.02, peaks=((40, 0.1),))
+_DEAD_8 = sg.SpadConfig(num_bins=100, bin_resolution_ps=100.0, dead_time_ns=8.1, max_active_periods=4)
+
+
+def test_a_stop_inside_a_short_block_matches_the_reference(monkeypatch):
+    calls = _count_scalar_scans(monkeypatch)
+    control = sg.ExposureControl(epsilon=0.9, min_cycles=0)
+    rec = _assert_adaptive_matches_the_reference(_PEAKED_100, _DEAD_8, None, 300, seed=2, bkg_flux=0.02,
+                                                 exposure=control)
+    schedule = _block_schedule(rec, _DEAD_8, max_cycles=300)
+    n, kept = schedule[-1]
+    assert 1 <= kept < n < spadsim.SHORT_BLOCK  # the stop cut a short block
+    # The run scans its whole last block; the reference scans only the kept cycles.
+    assert len(calls) == sum(n for n, _ in schedule) + len(rec)
+
+
+def test_a_budget_ending_inside_a_short_block_matches_the_reference():
+    budget = 15_000
+    rec = _assert_adaptive_matches_the_reference(_PEAKED_100, _DEAD_8, budget, None, seed=4, bkg_flux=0.02)
+    n, kept = _block_schedule(rec, _DEAD_8, budget=budget)[-1]
+    assert 1 <= kept < n < spadsim.SHORT_BLOCK
+    assert rec.exposure_bins > budget - 1 - _DEAD_8.dead_time_bins  # no further cycle could start
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_short_blocks_with_censored_and_wrapping_cycles_match_the_reference(cap):
+    # A total rate of 0.6 per period: a third of the scans outlast one period.
+    scene = sg.SceneTransient(num_bins=30, ambient_flux=0.01, peaks=((12, 0.3),))
+    spad = sg.SpadConfig(num_bins=30, bin_resolution_ps=100.0, dead_time_ns=2.0, max_active_periods=cap)
+    assert scene.total_rate < 1.0
+    rec = _assert_adaptive_matches_the_reference(scene, spad, None, 97, seed=6, bkg_flux=0.01)
+    assert all(n < spadsim.SHORT_BLOCK for n, _ in _block_schedule(rec, spad, max_cycles=97))
+    assert (~rec.detected).any() and (rec.detected & (rec.timestamps < rec.gates)).any()
+    if cap > 1:
+        assert (rec.detected & (rec.elapsed_periods > 0)).any()
+        assert set(rec.elapsed_periods[~rec.detected].tolist()) == {cap}
+
+
+@pytest.mark.parametrize("exposure", [None, sg.ExposureControl(epsilon=0.01, min_cycles=0)])
+def test_short_blocks_of_a_zero_rate_scene_match_the_reference(exposure):
+    scene = sg.SceneTransient(num_bins=20, ambient_flux=0.0)
+    spad = sg.SpadConfig(num_bins=20, bin_resolution_ps=100.0, dead_time_ns=5.0, max_active_periods=2)
+    rec = _assert_adaptive_matches_the_reference(scene, spad, 20_000, None, seed=7, bkg_flux=0.01,
+                                                 exposure=exposure)
+    assert len(rec) > 0 and not rec.detected.any() and set(rec.elapsed_periods.tolist()) == {2}
+
+
+def test_a_cycle_that_starts_at_the_last_start_runs():
+    # One bin and no light: every cycle is censored after 3 bins, three
+    # times the shortest cycle (the one-bin dead time), so the budget's bound
+    # on a block overshoots.  In a budget of 44 bins the last start is 42, and
+    # the 15th cycle, the last of a block of 3, starts there.
+    scene = sg.SceneTransient(num_bins=1, ambient_flux=0.0)
+    spad = sg.SpadConfig(num_bins=1, bin_resolution_ps=100.0, dead_time_ns=0.1, max_active_periods=3)
+    rec = _assert_adaptive_matches_the_reference(scene, spad, 44, None, bkg_flux=0.01)
+    assert len(rec) == 15 and rec.exposure_bins == 45
+    assert _block_schedule(rec, spad, budget=44)[-1] == (3, 3)
+
+
+@pytest.mark.parametrize("n", [spadsim.SHORT_BLOCK - 1, spadsim.SHORT_BLOCK])
+def test_blocks_at_the_short_block_threshold_match_the_reference(monkeypatch, n):
+    # Calibration of 4n cycles, then one block of n Thompson draws.
+    calls = _count_scalar_scans(monkeypatch)
+    spad = sg.SpadConfig(num_bins=100, bin_resolution_ps=100.0, dead_time_ns=8.1, max_active_periods=4)
+    rec = _assert_adaptive_matches_the_reference(_PEAKED_100, spad, None, 5 * n, seed=8, calibration_cycles=4 * n)
+    assert _block_schedule(rec, spad, max_cycles=5 * n, calibration=4 * n) == [(4 * n, 4 * n), (n, n)]
+    reference_scans = 5 * n
+    assert len(calls) == reference_scans + (n if n < spadsim.SHORT_BLOCK else 0)
 
 
 # Zero-rate bins at both ends of the period: scan prefix [0, 0, 0.5, 1, 1],
@@ -634,18 +766,6 @@ def test_adaptive_blocks_match_the_per_cycle_reference(
     scene = sg.SceneTransient(num_bins=b, ambient_flux=ambient, peaks=peaks)
     spad = sg.SpadConfig(num_bins=b, bin_resolution_ps=100.0, dead_time_ns=dead_bins / 10, max_active_periods=cap)
     control = None if exposure is None else sg.ExposureControl(*exposure)
-
-    policies = []
-
-    def policy():
-        known = None if calibration is not None else (ambient if ambient > 0 else 0.01)
-        policies.append(sg.AdaptiveGatePolicy(num_bins=b, bkg_flux=known, calibration_cycles=calibration or 0,
-                                              exposure=control))
-        return policies[-1]
-
-    _assert_matches_the_reference(scene, spad, policy, budget, max_cycles, seed)
-    for pol in policies:
-        pol.ensure_posterior()  # a run that ended inside calibration folds what it has
-    run_post, cycle_post = (pol.posterior for pol in policies)
-    assert run_post.mass.tobytes() == cycle_post.mass.tobytes()
-    assert run_post.degraded_cycles == cycle_post.degraded_cycles
+    known = None if calibration is not None else (ambient if ambient > 0 else 0.01)
+    _assert_adaptive_matches_the_reference(scene, spad, budget, max_cycles, seed, bkg_flux=known,
+                                           calibration_cycles=calibration or 0, exposure=control)

@@ -20,7 +20,10 @@ spread is wider than the bound.  Beside it each metric gets a gain
 verdict: "gain" when the change won at least nine tenths of the pairs
 (ties count for neither side) and its median is better than the
 parent's by more than the parent's quartile spread, else "no gain".
-One line says whether both sides gave the same set of digests.
+One line says whether both sides gave the same set of digests.  Each
+run's failed share (failed rows over attempted rows, counts that grow
+with a run's speed) is printed with each side's median share, and the
+summary flags a change whose median share is higher than the parent's.
 
 Standard library only.  Run nothing else heavy alongside: the runs are
 timed on the host they share.
@@ -202,12 +205,28 @@ def summarize(workload: str, pairs: list[dict], spec: dict[str, dict]) -> dict:
     print(f"  largest process RSS, median: parent {rss['parent']:.2f} MB, change {rss['change']:.2f} MB")
     summary["largest_process_rss_mb"] = {s: {"median": rss[s]} for s in SIDES}
     digests = {s: sorted({p[s].get("digest", "none") for p in pairs}) for s in SIDES}
+    shares = {s: [failed_share(p[s]) for p in pairs] for s in SIDES}
     for s in SIDES:
-        failed = [p[s]["result"]["failed"] if p[s]["result"] else None for p in pairs]
-        print(f"  {s}: {' | '.join(digests[s])}; failed rows per run {failed}")
+        shown = ", ".join("missing" if v is None else f"{v:.4f}" for v in shares[s])
+        print(f"  {s}: {' | '.join(digests[s])}; failed share per run [{shown}]")
     summary["digests_equal"] = digests["parent"] == digests["change"]
     print(f"  digests: {'the same set on both sides' if summary['digests_equal'] else 'the sides differ'}")
+    medians = {s: None if None in shares[s] else statistics.median(shares[s]) for s in SIDES}
+    higher = None not in medians.values() and medians["change"] > medians["parent"]
+    summary["failed_share"] = {**{s: {"per_run": shares[s], "median": medians[s]} for s in SIDES},
+                               "higher_on_change": higher}
+    shown = {s: "missing" if medians[s] is None else f"{medians[s]:.4f}" for s in SIDES}
+    print(f"  failed share, median: parent {shown['parent']}, change {shown['change']}"
+          f"{'; HIGHER on the change side' if higher else ''}")
     return summary
+
+
+def failed_share(run: dict) -> float | None:
+    """The share of a run's attempted rows that failed, or None if it gave no result."""
+    result = run.get("result")
+    if not result:
+        return None
+    return result["failed"] / result["attempted"] if result["attempted"] else 0.0
 
 
 def main() -> int:
